@@ -18,9 +18,10 @@ from . import policies, theory
 from .bootstrap import BootstrapSpec, ZeroCountArm
 from .debias import UndefinedBias, debias
 from .harness import ExperimentPlan, run_plan
-from .simulator import atomic_write_text, load_log, run_experiment, save_log
+from .simulator import CorruptLog, atomic_write_text, load_log, run_experiment, save_log
 
 _DATA_ERRORS = (
+    CorruptLog,
     ZeroCountArm,
     UndefinedBias,
     est.DivisionHazard,

@@ -179,14 +179,3 @@ def from_dict(d: dict) -> RewardDistribution:
         return FiniteDiscrete(d["support"], d["probs"], proxy)
     raise ValueError(f"unknown distribution type: {kind!r}")
 
-
-def sample(d: RewardDistribution, rng: np.random.Generator, size=None):
-    return d.sample(rng, size)
-
-
-def log_mgf(d: RewardDistribution, h: float) -> float:
-    return d.log_mgf(h)
-
-
-def log_mgf_derivatives(d: RewardDistribution, h: float) -> tuple[float, float]:
-    return d.log_mgf_derivatives(h)

@@ -11,9 +11,10 @@ where mhat_t(k) is arm k's running sample mean over rounds < t (0 before
 its first pull), so the augmentation term is measurable with respect to
 the history and unbiasedness is preserved under adaptive collection.
 
-Propensity traces are recomputed from the log by a deterministic state
-replay; they depend only on the history, not on the policy's realized
-randomness, so the replayed values match what the policy used at run time.
+Propensities and plug-in means come from the logs' prefix states
+(``policies.prefix_state``), so they use only the history and match what the
+policy saw at run time.  Each estimator has one kernel over stacked logs;
+the per-log functions wrap it.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from typing import Optional
 import numpy as np
 
 from . import policies
-from .policies import PolicySpec
 from .simulator import BanditLog, summarize
 
 
@@ -37,59 +37,38 @@ class DivisionHazard(Exception):
 
 def propensity_trace(log: BanditLog) -> Optional[np.ndarray]:
     """Per-round per-arm e_t(k), shape (T, K); None if the policy is non-randomized."""
-    state = policies.new_state(log.K)
-    if policies.propensity_batch(log.policy, state._as_batch()) is None and not (
-        isinstance(log.policy, policies.TsSpec) and log.K > 2
-    ):
-        return None
-    out = np.empty((log.T, log.K))
-    for t0 in range(log.T):
-        for k in range(log.K):
-            out[t0, k] = policies.propensity(log.policy, state, k)
-        policies.update(state, int(log.actions[t0]), float(log.rewards[t0]))
-    return out
+    props = policies.propensity(log.policy, log.actions[None, :], log.rewards[None, :], log.K)
+    return None if props is None else props[0]
 
 
 def plugin_mean_trace(log: BanditLog) -> np.ndarray:
     """Running per-arm means using only strictly earlier rounds; 0 before first pull."""
-    return _plugin_means(log.actions[None, :], log.rewards[None, :], log.K)[0]
+    return policies.prefix_state(log.actions[None, :], log.rewards[None, :], log.K).means()
 
 
-def _plugin_means(actions: np.ndarray, rewards: np.ndarray, K: int) -> np.ndarray:
-    n, T = actions.shape
-    onehot = actions[:, :, None] == np.arange(K)[None, None, :]
-    counts = np.cumsum(onehot, axis=1)
-    sums = np.cumsum(np.where(onehot, rewards[:, :, None], 0.0), axis=1)
-    # Shift by one round: round t sees data from rounds < t only.
-    prev_counts = np.concatenate([np.zeros((n, 1, K)), counts[:, :-1, :]], axis=1)
-    prev_sums = np.concatenate([np.zeros((n, 1, K)), sums[:, :-1, :]], axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        m = np.where(prev_counts > 0, prev_sums / np.maximum(prev_counts, 1), 0.0)
-    return m
-
-
-def ipw_batch(actions: np.ndarray, rewards: np.ndarray, props: np.ndarray) -> np.ndarray:
-    """(n,) IPW estimates per arm from stacked logs; returns (n, K)."""
-    n, T = actions.shape
-    K = props.shape[2]
+def _chosen_propensities(actions: np.ndarray, props: np.ndarray) -> np.ndarray:
+    """e_t(a_t) per log and round, (n, T); raises DivisionHazard on a zero."""
     chosen_p = np.take_along_axis(props, actions[:, :, None], axis=2)[:, :, 0]
     bad = np.argwhere(chosen_p == 0.0)
     if bad.size:
         i, t = bad[0]
         raise DivisionHazard(int(t), int(actions[i, t]))
+    return chosen_p
+
+
+def ipw_batch(actions: np.ndarray, rewards: np.ndarray, props: np.ndarray) -> np.ndarray:
+    """IPW estimates per arm of stacked logs (n, T) with props (n, T, K); returns (n, K)."""
+    T, K = props.shape[1:]
+    chosen_p = _chosen_propensities(actions, props)
     contrib = (rewards / chosen_p)[:, :, None] * (actions[:, :, None] == np.arange(K))
     return contrib.sum(axis=1) / T
 
 
 def aipw_batch(actions: np.ndarray, rewards: np.ndarray, props: np.ndarray) -> np.ndarray:
-    n, T = actions.shape
-    K = props.shape[2]
-    mhat = _plugin_means(actions, rewards, K)
-    chosen_p = np.take_along_axis(props, actions[:, :, None], axis=2)[:, :, 0]
-    bad = np.argwhere(chosen_p == 0.0)
-    if bad.size:
-        i, t = bad[0]
-        raise DivisionHazard(int(t), int(actions[i, t]))
+    """AIPW estimates per arm of stacked logs, plug-in means from the strict past; (n, K)."""
+    n, T, K = props.shape
+    chosen_p = _chosen_propensities(actions, props)
+    mhat = policies.prefix_state(actions, rewards, K).means().reshape(n, T, K)
     onehot = actions[:, :, None] == np.arange(K)
     correction = onehot * ((rewards - np.where(onehot, mhat, 0.0).sum(axis=2)) / chosen_p)[:, :, None]
     return (mhat + correction).sum(axis=1) / T
@@ -99,20 +78,8 @@ def ipw_estimate(log: BanditLog, propensities: np.ndarray) -> np.ndarray:
     return ipw_batch(log.actions[None, :], log.rewards[None, :], np.asarray(propensities)[None])[0]
 
 
-def aipw_estimate(log: BanditLog, propensities: np.ndarray, plug_in_means: np.ndarray) -> np.ndarray:
-    """AIPW per arm; plug_in_means must be history-measurable ((T, K), row t from rounds < t)."""
-    actions, rewards = log.actions[None, :], log.rewards[None, :]
-    props = np.asarray(propensities)[None]
-    mhat = np.asarray(plug_in_means)[None]
-    K = props.shape[2]
-    chosen_p = np.take_along_axis(props, actions[:, :, None], axis=2)[:, :, 0]
-    bad = np.argwhere(chosen_p == 0.0)
-    if bad.size:
-        i, t = bad[0]
-        raise DivisionHazard(int(t), int(actions[i, t]))
-    onehot = actions[:, :, None] == np.arange(K)
-    correction = onehot * ((rewards - np.where(onehot, mhat, 0.0).sum(axis=2)) / chosen_p)[:, :, None]
-    return (mhat + correction).sum(axis=1)[0] / log.T
+def aipw_estimate(log: BanditLog, propensities: np.ndarray) -> np.ndarray:
+    return aipw_batch(log.actions[None, :], log.rewards[None, :], np.asarray(propensities)[None])[0]
 
 
 def evaluate(log: BanditLog, estimators=("mean", "ipw", "aipw")) -> dict:
@@ -130,5 +97,5 @@ def evaluate(log: BanditLog, estimators=("mean", "ipw", "aipw")) -> dict:
             if "ipw" in estimators:
                 out["ipw"] = ipw_estimate(log, props).tolist()
             if "aipw" in estimators:
-                out["aipw"] = aipw_estimate(log, props, plugin_mean_trace(log)).tolist()
+                out["aipw"] = aipw_estimate(log, props).tolist()
     return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,6 +48,8 @@ class Cell:
             raise ValueError("horizon grid must lie in [K, T]")
         if list(self.horizon_grid) != sorted(set(self.horizon_grid)):
             raise ValueError("horizon grid must be strictly increasing")
+        if self.mse_B is not None and self.mse_B < 1:
+            raise ValueError("mse_B must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,11 @@ class ExperimentPlan:
     @staticmethod
     def from_dict(d: dict) -> "ExperimentPlan":
         cells = []
+        known = {f.name for f in fields(Cell)}
         for c in d["cells"]:
+            unknown = set(c) - known
+            if unknown:
+                raise ValueError(f"cell {c.get('name')!r}: unknown key(s) {sorted(unknown)}")
             boot = c.get("bootstrap", {"kind": "mb", "B": 1000})
             cells.append(
                 Cell(
@@ -71,7 +77,7 @@ class ExperimentPlan:
                     bootstrap=BootstrapSpec(boot["kind"], int(boot["B"])),
                     estimators=tuple(c.get("estimators", ["mean"])),
                     horizon_grid=tuple(int(h) for h in c.get("horizon_grid", [])),
-                    mse_B=c.get("mse_B"),
+                    mse_B=None if c.get("mse_B") is None else int(c["mse_B"]),
                 )
             )
         return ExperimentPlan(master_seed=int(d["master_seed"]), cells=tuple(cells))
@@ -155,7 +161,7 @@ def _run_replication_inner(cell: Cell, master_seed: int, cell_index: int, r: int
             if "ipw" in cell.estimators:
                 ipw = est.ipw_estimate(log, props)
             if "aipw" in cell.estimators:
-                aipw = est.aipw_estimate(log, props, est.plugin_mean_trace(log))
+                aipw = est.aipw_estimate(log, props)
     record = ReplicationRecord(
         raw=raw,
         estimated_bias=est_bias,
@@ -164,31 +170,30 @@ def _run_replication_inner(cell: Cell, master_seed: int, cell_index: int, r: int
         aipw=aipw,
         error=error,
     )
+    kind = cell.bootstrap.kind
     for h_index, horizon in enumerate(cell.horizon_grid):
         if horizon == cell.T:
             # The full-horizon truncation is the log itself; reuse the
             # terminal debias/estimates so the grid endpoint matches run_plan.
-            record.horizon_estimates.setdefault("mb", {})[horizon] = corrected
+            record.horizon_estimates.setdefault(kind, {})[horizon] = corrected
             if ipw is not None:
                 record.horizon_estimates.setdefault("ipw", {})[horizon] = ipw
             if aipw is not None:
                 record.horizon_estimates.setdefault("aipw", {})[horizon] = aipw
             continue
         trunc = log.truncated(horizon)
-        boot = BootstrapSpec(cell.bootstrap.kind, cell.mse_B or cell.bootstrap.B)
+        boot = BootstrapSpec(kind, cell.mse_B or cell.bootstrap.B)
         try:
             trep = debias(trunc, boot, seed=child_seed(master_seed, TAG_HARNESS_MSE, cell_index, r, h_index))
-            record.horizon_estimates.setdefault("mb", {})[horizon] = trep.corrected_means
+            record.horizon_estimates.setdefault(kind, {})[horizon] = trep.corrected_means
         except ZeroCountArm:
-            record.horizon_estimates.setdefault("mb", {})[horizon] = nan
+            record.horizon_estimates.setdefault(kind, {})[horizon] = nan
         if props is not None:
             tprops = props[:horizon]
             if "ipw" in cell.estimators:
                 record.horizon_estimates.setdefault("ipw", {})[horizon] = est.ipw_estimate(trunc, tprops)
             if "aipw" in cell.estimators:
-                record.horizon_estimates.setdefault("aipw", {})[horizon] = est.aipw_estimate(
-                    trunc, tprops, est.plugin_mean_trace(trunc)
-                )
+                record.horizon_estimates.setdefault("aipw", {})[horizon] = est.aipw_estimate(trunc, tprops)
     return record
 
 
@@ -218,14 +223,6 @@ def run_plan(plan: ExperimentPlan, workers: int = 1, out_dir: Optional[str] = No
     return results
 
 
-def mse_curves(plan: ExperimentPlan, workers: int = 1) -> dict:
-    """Per-cell per-estimator MSE(T') tables for plans with horizon grids."""
-    out = {}
-    for res in run_plan(plan, workers=workers):
-        out[res.cell.name] = res.mse
-    return out
-
-
 def _aggregate(cell: Cell, records: Sequence[ReplicationRecord]) -> CellResult:
     true_means = np.array([a.mean() for a in cell.arms])
     raw = np.stack([r.raw for r in records])
@@ -235,7 +232,7 @@ def _aggregate(cell: Cell, records: Sequence[ReplicationRecord]) -> CellResult:
     mc_bias = np.nanmean(raw, axis=0) - true_means
     mc_bias_se = np.nanstd(raw, axis=0, ddof=0) / np.sqrt(np.maximum(n_valid, 1))
     mse: dict[str, dict[int, np.ndarray]] = {}
-    for name in ("mb", "ipw", "aipw"):
+    for name in (cell.bootstrap.kind, "ipw", "aipw"):
         horizons = sorted({h for r in records for h in r.horizon_estimates.get(name, {})})
         if horizons:
             nan = np.full(cell.K, np.nan)

@@ -6,6 +6,11 @@ propensity scores share one vectorized core that operates on a leading batch
 dimension, so simulating many experiments in lockstep costs a handful of
 array ops per round.
 
+Every propensity comes from ``propensity_batch``; ``propensity`` applies it
+once to the prefix states of stacked logs, with no loop over rounds.  TS
+with K != 2 has no closed form: its propensity is a fixed-size posterior
+Monte Carlo on a substream keyed by the round, so it is reproducible.
+
 Conventions fixed here (ties have positive probability for Bernoulli
 rewards, so they must be pinned down):
 
@@ -115,7 +120,8 @@ class BatchPolicyState:
     """State of ``n`` policy runs advanced in lockstep.
 
     Round index ``t`` is 1-based; sum(counts[i]) == t - 1 at the start of
-    round t for every run i.
+    round t for every run i.  The rows of a ``prefix_state`` sit at
+    different rounds; each row's round is sum(counts[i]) + 1.
     """
 
     K: int
@@ -176,10 +182,9 @@ def select_batch(spec: PolicySpec, state: BatchPolicyState, rng: np.random.Gener
 
 
 def propensity_batch(spec: PolicySpec, state: BatchPolicyState) -> Optional[np.ndarray]:
-    """Conditional selection probabilities (n, K) for the current round.
+    """Conditional selection probabilities (n, K) of each row's current round.
 
-    None for ETC/UCB (non-randomized policies) and for TS with K > 2, where
-    only the Monte Carlo scalar path is available.
+    None for ETC/UCB (non-randomized policies).
     """
     if isinstance(spec, (EtcSpec, UcbSpec)):
         return None
@@ -189,13 +194,52 @@ def propensity_batch(spec: PolicySpec, state: BatchPolicyState) -> Optional[np.n
         out[np.arange(state.n), greedy] += 1.0 - spec.epsilon
         return out
     if isinstance(spec, TsSpec):
-        if state.K != 2:
-            return None
         pm, pv = _ts_posterior(spec, state)
+        if state.K != 2:
+            # Every row of round t uses the normals of substream(_TS_PROPENSITY_SEED, t).
+            rounds = state.counts.sum(axis=1) + 1
+            out = np.empty((state.n, state.K))
+            for t in np.unique(rounds):
+                z = substream(_TS_PROPENSITY_SEED, int(t)).standard_normal((TS_PROPENSITY_DRAWS, state.K))
+                for i in np.flatnonzero(rounds == t):
+                    wins = np.argmax(pm[i] + np.sqrt(pv[i]) * z, axis=1)
+                    out[i] = np.bincount(wins, minlength=state.K) / TS_PROPENSITY_DRAWS
+            return out
         gap = (pm[:, 0] - pm[:, 1]) / np.sqrt(pv[:, 0] + pv[:, 1])
         p1 = ndtr(gap)
         return np.stack([p1, 1.0 - p1], axis=1)
     raise TypeError(f"unknown policy spec {spec!r}")
+
+
+def prefix_state(actions: np.ndarray, rewards: np.ndarray, K: int) -> BatchPolicyState:
+    """State of every round of stacked logs (n, T) as n*T rows.
+
+    Row i*T + t holds log i's counts and sums over rounds < t: a cumulative
+    sum shifted by one round, so round t sees only its strict past.
+    """
+    n, T = actions.shape
+    onehot = actions[:, :, None] == np.arange(K)
+    r = np.where(onehot, rewards[:, :, None], 0.0)
+
+    def strict_past(x: np.ndarray) -> np.ndarray:
+        out = np.zeros((n, T, K), dtype=x.dtype)
+        np.cumsum(x[:, :-1], axis=1, out=out[:, 1:])
+        return out.reshape(n * T, K)
+
+    return BatchPolicyState(
+        K=K,
+        n=n * T,
+        counts=strict_past(onehot.astype(np.int64)),
+        sums=strict_past(r),
+        sumsq=strict_past(r * r),
+        committed=np.full(n * T, -1, dtype=np.int64),
+    )
+
+
+def propensity(spec: PolicySpec, actions: np.ndarray, rewards: np.ndarray, K: int) -> Optional[np.ndarray]:
+    """e_t(k) of stacked logs, shape (n, T, K); None for non-randomized policies."""
+    probs = propensity_batch(spec, prefix_state(actions, rewards, K))
+    return None if probs is None else probs.reshape(actions.shape + (K,))
 
 
 def _ts_posterior(spec: TsSpec, state: BatchPolicyState) -> tuple[np.ndarray, np.ndarray]:
@@ -203,73 +247,3 @@ def _ts_posterior(spec: TsSpec, state: BatchPolicyState) -> tuple[np.ndarray, np
     pv = 1.0 / prec
     pm = pv * (spec.prior_mean / spec.prior_variance + state.sums / spec.likelihood_variance)
     return pm, pv
-
-
-# --- scalar API (single experiment), a thin view over the batch core ------
-
-
-@dataclass
-class PolicyState:
-    K: int
-    t: int = 1
-    counts: np.ndarray = field(default=None)
-    sums: np.ndarray = field(default=None)
-    sumsq: np.ndarray = field(default=None)
-    committed: int = -1
-
-    def __post_init__(self):
-        if self.counts is None:
-            self.counts = np.zeros(self.K, dtype=np.int64)
-            self.sums = np.zeros(self.K)
-            self.sumsq = np.zeros(self.K)
-
-    def _as_batch(self) -> BatchPolicyState:
-        return BatchPolicyState(
-            K=self.K,
-            n=1,
-            t=self.t,
-            counts=self.counts.reshape(1, -1),
-            sums=self.sums.reshape(1, -1),
-            sumsq=self.sumsq.reshape(1, -1),
-            committed=np.array([self.committed], dtype=np.int64),
-        )
-
-
-def new_state(K: int) -> PolicyState:
-    return PolicyState(K=K)
-
-
-def select_arm(spec: PolicySpec, state: PolicyState, rng: np.random.Generator) -> int:
-    batch = state._as_batch()
-    arm = int(select_batch(spec, batch, rng)[0])
-    state.committed = int(batch.committed[0])
-    return arm
-
-
-def update(state: PolicyState, arm: int, reward: float) -> PolicyState:
-    if not 0 <= arm < state.K:
-        raise ValueError(f"arm {arm} out of range for K={state.K}")
-    state.counts[arm] += 1
-    state.sums[arm] += reward
-    state.sumsq[arm] += reward * reward
-    state.t += 1
-    return state
-
-
-def propensity(spec: PolicySpec, state: PolicyState, arm: int) -> Optional[float]:
-    """e_t(arm) given the history; None for non-randomized policies.
-
-    TS with K > 2 falls back to a fixed-size posterior Monte Carlo on a
-    dedicated seeded substream, so repeated calls agree bit-for-bit.
-    """
-    if isinstance(spec, (EtcSpec, UcbSpec)):
-        return None
-    if isinstance(spec, TsSpec) and state.K > 2:
-        batch = state._as_batch()
-        pm, pv = _ts_posterior(spec, batch)
-        rng = substream(_TS_PROPENSITY_SEED, state.t)
-        draws = pm + np.sqrt(pv) * rng.standard_normal((TS_PROPENSITY_DRAWS, state.K))
-        wins = np.argmax(draws, axis=1)
-        return float(np.mean(wins == arm))
-    probs = propensity_batch(spec, state._as_batch())
-    return float(probs[0, arm])

@@ -76,14 +76,13 @@ class ArmSummary:
 
 @dataclass
 class BatchOutcome:
-    """Sufficient statistics of n lockstep experiments (plus optional traces)."""
+    """Sufficient statistics of n lockstep experiments (plus optional logs)."""
 
     counts: np.ndarray  # (n, K)
     sums: np.ndarray
     sumsq: np.ndarray
-    actions: Optional[np.ndarray] = None       # (n, T)
-    rewards: Optional[np.ndarray] = None       # (n, T)
-    propensities: Optional[np.ndarray] = None  # (n, T, K)
+    actions: Optional[np.ndarray] = None  # (n, T)
+    rewards: Optional[np.ndarray] = None  # (n, T)
 
     def means(self) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -113,7 +112,6 @@ def run_batch(
     arms: Sequence[dist.RewardDistribution],
     rng: np.random.Generator,
     record_logs: bool = False,
-    record_propensities: bool = False,
 ) -> BatchOutcome:
     """Run n independent experiments in lockstep off one stream.
 
@@ -125,13 +123,7 @@ def run_batch(
     state = BatchPolicyState(K=K, n=n)
     actions = np.empty((n, T), dtype=np.int64) if record_logs else None
     rewards = np.empty((n, T)) if record_logs else None
-    props = np.empty((n, T, K)) if record_propensities else None
     for t0 in range(T):
-        if record_propensities:
-            p = policies.propensity_batch(policy, state)
-            if p is None:
-                raise ValueError(f"policy {policy.name!r} has no defined propensities")
-            props[:, t0, :] = p
         chosen = policies.select_batch(policy, state, rng)
         r = _draw_rewards(arms, chosen, rng)
         state.update(chosen, r)
@@ -144,7 +136,6 @@ def run_batch(
         sumsq=state.sumsq,
         actions=actions,
         rewards=rewards,
-        propensities=props,
     )
 
 
@@ -228,25 +219,31 @@ def save_log(log: BanditLog, csv_path: str, meta_path: Optional[str] = None) -> 
     return meta_path
 
 
+class CorruptLog(Exception):
+    """A log CSV that does not hold one finite reward for each round 1..T."""
+
+
 def load_log(csv_path: str, meta_path: str) -> BanditLog:
     with open(meta_path) as f:
         meta = json.load(f)
     policy = policies.spec_from_dict(meta["policy"])
     K, T = int(meta["K"]), int(meta["T"])
+    with open(csv_path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    if len(rows) != T:
+        raise CorruptLog(f"expected {T} rows, got {len(rows)}")
+    t = np.array([int(row["t"]) for row in rows], dtype=np.int64) - 1
+    hits = np.bincount(t[(t >= 0) & (t < T)], minlength=T)
+    if np.any(hits != 1):
+        # T rows that miss the set 1..T leave at least one round out.
+        raise CorruptLog(f"rounds are not 1..{T} once each: round {np.argmin(hits) + 1} is missing")
     actions = np.empty(T, dtype=np.int64)
     rewards = np.empty(T)
-    with open(csv_path, newline="") as f:
-        reader = csv.DictReader(f)
-        rows = 0
-        for row in reader:
-            t = int(row["t"]) - 1
-            if not 0 <= t < T:
-                raise ValueError(f"round index {t + 1} outside 1..{T}")
-            actions[t] = int(row["arm"]) - 1
-            rewards[t] = float(row["reward"])
-            rows += 1
-    if rows != T:
-        raise ValueError(f"expected {T} rows, got {rows}")
+    actions[t] = [int(row["arm"]) - 1 for row in rows]
+    rewards[t] = [float(row["reward"]) for row in rows]
+    nonfinite = np.flatnonzero(~np.isfinite(rewards))
+    if nonfinite.size:
+        raise CorruptLog(f"non-finite reward at round {nonfinite[0] + 1}")
     return BanditLog(
         K=K,
         T=T,

@@ -172,3 +172,42 @@ def test_workers_env_default(tmp_path, gauss_arms, monkeypatch):
                    "--B", "5000", "--seed", "7", "--out", ref])
     assert rc == 0
     assert open(out).read() == open(ref).read()
+
+
+def test_plan_rejects_bad_cells(tmp_path):
+    base = {
+        "name": "cell", "policy": {"name": "etc", "m": 5},
+        "arms": [{"type": "bernoulli", "p": 0.3}, {"type": "bernoulli", "p": 0.6}],
+        "K": 2, "T": 40, "replications": 2, "bootstrap": {"kind": "mb", "B": 5},
+        "horizon_grid": [20, 40],
+    }
+    for extra in ({"mse_B": "ten"}, {"mse_B": 0}, {"mse_b": 10}):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"cells": [{**base, **extra}]}))
+        rc = dispatch(["plan", "--plan", str(plan_path), "--seed", "1",
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 1, extra
+    assert not (tmp_path / "out").exists()
+
+
+def _corrupt_log(tmp_path, gauss_arms, edit):
+    log = _simulate(tmp_path, gauss_arms, policy="eg", extra=["--epsilon", "0.2"])
+    with open(log) as f:
+        lines = f.read().splitlines()
+    edit(lines)
+    with open(log, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    return dispatch(["debias", "--log", log, "--meta", log + ".meta.json",
+                     "--B", "10", "--seed", "2", "--out", str(tmp_path / "r.json")])
+
+
+def test_debias_repeated_round_is_exit_2(tmp_path, gauss_arms):
+    def repeat_round_3(lines):
+        lines[4] = "3," + lines[4].split(",", 1)[1]  # row of round 4 claims round 3
+    assert _corrupt_log(tmp_path, gauss_arms, repeat_round_3) == 2
+
+
+def test_debias_nan_reward_is_exit_2(tmp_path, gauss_arms):
+    def nan_reward(lines):
+        lines[10] = lines[10].rsplit(",", 1)[0] + ",nan"
+    assert _corrupt_log(tmp_path, gauss_arms, nan_reward) == 2

@@ -147,9 +147,3 @@ def test_from_dict_round_trip():
     with pytest.raises((ValueError, KeyError)):
         dist.from_dict({"type": "poisson", "rate": 2.0})
 
-
-def test_module_level_wrappers():
-    d = Bernoulli(0.5)
-    assert dist.log_mgf(d, 0.0) == 0.0
-    assert dist.log_mgf_derivatives(d, 0.0)[0] == 0.5
-    assert dist.sample(d, substream(9), 10).shape == (10,)

@@ -4,13 +4,15 @@ import pytest
 from bandit_debias.distributions import Bernoulli, Gaussian
 from bandit_debias.estimators import (
     DivisionHazard,
+    aipw_batch,
     aipw_estimate,
     evaluate,
+    ipw_batch,
     ipw_estimate,
     plugin_mean_trace,
     propensity_trace,
 )
-from bandit_debias.policies import EgSpec, EtcSpec, TsSpec, UcbSpec
+from bandit_debias.policies import EgSpec, EtcSpec, TsSpec, UcbSpec, propensity
 from bandit_debias.simulator import run_batch, run_experiment, summarize
 from bandit_debias.streams import substream
 
@@ -44,16 +46,7 @@ def test_plugin_means_use_strict_past():
 
 def _mc_estimates(policy, arms, T, R, seed):
     out = run_batch(R, len(arms), T, policy, arms, substream(seed), record_logs=True)
-    from bandit_debias.estimators import aipw_batch, ipw_batch
-    from bandit_debias import policies as P
-
-    props = np.empty((R, T, len(arms)))
-    for i in range(R):
-        state = P.new_state(len(arms))
-        for t in range(T):
-            for k in range(len(arms)):
-                props[i, t, k] = P.propensity(policy, state, k)
-            P.update(state, int(out.actions[i, t]), float(out.rewards[i, t]))
+    props = propensity(policy, out.actions, out.rewards, len(arms))
     return ipw_batch(out.actions, out.rewards, props), aipw_batch(out.actions, out.rewards, props)
 
 
@@ -85,10 +78,18 @@ def test_aipw_variance_not_worse_at_moderate_horizon():
 
 
 def test_aipw_reduces_to_ipw_with_zero_plugin():
+    """AIPW_k = IPW_k + (1/T) sum_t mhat_t(k) (1 - 1{a_t=k} / e_t(k)); zero plug-in means give IPW."""
     log = run_experiment(2, 40, EgSpec(0.3), [Gaussian(1, 1), Gaussian(1.5, 1)], seed=5)
     props = propensity_trace(log)
-    zeros = np.zeros((log.T, log.K))
-    np.testing.assert_allclose(aipw_estimate(log, props, zeros),
+    pulled = log.actions[:, None] == np.arange(log.K)
+    augmentation = (plugin_mean_trace(log) * (1.0 - pulled / props)).mean(axis=0)
+    np.testing.assert_allclose(aipw_estimate(log, props),
+                               ipw_estimate(log, props) + augmentation, rtol=0, atol=1e-12)
+    # Only the last reward is nonzero, so every plug-in mean is 0.
+    log.rewards[:-1] = 0.0
+    props = propensity_trace(log)
+    assert np.all(plugin_mean_trace(log) == 0.0)
+    np.testing.assert_allclose(aipw_estimate(log, props),
                                ipw_estimate(log, props), rtol=0, atol=1e-12)
 
 
@@ -100,7 +101,7 @@ def test_zero_propensity_raises():
         ipw_estimate(log, props)
     assert exc.value.t == 7
     with pytest.raises(DivisionHazard):
-        aipw_estimate(log, props, plugin_mean_trace(log))
+        aipw_estimate(log, props)
 
 
 def test_propensity_trace_rows_sum_to_one():

@@ -6,7 +6,7 @@ import pytest
 
 from bandit_debias.bootstrap import BootstrapSpec
 from bandit_debias.distributions import Bernoulli, Gaussian
-from bandit_debias.harness import Cell, ExperimentPlan, mse_curves, run_plan
+from bandit_debias.harness import Cell, ExperimentPlan, run_plan
 from bandit_debias.policies import EgSpec, EtcSpec, TsSpec
 
 
@@ -105,14 +105,17 @@ def test_failed_replications_counted_not_fatal():
 
 
 def test_horizon_grid_endpoint_matches_terminal():
-    cell = _gauss_cell(R=10, B=20, horizon_grid=(50, 100), mse_B=10)
-    (res,) = run_plan(ExperimentPlan(master_seed=8, cells=(cell,)))
-    for rec in res.records:
-        assert np.array_equal(rec.horizon_estimates["mb"][100], rec.corrected)
-    assert set(res.mse["mb"]) == {50, 100}
-    terminal = np.nanmean(
-        (np.stack([r.corrected for r in res.records]) - np.array([1.0, 1.5])) ** 2, axis=0)
-    np.testing.assert_allclose(res.mse["mb"][100], terminal, rtol=0, atol=1e-15)
+    # Corrected estimates are filed under the cell's bootstrap kind.
+    for kind in ("mb", "efron"):
+        cell = _gauss_cell(R=10, horizon_grid=(50, 100), mse_B=10, bootstrap=BootstrapSpec(kind, 20))
+        (res,) = run_plan(ExperimentPlan(master_seed=8, cells=(cell,)))
+        for rec in res.records:
+            assert np.array_equal(rec.horizon_estimates[kind][100], rec.corrected)
+        assert set(res.mse) == {kind}
+        assert set(res.mse[kind]) == {50, 100}
+        terminal = np.nanmean(
+            (np.stack([r.corrected for r in res.records]) - np.array([1.0, 1.5])) ** 2, axis=0)
+        np.testing.assert_allclose(res.mse[kind][100], terminal, rtol=0, atol=1e-15)
 
 
 def test_mse_curves_shape():
@@ -120,8 +123,7 @@ def test_mse_curves_shape():
                 arms=(Bernoulli(0.3), Bernoulli(0.6)),
                 K=2, T=60, replications=40, bootstrap=BootstrapSpec("mb", 20),
                 estimators=("mean", "ipw", "aipw"), horizon_grid=(30, 60), mse_B=10)
-    curves = mse_curves(ExperimentPlan(master_seed=2, cells=(cell,)))
-    table = curves["eg_curves"]
+    table = run_plan(ExperimentPlan(master_seed=2, cells=(cell,)))[0].mse
     assert set(table) == {"mb", "ipw", "aipw"}
     for name in table:
         assert set(table[name]) == {30, 60}

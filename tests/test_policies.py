@@ -6,72 +6,81 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandit_debias import policies
+from bandit_debias.estimators import plugin_mean_trace
 from bandit_debias.policies import (
     BatchPolicyState,
     EgSpec,
     EtcSpec,
     TsSpec,
     UcbSpec,
-    new_state,
     propensity,
-    select_arm,
+    propensity_batch,
+    select_batch,
     spec_from_dict,
-    update,
 )
+from bandit_debias.simulator import BanditLog
 from bandit_debias.streams import substream
 
 
-def play(spec, moves, K=2):
-    """Feed (arm, reward) pairs through the scalar state machine."""
-    state = new_state(K)
+def play(moves, K=2):
+    """Feed (arm, reward) pairs through a one-run batch state."""
+    state = BatchPolicyState(K=K, n=1)
     for arm, reward in moves:
-        state = update(state, arm, reward)
+        pull(state, arm, reward)
     return state
+
+
+def pull(state, arm, reward):
+    state.update(np.array([arm]), np.array([reward]))
+
+
+def pick(spec, state, rng):
+    return int(select_batch(spec, state, rng)[0])
 
 
 def test_etc_commits_to_higher_mean():
     spec = EtcSpec(m=1)
-    state = play(spec, [(0, 1.0), (1, 0.0)])
+    state = play([(0, 1.0), (1, 0.0)])
     rng = substream(0)
     for _ in range(5):
-        arm = select_arm(spec, state, rng)
+        arm = pick(spec, state, rng)
         assert arm == 0
-        state = update(state, arm, 1.0)
+        pull(state, arm, 1.0)
 
 
 def test_etc_exploration_schedule():
     spec = EtcSpec(m=3)
-    state = new_state(2)
+    state = BatchPolicyState(K=2, n=1)
     rng = substream(0)
     seen = []
     for t in range(1, 7):
-        arm = select_arm(spec, state, rng)
+        arm = pick(spec, state, rng)
         seen.append(arm + 1)
-        state = update(state, arm, 0.0)
+        pull(state, arm, 0.0)
     assert seen == [math.ceil(t / 3) for t in range(1, 7)]
 
 
 def test_ucb_forced_round_robin():
     spec = UcbSpec()
-    state = new_state(3)
+    state = BatchPolicyState(K=3, n=1)
     rng = substream(0)
     for expected in (0, 1, 2):
-        arm = select_arm(spec, state, rng)
+        arm = pick(spec, state, rng)
         assert arm == expected
-        state = update(state, arm, 5.0)
+        pull(state, arm, 5.0)
 
 
 def test_update_counts_and_running_mean():
-    state = play(None, [(0, 1.0), (0, 3.0)])
-    assert state.counts[0] == 2
-    assert state.sums[0] / state.counts[0] == 2.0
+    state = play([(0, 1.0), (0, 3.0)])
+    assert state.counts[0, 0] == 2
+    assert state.sums[0, 0] / state.counts[0, 0] == 2.0
     assert state.t == 3  # round index after two pulls
 
 
 def test_ts_conjugate_posterior():
     spec = TsSpec()  # prior N(0,1), likelihood variance 1
-    state = play(spec, [(0, 2.0)])
-    mean, var = policies._ts_posterior(spec, state._as_batch())
+    state = play([(0, 2.0)])
+    mean, var = policies._ts_posterior(spec, state)
     assert mean[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert var[0, 0] == pytest.approx(0.5, abs=1e-12)
     # unpulled arm keeps the prior
@@ -81,40 +90,41 @@ def test_ts_conjugate_posterior():
 
 def test_ts_posterior_variance_decreasing():
     spec = TsSpec()
-    state = new_state(1)
+    state = BatchPolicyState(K=1, n=1)
     last = np.inf
     for _ in range(5):
-        state = update(state, 0, 0.3)
-        _, var = policies._ts_posterior(spec, state._as_batch())
+        pull(state, 0, 0.3)
+        _, var = policies._ts_posterior(spec, state)
         assert var[0, 0] < last
         last = var[0, 0]
 
 
 def test_eg_propensity_closed_form():
     spec = EgSpec(0.05)
-    state = play(spec, [(0, 0.0), (1, 1.0)])  # greedy arm is 2
-    assert propensity(spec, state, 1) == pytest.approx(0.975, abs=1e-12)
-    assert propensity(spec, state, 0) == pytest.approx(0.025, abs=1e-12)
+    state = play([(0, 0.0), (1, 1.0)])  # greedy arm is 2
+    probs = propensity_batch(spec, state)[0]
+    assert probs[1] == pytest.approx(0.975, abs=1e-12)
+    assert probs[0] == pytest.approx(0.025, abs=1e-12)
 
 
 def test_ts_symmetric_propensity():
-    spec = TsSpec()
-    state = new_state(2)
-    assert propensity(spec, state, 0) == pytest.approx(0.5, abs=1e-9)
-    assert propensity(spec, state, 1) == pytest.approx(0.5, abs=1e-9)
+    probs = propensity_batch(TsSpec(), BatchPolicyState(K=2, n=1))[0]
+    assert probs[0] == pytest.approx(0.5, abs=1e-9)
+    assert probs[1] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_deterministic_policies_have_no_propensity():
-    state = play(None, [(0, 1.0), (1, 0.0)])
-    assert propensity(EtcSpec(1), state, 0) is None
-    assert propensity(UcbSpec(), state, 0) is None
+    state = play([(0, 1.0), (1, 0.0)])
+    actions, rewards = np.array([[0, 1]]), np.array([[1.0, 0.0]])
+    for spec in (EtcSpec(1), UcbSpec()):
+        assert propensity_batch(spec, state) is None
+        assert propensity(spec, actions, rewards, 2) is None
 
 
 @pytest.mark.parametrize("spec", [EgSpec(0.3), TsSpec()])
 def test_propensities_sum_to_one(spec):
-    state = play(spec, [(0, 1.0), (1, 0.4), (1, 0.9)])
-    total = sum(propensity(spec, state, k) for k in range(2))
-    assert total == pytest.approx(1.0, abs=1e-9)
+    state = play([(0, 1.0), (1, 0.4), (1, 0.9)])
+    assert propensity_batch(spec, state)[0].sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def _replicated_batch(state, n):
@@ -129,23 +139,29 @@ def _replicated_batch(state, n):
 @pytest.mark.parametrize("spec", [EgSpec(0.05), EgSpec(0.4), TsSpec()])
 def test_selection_frequency_matches_propensity(spec):
     """10^5 selections from a frozen state, 4 binomial SEs."""
-    state = play(spec, [(0, 1.0), (1, 0.4), (0, 0.8), (1, 0.6)])
+    state = play([(0, 1.0), (1, 0.4), (0, 0.8), (1, 0.6)])
     n = 10**5
     batch = _replicated_batch(state, n)
-    chosen = policies.select_batch(spec, batch, substream(123))
+    chosen = select_batch(spec, batch, substream(123))
+    probs = propensity_batch(spec, state)[0]
     for k in range(2):
-        p = propensity(spec, state, k)
+        p = probs[k]
         se = math.sqrt(p * (1 - p) / n)
         assert abs(np.mean(chosen == k) - p) <= 4 * se
 
 
 def test_ts_three_arm_propensity_sums_to_one():
     spec = TsSpec()
-    state = play(spec, [(0, 1.0), (1, 0.4), (2, 0.9)], K=3)
-    probs = [propensity(spec, state, k) for k in range(3)]
+    state = play([(0, 1.0), (1, 0.4), (2, 0.9)], K=3)
+    probs = propensity_batch(spec, state)[0]
     # Monte Carlo propensities over a fixed draw budget still sum to 1
     assert sum(probs) == pytest.approx(1.0, abs=1e-9)
     assert all(0 <= p <= 1 for p in probs)
+    # and draw their normals from the substream keyed by the round
+    pm, pv = policies._ts_posterior(spec, state)
+    z = substream(policies._TS_PROPENSITY_SEED, state.t).standard_normal((policies.TS_PROPENSITY_DRAWS, 3))
+    wins = np.argmax(pm + np.sqrt(pv) * z, axis=1)
+    assert np.array_equal(probs, np.bincount(wins, minlength=3) / policies.TS_PROPENSITY_DRAWS)
 
 
 @settings(max_examples=50, deadline=None)
@@ -161,12 +177,56 @@ def test_argmax_shift_invariance(shift, rewards):
     # e.g. a subnormal reward absorbed by a shift of 1.0 fabricates a tie.
     moves = [(0, rewards[0]), (1, rewards[1]), (0, rewards[2]), (1, rewards[3])]
     shifted = [(a, r + shift) for a, r in moves]
-    s1, s2 = play(None, moves), play(None, shifted)
+    s1, s2 = play(moves), play(shifted)
     etc = EtcSpec(2)
     rng = substream(0)
-    assert select_arm(etc, s1, rng) == select_arm(etc, s2, rng)
+    assert pick(etc, s1, rng) == pick(etc, s2, rng)
     eg = EgSpec(0.0)
-    assert select_arm(eg, s1, substream(1)) == select_arm(eg, s2, substream(1))
+    assert pick(eg, s1, substream(1)) == pick(eg, s2, substream(1))
+
+
+def step_by_step(spec, actions, rewards, K):
+    """Reference trace: each log replayed round by round through a one-run state."""
+    props, means = [], []
+    for row_actions, row_rewards in zip(actions, rewards):
+        state = BatchPolicyState(K=K, n=1)
+        for arm, reward in zip(row_actions, row_rewards):
+            props.append(propensity_batch(spec, state)[0])
+            means.append(state.means()[0])
+            pull(state, arm, reward)
+    shape = actions.shape + (K,)
+    return np.reshape(props, shape), np.reshape(means, shape)
+
+
+@st.composite
+def stacked_logs(draw):
+    K = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    T = draw(st.integers(1, 25))
+    actions = draw(st.lists(st.integers(0, K - 1), min_size=n * T, max_size=n * T))
+    rewards = draw(st.lists(st.floats(-50, 50, allow_nan=False), min_size=n * T, max_size=n * T))
+    return K, np.array(actions).reshape(n, T), np.array(rewards).reshape(n, T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.one_of(
+        st.floats(0, 1).map(EgSpec),
+        st.builds(TsSpec, st.floats(-2, 2), st.floats(0.1, 4), st.floats(0.1, 4)),
+    ),
+    logs=stacked_logs(),
+)
+def test_prefix_state_propensities_match_step_by_step(spec, logs):
+    # Exact equality: the prefix state adds rewards in round order, as the
+    # one-run state does, and TS with K != 2 reuses its round's draws.  Only
+    # the sign of a zero sum can differ (a first reward of -0.0), which
+    # array_equal ignores and no propensity depends on.
+    K, actions, rewards = logs
+    ref_props, ref_means = step_by_step(spec, actions, rewards, K)
+    assert np.array_equal(propensity(spec, actions, rewards, K), ref_props)
+    for i in range(len(actions)):
+        log = BanditLog(K=K, T=actions.shape[1], actions=actions[i], rewards=rewards[i], policy=spec)
+        assert np.array_equal(plugin_mean_trace(log), ref_means[i])
 
 
 def test_spec_serialization_round_trip():
