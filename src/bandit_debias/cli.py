@@ -16,14 +16,13 @@ from . import distributions as dist
 from . import estimators as est
 from . import policies, theory
 from .bootstrap import BootstrapSpec, ZeroCountArm
-from .debias import UndefinedBias, debias
+from .debias import debias
 from .harness import ExperimentPlan, run_plan
 from .simulator import CorruptLog, atomic_write_text, load_log, run_experiment, save_log
 
 _DATA_ERRORS = (
     CorruptLog,
     ZeroCountArm,
-    UndefinedBias,
     est.DivisionHazard,
     theory.OutOfRange,
     theory.LogOfZero,
@@ -129,7 +128,7 @@ def _cmd_debias(args) -> int:
 def _cmd_evaluate(args) -> int:
     log = load_log(args.log, args.meta)
     names = tuple(n.strip() for n in args.estimators.split(",") if n.strip())
-    unknown = set(names) - {"mean", "ipw", "aipw"}
+    unknown = set(names) - set(est.NAMES)
     if unknown:
         raise ValueError(f"unknown estimator(s): {sorted(unknown)}")
     _write_json(args.out, est.evaluate(log, names))

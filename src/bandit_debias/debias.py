@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -116,19 +115,3 @@ def debias(log: BanditLog, spec: BootstrapSpec, seed: int, workers: int = 1) -> 
         bootstrap_se=np.where(b_eff > 0, se, np.nan),
         undefined_arms=undefined,
     )
-
-
-class UndefinedBias(Exception):
-    """No bootstrap replay ever pulled the named arm; its bias is undefined."""
-
-    def __init__(self, arms):
-        self.arms = list(arms)
-        names = ", ".join(str(a + 1) for a in self.arms)
-        super().__init__(f"bootstrap bias undefined for arm(s) {names}: zero pulls in every replay")
-
-
-def require_defined(report: DebiasReport) -> DebiasReport:
-    """Raise UndefinedBias if any arm has no contributing replays."""
-    if report.undefined_arms:
-        raise UndefinedBias(report.undefined_arms)
-    return report

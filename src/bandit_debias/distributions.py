@@ -1,9 +1,12 @@
-"""Reward laws: sampling, moments and log-moment-generating-function access.
+"""Reward laws: sampling, moments, atoms and log-moment-generating-function access.
 
 Three families are supported: Gaussian, Bernoulli and finite discrete.  All
 are sub-Gaussian, so the cumulant machinery used by the large-deviation
-oracles is finite everywhere.  Instances are immutable and safe to share
-across workers; generators are single-owner.
+oracles is finite everywhere.  ``atoms()`` gives a law's finite support as
+``(support, probs)`` arrays, or None for a continuous Gaussian; the theory
+oracles read lattice facts from it rather than from the law's class.
+Instances are immutable and safe to share across workers; generators are
+single-owner.
 """
 from __future__ import annotations
 
@@ -13,10 +16,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import logsumexp
-
-
-class Degenerate(Exception):
-    """Raised where a zero-variance law makes a quantity undefined."""
 
 
 @dataclass(frozen=True)
@@ -37,6 +36,10 @@ class Gaussian:
 
     def variance_proxy(self) -> float:
         return self.var if self.proxy is None else self.proxy
+
+    def atoms(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        # A zero-variance Gaussian is a point mass; otherwise there are none.
+        return (np.array([self.mu]), np.array([1.0])) if self.var == 0 else None
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.normal(self.mu, math.sqrt(self.var), size)
@@ -72,6 +75,9 @@ class Bernoulli:
     def variance_proxy(self) -> float:
         # Hoeffding proxy for a law on [0, 1].
         return 0.25 if self.proxy is None else self.proxy
+
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array([0.0, 1.0]), np.array([1.0 - self.p, self.p])
 
     def sample(self, rng: np.random.Generator, size=None):
         if size is None:
@@ -132,6 +138,9 @@ class FiniteDiscrete:
         if self.proxy is not None:
             return self.proxy
         return (self.support[-1] - self.support[0]) ** 2 / 4.0
+
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array(self.support), np.array(self.probs)
 
     def sample(self, rng: np.random.Generator, size=None):
         cum = np.cumsum(self.probs)

@@ -25,6 +25,8 @@ import numpy as np
 from . import policies
 from .simulator import BanditLog, summarize
 
+NAMES = ("mean", "ipw", "aipw")  # the estimators a plan cell or `evaluate` may name
+
 
 class DivisionHazard(Exception):
     """Zero propensity on a chosen arm; the IPW weight is undefined."""
@@ -82,7 +84,7 @@ def aipw_estimate(log: BanditLog, propensities: np.ndarray) -> np.ndarray:
     return aipw_batch(log.actions[None, :], log.rewards[None, :], np.asarray(propensities)[None])[0]
 
 
-def evaluate(log: BanditLog, estimators=("mean", "ipw", "aipw")) -> dict:
+def evaluate(log: BanditLog, estimators=NAMES) -> dict:
     """Estimate set for one log; IPW/AIPW keys present iff propensities exist."""
     out: dict = {}
     if "mean" in estimators:

@@ -21,8 +21,8 @@ from . import distributions as dist
 from . import estimators as est
 from . import policies
 from .bootstrap import BootstrapSpec, ZeroCountArm
-from .debias import UndefinedBias, debias
-from .simulator import atomic_write_text, run_experiment, summarize
+from .debias import debias
+from .simulator import atomic_write_text, run_experiment
 from .streams import TAG_HARNESS_DEBIAS, TAG_HARNESS_MSE, TAG_HARNESS_SIM, child_seed
 
 
@@ -50,6 +50,9 @@ class Cell:
             raise ValueError("horizon grid must be strictly increasing")
         if self.mse_B is not None and self.mse_B < 1:
             raise ValueError("mse_B must be >= 1")
+        unknown = set(self.estimators) - set(est.NAMES)
+        if unknown:
+            raise ValueError(f"cell {self.name!r}: unknown estimator(s) {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,7 @@ def _failed_record(cell: Cell, label: str) -> ReplicationRecord:
 def _run_replication(cell: Cell, master_seed: int, cell_index: int, r: int) -> ReplicationRecord:
     try:
         return _run_replication_inner(cell, master_seed, cell_index, r)
-    except (ZeroCountArm, UndefinedBias, est.DivisionHazard) as exc:
+    except est.DivisionHazard as exc:
         return _failed_record(cell, type(exc).__name__)
 
 

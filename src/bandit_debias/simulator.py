@@ -11,7 +11,7 @@ import csv
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -220,7 +220,14 @@ def save_log(log: BanditLog, csv_path: str, meta_path: Optional[str] = None) -> 
 
 
 class CorruptLog(Exception):
-    """A log CSV that does not hold one finite reward for each round 1..T."""
+    """A log CSV that does not hold one arm in 1..K and one finite reward for each round 1..T."""
+
+
+def _column(rows: list, name: str, kind: type, dtype) -> np.ndarray:
+    try:
+        return np.array([kind(row[name]) for row in rows], dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:  # TypeError: a short row
+        raise CorruptLog(f"unparsable {name!r} field: {exc}") from None
 
 
 def load_log(csv_path: str, meta_path: str) -> BanditLog:
@@ -229,18 +236,25 @@ def load_log(csv_path: str, meta_path: str) -> BanditLog:
     policy = policies.spec_from_dict(meta["policy"])
     K, T = int(meta["K"]), int(meta["T"])
     with open(csv_path, newline="") as f:
-        rows = list(csv.DictReader(f))
+        reader = csv.DictReader(f)
+        rows = list(reader)
+    missing = sorted({"t", "arm", "reward"} - set(reader.fieldnames or ()))
+    if missing:
+        raise CorruptLog(f"missing column(s) {missing}")
     if len(rows) != T:
         raise CorruptLog(f"expected {T} rows, got {len(rows)}")
-    t = np.array([int(row["t"]) for row in rows], dtype=np.int64) - 1
+    t = _column(rows, "t", int, np.int64) - 1
     hits = np.bincount(t[(t >= 0) & (t < T)], minlength=T)
     if np.any(hits != 1):
         # T rows that miss the set 1..T leave at least one round out.
         raise CorruptLog(f"rounds are not 1..{T} once each: round {np.argmin(hits) + 1} is missing")
     actions = np.empty(T, dtype=np.int64)
     rewards = np.empty(T)
-    actions[t] = [int(row["arm"]) - 1 for row in rows]
-    rewards[t] = [float(row["reward"]) for row in rows]
+    actions[t] = _column(rows, "arm", int, np.int64) - 1
+    rewards[t] = _column(rows, "reward", float, np.float64)
+    bad_arm = np.flatnonzero((actions < 0) | (actions >= K))
+    if bad_arm.size:
+        raise CorruptLog(f"arm {actions[bad_arm[0]] + 1} at round {bad_arm[0] + 1} is outside 1..{K}")
     nonfinite = np.flatnonzero(~np.isfinite(rewards))
     if nonfinite.size:
         raise CorruptLog(f"non-finite reward at round {nonfinite[0] + 1}")

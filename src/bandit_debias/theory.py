@@ -13,25 +13,34 @@ Contents:
   competitor, and Monte Carlo checks of the two decay-rate convergence
   results (log-bias ratio -> 1; bootstrap/real rate ratio bounded by
   proxy/variance).
+
+The oracles do not switch on a law's class: ``atoms()`` says whether a law has
+finite support (enumeration, lattice constants) or not (quadrature,
+non-lattice constants), and ``mean()``/``variance()`` give the rest.  Every
+lattice span is one rational GCD, ``_span``.  The Monte Carlo checks run at
+horizon T = 4m.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import integrate, optimize
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from .distributions import Bernoulli, FiniteDiscrete, Gaussian, RewardDistribution
+from .distributions import Gaussian, RewardDistribution
 from .policies import EtcSpec
 from .simulator import run_batch
 from .streams import TAG_THEORY, substream
 
 _RATIONAL_DENOMINATOR_CAP = 10**6
+_ENUMERATION_CAP = 5_000_000  # largest mean lattice mean_pmf convolves
+_QUAD_TOL = 1e-12             # absolute tolerance of the Gaussian-arm quadrature
+_SLOPE_TOL = 1e-10            # residual |eta'(zeta) - x| of the Legendre-Fenchel tilt
 
 
 class OutOfRange(Exception):
@@ -91,10 +100,6 @@ def g_value(mu1: float, mu2: float, var1: float, var2: float, m: int, T: int, k:
     )
 
 
-def log_bias_g(p: EtcGaussianParams, k: int) -> float:
-    return g_value(p.mu1, p.mu2, p.var1, p.var2, p.m, p.T, k)
-
-
 # --- exact evaluation of the general two-arm bias identity -----------------
 
 
@@ -105,30 +110,40 @@ def _as_fraction(x: float) -> Fraction:
     return f
 
 
-def mean_pmf(d: RewardDistribution, m: int, cap: int = 5_000_000) -> tuple[np.ndarray, np.ndarray]:
+def _gcd_fraction(a: Fraction, b: Fraction) -> Fraction:
+    if a == 0:
+        return abs(b)
+    if b == 0:
+        return abs(a)
+    return Fraction(math.gcd(a.numerator * b.denominator, b.numerator * a.denominator), a.denominator * b.denominator)
+
+
+def _span(points: Sequence[Fraction], origin: Fraction) -> Fraction:
+    """Largest d0 with every (point - origin)/d0 integral; 0 if all offsets vanish."""
+    span = Fraction(0)
+    for p in points:
+        span = _gcd_fraction(span, p - origin)
+    return span
+
+
+def mean_pmf(d: RewardDistribution, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact distribution of the m-sample mean for a finite-support law.
 
     Supports are mapped to a common rational lattice and the sum law is an
     m-fold convolution on that lattice.  Returns (values, probabilities).
     """
-    if isinstance(d, Gaussian):
-        if d.var > 0:
-            raise ValueError("mean_pmf needs a finite-support law")
-        return np.array([d.mu]), np.array([1.0])
-    if isinstance(d, Bernoulli):
-        support, probs = np.array([0.0, 1.0]), np.array([1.0 - d.p, d.p])
-    else:
-        support, probs = np.asarray(d.support, dtype=float), np.asarray(d.probs, dtype=float)
+    atoms = d.atoms()
+    if atoms is None:
+        raise ValueError("mean_pmf needs a finite-support law")
+    support, probs = atoms
     if len(support) == 1:
-        return support.copy(), np.array([1.0])
+        return support, np.array([1.0])
     fracs = [_as_fraction(x) for x in support]
-    step = Fraction(0)
-    for f in fracs[1:]:
-        step = _gcd_fraction(step, f - fracs[0])
+    step = _span(fracs, fracs[0])
     indices = [int((f - fracs[0]) / step) for f in fracs]
     width = max(indices)
-    if (width * m + 1) > cap:
-        raise EnumerationTooLarge(f"lattice of size {width * m + 1} exceeds cap {cap}")
+    if (width * m + 1) > _ENUMERATION_CAP:
+        raise EnumerationTooLarge(f"lattice of size {width * m + 1} exceeds cap {_ENUMERATION_CAP}")
     base = np.zeros(width + 1)
     base[indices] = probs
     pmf = base
@@ -139,19 +154,11 @@ def mean_pmf(d: RewardDistribution, m: int, cap: int = 5_000_000) -> tuple[np.nd
     return values[keep], pmf[keep]
 
 
-def _gcd_fraction(a: Fraction, b: Fraction) -> Fraction:
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    return Fraction(math.gcd(a.numerator * b.denominator, b.numerator * a.denominator), a.denominator * b.denominator)
-
-
 def _mean_cdf(d: RewardDistribution, m: int, x: np.ndarray, strict: bool) -> np.ndarray:
     """P(Xbar_m < x) (strict) or P(Xbar_m <= x), vectorized over x."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if isinstance(d, Gaussian) and d.var > 0:
-        return ndtr((x - d.mu) * math.sqrt(m / d.var))
+    if d.atoms() is None:
+        return ndtr((x - d.mean()) * math.sqrt(m / d.variance()))
     values, probs = mean_pmf(d, m)
     cum = np.concatenate([[0.0], np.cumsum(probs)])
     tol = 1e-12
@@ -160,14 +167,7 @@ def _mean_cdf(d: RewardDistribution, m: int, x: np.ndarray, strict: bool) -> np.
     return cum[idx]
 
 
-def etc_bias_general(
-    arms: Sequence[RewardDistribution],
-    m: int,
-    T: int,
-    k: int,
-    quad_tol: float = 1e-12,
-    enum_cap: int = 5_000_000,
-) -> float:
+def etc_bias_general(arms: Sequence[RewardDistribution], m: int, T: int, k: int) -> float:
     """Exact ETC bias of arm k (two arms) via enumeration or quadrature.
 
     The committed arm is the exploration-phase argmax with ties to arm 1,
@@ -182,16 +182,16 @@ def etc_bias_general(
     mu_own = own.mean()
     # P(arm k committed | Xbar_own = x); equality goes to arm 1.
     strict = k == 2
-    if isinstance(own, Gaussian) and own.var > 0:
-        sd = math.sqrt(own.var / m)
+    if own.atoms() is None:
+        sd = math.sqrt(own.variance() / m)
         lo, hi = mu_own - 10.0 * sd, mu_own + 10.0 * sd
 
         def integrand(x: float) -> float:
             return (mu_own - x) * norm.pdf(x, mu_own, sd) * float(_mean_cdf(other, m, x, strict)[0])
 
-        expectation, _ = integrate.quad(integrand, lo, hi, epsabs=quad_tol, limit=400)
+        expectation, _ = integrate.quad(integrand, lo, hi, epsabs=_QUAD_TOL, limit=400)
     else:
-        values, probs = mean_pmf(own, m, cap=enum_cap)
+        values, probs = mean_pmf(own, m)
         commit = _mean_cdf(other, m, values, strict)
         expectation = float(np.dot(probs * (mu_own - values), commit))
     return (T - 2 * m) / (T - m) * expectation
@@ -210,25 +210,20 @@ def exact_mean_tail(d: RewardDistribution, mu2: float, m: int) -> tuple[float, f
 
 
 def _mgf_derivative_range(d: RewardDistribution) -> tuple[float, float]:
-    """Open interval of attainable log-MGF slopes."""
-    if isinstance(d, Gaussian):
-        if d.var == 0:
-            return d.mu, d.mu
-        return -math.inf, math.inf
-    if isinstance(d, Bernoulli):
-        lo, hi = 0.0, 1.0
-    else:
-        lo, hi = d.support[0], d.support[-1]
+    """Open interval of attainable log-MGF slopes: the support's hull."""
     if d.variance() == 0:
         return d.mean(), d.mean()
-    return lo, hi
+    atoms = d.atoms()
+    if atoms is None:
+        return -math.inf, math.inf
+    return float(atoms[0][0]), float(atoms[0][-1])
 
 
-def legendre_fenchel(d: RewardDistribution, x: float, tol: float = 1e-10) -> tuple[float, float]:
+def legendre_fenchel(d: RewardDistribution, x: float) -> tuple[float, float]:
     """Rate Lambda*(x) and tilt zeta with eta'(zeta) = x.
 
     Solved by bracket expansion plus a safeguarded root find; the residual
-    |eta'(zeta) - x| is driven below tol.
+    |eta'(zeta) - x| is driven below _SLOPE_TOL.
     """
     lo, hi = _mgf_derivative_range(d)
     if not lo < x < hi:
@@ -255,7 +250,7 @@ def legendre_fenchel(d: RewardDistribution, x: float, tol: float = 1e-10) -> tup
     # Newton polish against the residual tolerance.
     for _ in range(50):
         d1, d2 = d.log_mgf_derivatives(zeta)
-        if abs(d1 - x) <= tol:
+        if abs(d1 - x) <= _SLOPE_TOL:
             break
         if d2 <= 0:
             break
@@ -283,62 +278,9 @@ class LDProfile:
                   # apply only along m where the mean lattice hits it
 
     def to_dict(self) -> dict:
-        return {
-            "distribution": self.distribution.to_dict(),
-            "threshold": self.threshold,
-            "zeta": self.zeta,
-            "rate": self.rate,
-            "eta_second": self.eta_second,
-            "lattice": self.lattice,
-            "span": self.span,
-            "threshold_span": self.threshold_span,
-            "c0": self.c0,
-            "c1": self.c1,
-            "c_star": self.c_star,
-            "caveat": self.caveat,
-        }
-
-
-def _support_points(d: RewardDistribution) -> Optional[list[float]]:
-    if isinstance(d, Gaussian):
-        return None
-    if isinstance(d, Bernoulli):
-        return [0.0, 1.0]
-    return list(d.support)
-
-
-def _lattice_span(d: RewardDistribution) -> Optional[float]:
-    """GCD of pairwise support differences over a rational representation."""
-    support = _support_points(d)
-    if support is None:
-        return None
-    try:
-        fracs = [_as_fraction(x) for x in support]
-    except ValueError:
-        return None
-    span = Fraction(0)
-    for f in fracs[1:]:
-        span = _gcd_fraction(span, f - fracs[0])
-    if span == 0:
-        return None
-    return float(span)
-
-
-def _threshold_span(d: RewardDistribution, mu2: float) -> Optional[float]:
-    """Largest d0 with (x - mu2)/d0 integral over the support, or None."""
-    support = _support_points(d)
-    if support is None:
-        return None
-    try:
-        offsets = [_as_fraction(x) - _as_fraction(mu2) for x in support]
-    except ValueError:
-        return None
-    span = Fraction(0)
-    for off in offsets:
-        span = _gcd_fraction(span, off)
-    if span == 0:
-        return None
-    return float(span)
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["distribution"] = self.distribution.to_dict()
+        return out
 
 
 def bahadur_rao_constants(d: RewardDistribution, mu2: float) -> LDProfile:
@@ -349,8 +291,16 @@ def bahadur_rao_constants(d: RewardDistribution, mu2: float) -> LDProfile:
     if zeta == 0.0:
         raise OutOfRange("threshold equals the mean: no exponential decay regime")
     _, eta_second = d.log_mgf_derivatives(zeta)
-    span = _lattice_span(d)
-    threshold_span = _threshold_span(d, mu2)
+    atoms = d.atoms()
+    span = threshold_span = None
+    if atoms is not None:
+        try:
+            fracs = [_as_fraction(x) for x in atoms[0]]
+            span = float(_span(fracs, fracs[0])) or None
+            # A threshold off the rational grid leaves threshold_span None.
+            threshold_span = float(_span(fracs, _as_fraction(mu2))) or None
+        except ValueError:
+            pass
     if span is None:
         lattice = False
         c0 = 1.0 / abs(zeta)
@@ -360,8 +310,7 @@ def bahadur_rao_constants(d: RewardDistribution, mu2: float) -> LDProfile:
         lattice = True
         c0 = span / (1.0 - math.exp(-abs(zeta) * span))
         c1 = -span * math.exp(-zeta * span) / ((1.0 - math.exp(-zeta * span)) * zeta)
-        atoms = _support_points(d) or []
-        caveat = not any(abs(a - mu2) < 1e-12 for a in atoms)
+        caveat = not np.any(np.abs(atoms[0] - mu2) < 1e-12)
     mu1 = d.mean()
     return LDProfile(
         distribution=d,
@@ -427,19 +376,16 @@ def log_bias_ratio_experiment(
     m_grid: Sequence[int],
     replications: int,
     seed: int,
-    horizon_of_m: Callable[[int], int] = lambda m: 4 * m,
 ) -> dict[int, dict]:
     """Empirical distribution of g_k(hat)/g_k(true) per exploration length.
 
-    For each m, runs R two-arm Gaussian ETC experiments at horizon
-    horizon_of_m(m) and evaluates the log-bias ratio at the sampled
-    summaries.  Degenerate sample variances are excluded and counted.
+    For each m, runs R two-arm Gaussian ETC experiments at horizon T = 4m
+    and evaluates the log-bias ratio at the sampled summaries.  Degenerate
+    sample variances are excluded and counted.
     """
     results: dict[int, dict] = {}
     for i, m in enumerate(m_grid):
-        T = horizon_of_m(m)
-        if T <= 2 * m:
-            raise ValueError(f"horizon {T} must exceed 2m for m={m}")
+        T = 4 * m
         rng = substream(seed, TAG_THEORY, i)
         arms = [Gaussian(p.mu1, p.var1), Gaussian(p.mu2, p.var2)]
         means, variances = _etc_two_arm_summaries(arms, m, T, replications, rng)
@@ -467,13 +413,12 @@ def bootstrap_rate_ratio_check(
     m_grid: Sequence[int],
     replications: int,
     seed: int,
-    horizon_of_m: Callable[[int], int] = lambda m: 4 * m,
 ) -> dict:
     """Bootstrap-vs-real decay-rate ratio against the proxy/variance bound.
 
-    Arm one follows d; arm two is deterministic at mu2.  The bootstrap-world
-    rate is (muhat_1 - mu2)^2 / (2 sighat_1^2) from simulated summaries; the
-    real-world rate is the Legendre-Fenchel value.
+    Arm one follows d; arm two is deterministic at mu2; the horizon is 4m.
+    The bootstrap-world rate is (muhat_1 - mu2)^2 / (2 sighat_1^2) from
+    simulated summaries; the real-world rate is the Legendre-Fenchel value.
     """
     if d.variance() == 0:
         raise OutOfRange("arm-one law must be non-degenerate")
@@ -481,7 +426,7 @@ def bootstrap_rate_ratio_check(
     bound = d.variance_proxy() / d.variance()
     per_m: dict[int, dict] = {}
     for i, m in enumerate(m_grid):
-        T = horizon_of_m(m)
+        T = 4 * m
         rng = substream(seed, TAG_THEORY, 1000 + i)
         arms = [d, Gaussian(mu2, 0.0)]
         means, variances = _etc_two_arm_summaries(arms, m, T, replications, rng)

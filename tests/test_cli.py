@@ -181,7 +181,7 @@ def test_plan_rejects_bad_cells(tmp_path):
         "K": 2, "T": 40, "replications": 2, "bootstrap": {"kind": "mb", "B": 5},
         "horizon_grid": [20, 40],
     }
-    for extra in ({"mse_B": "ten"}, {"mse_B": 0}, {"mse_b": 10}):
+    for extra in ({"mse_B": "ten"}, {"mse_B": 0}, {"mse_b": 10}, {"estimators": ["mean", "ipww"]}):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps({"cells": [{**base, **extra}]}))
         rc = dispatch(["plan", "--plan", str(plan_path), "--seed", "1",
@@ -211,3 +211,27 @@ def test_debias_nan_reward_is_exit_2(tmp_path, gauss_arms):
     def nan_reward(lines):
         lines[10] = lines[10].rsplit(",", 1)[0] + ",nan"
     assert _corrupt_log(tmp_path, gauss_arms, nan_reward) == 2
+
+
+def _set_field(column, value):
+    def edit(lines):
+        fields = lines[4].split(",")
+        fields[column] = value
+        lines[4] = ",".join(fields)
+    return edit
+
+
+def _drop_arm_column(lines):
+    lines[:] = [",".join(f for i, f in enumerate(line.split(",")) if i != 1) for line in lines]
+
+
+def _short_row(lines):
+    lines[4] = lines[4].rsplit(",", 1)[0]
+
+
+@pytest.mark.parametrize("edit", [
+    _set_field(1, "7"), _set_field(1, "0"), _set_field(2, "abc"), _set_field(0, "x"),
+    _drop_arm_column, _short_row,
+], ids=["arm_7", "arm_0", "reward_abc", "t_x", "no_arm_column", "short_row"])
+def test_debias_malformed_row_is_exit_2(tmp_path, gauss_arms, edit):
+    assert _corrupt_log(tmp_path, gauss_arms, edit) == 2

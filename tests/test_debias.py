@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bandit_debias.bootstrap import BootstrapSpec
-from bandit_debias.debias import DebiasReport, UndefinedBias, debias, require_defined
+from bandit_debias.debias import debias
 from bandit_debias.distributions import Gaussian
 from bandit_debias.policies import EgSpec, EtcSpec
 from bandit_debias.simulator import run_experiment, summarize
@@ -85,9 +85,6 @@ def test_undefined_bias_arm():
     assert rep.b_effective[1] == 0
     assert rep.zero_pull_replays[1] == 200
     assert np.isfinite(rep.estimated_bias[0])
-    with pytest.raises(UndefinedBias) as exc:
-        require_defined(rep)
-    assert exc.value.arms == [1]
 
 
 def test_partial_zero_pull_replays_counted():

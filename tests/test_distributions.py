@@ -125,6 +125,17 @@ def test_variance_proxy_defaults():
     assert Bernoulli(0.3, proxy=0.21).variance_proxy() == 0.21
 
 
+@pytest.mark.parametrize("d", VARIANTS + [Gaussian(0.7, 0.0)])
+def test_atoms_match_law(d):
+    atoms = d.atoms()
+    continuous = isinstance(d, Gaussian) and d.var > 0
+    assert (atoms is None) == continuous
+    if not continuous:
+        support, probs = atoms
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.dot(support, probs) == pytest.approx(d.mean(), rel=1e-12)
+
+
 def test_finite_discrete_validation():
     with pytest.raises(ValueError):
         FiniteDiscrete((1.0, 0.0), (0.5, 0.5))  # not increasing

@@ -34,11 +34,12 @@ class TestEtcGaussianBias:
         p = EtcGaussianParams(1.0, 1.5, 1.0, 1.0, 10, 20)
         assert th.etc_bias_gaussian(p, 1) == 0.0
         with pytest.raises(LogOfZero):
-            th.log_bias_g(p, 1)
+            th.g_value(p.mu1, p.mu2, p.var1, p.var2, p.m, p.T, 1)
 
     def test_log_form_consistent(self):
+        s = STANDARD
         for k in (1, 2):
-            assert math.exp(th.log_bias_g(STANDARD, k)) == pytest.approx(
+            assert math.exp(th.g_value(s.mu1, s.mu2, s.var1, s.var2, s.m, s.T, k)) == pytest.approx(
                 -th.etc_bias_gaussian(STANDARD, k), rel=1e-12)
 
     def test_bias_scales_with_own_variance(self):
@@ -77,8 +78,19 @@ class TestExactEnumeration:
         assert values[0] == pytest.approx(0.1) and values[-1] == pytest.approx(0.7)
 
     def test_mean_pmf_cap(self):
+        # a 5e6 + 1 point lattice is one past the cap; raised before convolving
         with pytest.raises(EnumerationTooLarge):
-            th.mean_pmf(B3, 100, cap=50)
+            th.mean_pmf(B3, 5_000_000)
+
+    def test_non_rational_support_is_not_lattice(self):
+        # 1e-7 * sqrt(2) has no fraction with denominator <= 1e6 within 1e-9
+        d = FiniteDiscrete([0.0, 1e-7 * math.sqrt(2)], [0.5, 0.5])
+        prof = th.bahadur_rao_constants(d, 1e-7)
+        assert prof.lattice is False
+        assert prof.span is None and prof.threshold_span is None
+        assert prof.c0 == pytest.approx(1.0 / abs(prof.zeta), rel=1e-12)
+        with pytest.raises(ValueError):
+            th.mean_pmf(d, 3)
 
     def test_exact_tail_matches_scipy(self):
         prob, expect = th.exact_mean_tail(B3, 0.6, 20)
@@ -212,10 +224,6 @@ class TestMonteCarloConvergence:
         # factor) so only widely separated m values order cleanly
         assert res[1000]["median_abs_error"] < res[10]["median_abs_error"]
         assert res[1000]["frac_within_10pct"] > res[10]["frac_within_10pct"]
-
-    def test_ratio_experiment_invalid_horizon(self):
-        with pytest.raises(ValueError):
-            th.log_bias_ratio_experiment(STANDARD, [10], 10, seed=0, horizon_of_m=lambda m: 2 * m)
 
     def test_bootstrap_rate_ratio_gaussian(self):
         """Gaussian case: plug-in rate over true rate has bound 1, median near it."""
