@@ -1,23 +1,27 @@
 """Bootstrap-world reward sources built from an observed experiment log.
 
-Two constructions:
+Two constructions, both held as per-arm arrays (see ``simulator``):
 
 * Gaussian multiplier bootstrap (``mb``): arm k resamples as
   N(sample mean, MLE sample variance).  With Gaussian multiplier weights
   the weighted-recombination form collapses exactly to that normal law, so
-  the world is represented directly as a Gaussian per arm.
+  the world is a ``LawWorld`` of one Gaussian per arm: mean and standard
+  deviation vectors, one normal draw per pull.  A zero-variance arm
+  replays its mean.
 * Efron's bootstrap (``efron``): each draw is a uniform pick, with
-  replacement, from the arm's observed rewards.  Draws are per-pull i.i.d.
-  resamples, so a replay may pull an arm more often than the real log did.
+  replacement, from the arm's observed rewards.  The world is a
+  ``ResampleWorld``: the log's rewards grouped by arm, drawn by one uniform
+  index into the chosen arm's slice.  Draws are per-pull i.i.d. resamples,
+  so a replay may pull an arm more often than the real log did.
+
+Worlds pickle, so ``debias`` can ship them to pool workers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .distributions import FiniteDiscrete, Gaussian, RewardDistribution
-from .simulator import ArmSummary, BanditLog
+from .distributions import Gaussian
+from .simulator import ArmSummary, BanditLog, LawWorld, ResampleWorld, World
 
 MULTIPLIER_GAUSSIAN = "mb"
 EFRON = "efron"
@@ -43,16 +47,10 @@ class BootstrapSpec:
             raise ValueError("B must be >= 1")
 
 
-def build_world(summary: ArmSummary, log: BanditLog, spec: BootstrapSpec) -> list[RewardDistribution]:
-    """Per-arm unlimited i.i.d. reward sources for bootstrap replays."""
+def build_world(summary: ArmSummary, log: BanditLog, spec: BootstrapSpec) -> World:
+    """Per-arm unlimited i.i.d. reward source for bootstrap replays."""
     for arm in summary.zero_count_arms:
         raise ZeroCountArm(arm)
-    world: list[RewardDistribution] = []
-    for k in range(log.K):
-        if spec.kind == MULTIPLIER_GAUSSIAN:
-            world.append(Gaussian(float(summary.means[k]), float(summary.variances[k])))
-        else:
-            observed = log.rewards[log.actions == k]
-            values, multiplicity = np.unique(observed, return_counts=True)
-            world.append(FiniteDiscrete(values, multiplicity / multiplicity.sum()))
-    return world
+    if spec.kind == MULTIPLIER_GAUSSIAN:
+        return LawWorld([Gaussian(float(m), float(v)) for m, v in zip(summary.means, summary.variances)])
+    return ResampleWorld(log.actions, log.rewards, log.K)

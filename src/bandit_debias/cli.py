@@ -31,8 +31,15 @@ _DATA_ERRORS = (
 )
 
 
-def _default_workers() -> int:
-    return int(os.environ.get("BANDIT_DEBIAS_WORKERS", "1"))
+def _workers(args) -> int:
+    """--workers, else BANDIT_DEBIAS_WORKERS, else 1; below 1 is a usage error."""
+    if args.workers is not None:
+        workers, source = args.workers, "--workers"
+    else:
+        workers, source = int(os.environ.get("BANDIT_DEBIAS_WORKERS", "1")), "BANDIT_DEBIAS_WORKERS"
+    if workers < 1:
+        raise ValueError(f"{source} must be >= 1, got {workers}")
+    return workers
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -117,9 +124,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_debias(args) -> int:
+    workers = _workers(args)
     log = load_log(args.log, args.meta)
     spec = BootstrapSpec(args.bootstrap, args.B)
-    workers = args.workers if args.workers is not None else _default_workers()
     report = debias(log, spec, seed=args.seed, workers=workers)
     _write_json(args.out, report.to_dict())
     return 0
@@ -136,12 +143,14 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_theory(args) -> int:
+    if (args.m is None) != (args.T is None):
+        raise ValueError("--m and --T go together: give both or neither")
     arms = _load_arms(args.arms)
     mu2 = args.mu2 if args.mu2 is not None else (arms[1].mean() if len(arms) > 1 else None)
     if mu2 is None:
         raise ValueError("--mu2 is required when the arms file has a single distribution")
     payload: dict = {"profile": theory.bahadur_rao_constants(arms[0], mu2).to_dict()}
-    if args.m is not None and args.T is not None:
+    if args.m is not None:
         payload["bias_asymptotic"] = theory.etc_bias_sharp_asymptotic(arms[0], mu2, args.m, args.T)
         if len(arms) > 1:
             payload["bias_exact"] = {
@@ -152,11 +161,11 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    workers = _workers(args)
     with open(args.plan) as f:
         raw = json.load(f)
     raw["master_seed"] = args.seed
     plan = ExperimentPlan.from_dict(raw)
-    workers = args.workers if args.workers is not None else _default_workers()
     run_plan(plan, workers=workers, out_dir=args.out_dir)
     return 0
 

@@ -96,6 +96,7 @@ class EgSpec:
 
 
 PolicySpec = Union[EtcSpec, UcbSpec, TsSpec, EgSpec]
+_DETERMINISTIC = (EtcSpec, UcbSpec)  # no internal randomization, so no propensities
 
 
 def spec_from_dict(d: dict) -> PolicySpec:
@@ -127,16 +128,14 @@ class BatchPolicyState:
     K: int
     n: int
     t: int = 1
-    counts: np.ndarray = field(default=None)  # (n, K) int64
-    sums: np.ndarray = field(default=None)    # (n, K)
-    sumsq: np.ndarray = field(default=None)   # (n, K)
+    counts: np.ndarray = field(default=None)  # (n, K) int64, C-contiguous
+    sums: np.ndarray = field(default=None)    # (n, K), C-contiguous
     committed: np.ndarray = field(default=None)  # (n,) int64, -1 before commit
 
     def __post_init__(self):
         if self.counts is None:
             self.counts = np.zeros((self.n, self.K), dtype=np.int64)
             self.sums = np.zeros((self.n, self.K))
-            self.sumsq = np.zeros((self.n, self.K))
             self.committed = np.full(self.n, -1, dtype=np.int64)
 
     def means(self) -> np.ndarray:
@@ -145,10 +144,11 @@ class BatchPolicyState:
             return np.where(self.counts > 0, self.sums / np.maximum(self.counts, 1), 0.0)
 
     def update(self, arms: np.ndarray, rewards: np.ndarray) -> None:
-        rows = np.arange(self.n)
-        self.counts[rows, arms] += 1
-        self.sums[rows, arms] += rewards
-        self.sumsq[rows, arms] += rewards * rewards
+        # Flat indices into the row-major arrays: a third of the cost of
+        # indexing them by (row, arm) pairs.
+        cells = np.arange(0, self.n * self.K, self.K) + arms
+        self.counts.reshape(-1)[cells] += 1
+        self.sums.reshape(-1)[cells] += rewards
         self.t += 1
 
 
@@ -186,7 +186,7 @@ def propensity_batch(spec: PolicySpec, state: BatchPolicyState) -> Optional[np.n
 
     None for ETC/UCB (non-randomized policies).
     """
-    if isinstance(spec, (EtcSpec, UcbSpec)):
+    if isinstance(spec, _DETERMINISTIC):
         return None
     if isinstance(spec, EgSpec):
         greedy = np.argmax(state.means(), axis=1)
@@ -231,15 +231,15 @@ def prefix_state(actions: np.ndarray, rewards: np.ndarray, K: int) -> BatchPolic
         n=n * T,
         counts=strict_past(onehot.astype(np.int64)),
         sums=strict_past(r),
-        sumsq=strict_past(r * r),
         committed=np.full(n * T, -1, dtype=np.int64),
     )
 
 
 def propensity(spec: PolicySpec, actions: np.ndarray, rewards: np.ndarray, K: int) -> Optional[np.ndarray]:
     """e_t(k) of stacked logs, shape (n, T, K); None for non-randomized policies."""
-    probs = propensity_batch(spec, prefix_state(actions, rewards, K))
-    return None if probs is None else probs.reshape(actions.shape + (K,))
+    if isinstance(spec, _DETERMINISTIC):
+        return None
+    return propensity_batch(spec, prefix_state(actions, rewards, K)).reshape(actions.shape + (K,))
 
 
 def _ts_posterior(spec: TsSpec, state: BatchPolicyState) -> tuple[np.ndarray, np.ndarray]:

@@ -4,15 +4,22 @@ One engine serves both the real world and bootstrap replays.  Experiments
 run in lockstep batches: each round is a few array ops across the batch, so
 a debias call with B replays costs O(T) numpy operations, not O(B*T) Python
 iterations.
+
+A world is held as per-arm arrays and draws a whole round's rewards in one
+vectorized step.  ``LawWorld`` tabulates reward laws (the real world, and
+the Gaussian multiplier bootstrap world); ``ResampleWorld`` holds a log's
+rewards grouped by arm (Efron's bootstrap world).  ``run_batch`` also takes
+a plain sequence of laws and tabulates it once per call.
 """
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -80,7 +87,6 @@ class BatchOutcome:
 
     counts: np.ndarray  # (n, K)
     sums: np.ndarray
-    sumsq: np.ndarray
     actions: Optional[np.ndarray] = None  # (n, T)
     rewards: Optional[np.ndarray] = None  # (n, T)
 
@@ -88,20 +94,104 @@ class BatchOutcome:
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(self.counts > 0, self.sums / np.maximum(self.counts, 1), np.nan)
 
-    def variances(self) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            m = self.sums / np.maximum(self.counts, 1)
-            v = self.sumsq / np.maximum(self.counts, 1) - m * m
-        return np.where(self.counts > 0, np.maximum(v, 0.0), np.nan)
 
+def _in_arm_order(draws: np.ndarray, chosen: np.ndarray, K: int) -> np.ndarray:
+    """Hand one draw per row out arm by arm: the rows of arm 0 take the first
+    draws in row order, then the rows of arm 1, and so on.
 
-def _draw_rewards(arms: Sequence[dist.RewardDistribution], chosen: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    out = np.empty(len(chosen))
-    for k, d in enumerate(arms):
-        idx = np.flatnonzero(chosen == k)
-        if idx.size:
-            out[idx] = d.sample(rng, idx.size)
+    That is the order in which drawing each arm's rows in turn consumes the
+    stream, so a seeded run keeps its outputs.  A stable sort on the smallest
+    unsigned type that holds the arm index is a radix sort.
+    """
+    out = np.empty_like(draws)
+    out[np.argsort(chosen.astype(np.min_scalar_type(K - 1)), kind="stable")] = draws
     return out
+
+
+class LawWorld:
+    """Per-arm reward laws tabulated for one vectorized draw per round.
+
+    An arm with a law of positive variance and finite ``atoms()`` is finite:
+    it draws one uniform u per row and takes the top atom whose upper tail
+    mass exceeds u (the inverse survival function, so the highest atom takes
+    the lowest uniforms, as ``Bernoulli.sample`` does).  Every other arm draws
+    mean + sd * z from one standard normal z per row; a zero-variance arm
+    is its mean.  Normals are drawn only when a normal arm exists and uniforms
+    only when a finite arm exists, normals first.  A lookup compares u with
+    each of the arm's atoms, which suits laws with a handful of atoms.
+    """
+
+    def __init__(self, laws: Sequence[dist.RewardDistribution]):
+        self.laws = tuple(laws)
+        K = len(self.laws)
+        self.mu = np.array([d.mean() for d in self.laws], dtype=np.float64)
+        self.sd = np.array([math.sqrt(d.variance()) for d in self.laws])
+        atoms = [d.atoms() if d.variance() > 0 else None for d in self.laws]
+        self.finite = np.array([a is not None for a in atoms])
+        width = max((len(a[0]) for a in atoms if a is not None), default=0)
+        # Row k: arm k's atoms from the top down and their cumulative upper
+        # tail masses, the last forced to 1; padding tails never reach u < 1.
+        self.top_down = np.zeros((K, width))
+        self.tails = np.full((K, width), 2.0)
+        for k, a in enumerate(atoms):
+            if a is not None:
+                support, probs = a
+                self.top_down[k, : len(support)] = support[::-1]
+                self.tails[k, : len(support)] = np.cumsum(probs[::-1])
+                self.tails[k, len(support) - 1] = 1.0
+
+    def __len__(self) -> int:
+        return len(self.laws)
+
+    def __getitem__(self, k: int) -> dist.RewardDistribution:
+        return self.laws[k]
+
+    def draw(self, chosen: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        K = len(self.laws)
+        rewards = None
+        if not self.finite.all():
+            z = _in_arm_order(rng.standard_normal(len(chosen)), chosen, K)
+            rewards = self.mu[chosen] + self.sd[chosen] * z
+        if self.finite.any():
+            u = _in_arm_order(rng.random(len(chosen)), chosen, K)
+            atom = (u[:, None] >= self.tails[chosen]).sum(axis=1)
+            drawn = self.top_down[chosen, atom]
+            rewards = drawn if rewards is None else np.where(self.finite[chosen], drawn, rewards)
+        return rewards
+
+
+class ResampleWorld:
+    """Efron's bootstrap world: each arm's observed rewards, grouped by arm.
+
+    ``values`` holds arm 0's rewards in ascending order, then arm 1's, and so
+    on; arm k's slice starts at ``offsets[k]`` and has ``counts[k] >= 1``
+    entries.  A draw is one uniform index into the chosen arm's slice, a
+    resample with replacement.
+    """
+
+    def __init__(self, actions: np.ndarray, rewards: np.ndarray, K: int):
+        self.values = rewards[np.lexsort((rewards, actions))]
+        self.counts = np.bincount(actions, minlength=K)
+        if not self.counts.all():
+            raise ValueError(f"arm {np.argmin(self.counts) + 1} has no rewards to resample")
+        self.offsets = np.cumsum(self.counts) - self.counts
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, k: int) -> dist.FiniteDiscrete:
+        """Arm k's resampling law: its distinct rewards, weighted by multiplicity."""
+        start = self.offsets[k]
+        values, multiplicity = np.unique(self.values[start : start + self.counts[k]], return_counts=True)
+        return dist.FiniteDiscrete(values, multiplicity / multiplicity.sum())
+
+    def draw(self, chosen: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        u = _in_arm_order(rng.random(len(chosen)), chosen, len(self.counts))
+        # u < 1, so the rounded product stays below the count.
+        return self.values[self.offsets[chosen] + (u * self.counts[chosen]).astype(np.int64)]
+
+
+World = Union[LawWorld, ResampleWorld]
 
 
 def run_batch(
@@ -109,41 +199,38 @@ def run_batch(
     K: int,
     T: int,
     policy: PolicySpec,
-    arms: Sequence[dist.RewardDistribution],
+    world: Union[World, Sequence[dist.RewardDistribution]],
     rng: np.random.Generator,
     record_logs: bool = False,
 ) -> BatchOutcome:
     """Run n independent experiments in lockstep off one stream.
 
-    Per round, the draw order is fixed (policy randomness, then reward
-    draws arm-by-arm ascending), so the outcome is a pure function of the
-    stream state.
+    ``world`` is a world object or a sequence of K reward laws, which is
+    tabulated as a ``LawWorld``.  Per round, the draw order is fixed (policy
+    randomness, then the world's reward draws, handed out to the arms in
+    ascending order), so the outcome is a pure function of the stream state.
     """
-    _validate_config(K, T, policy, arms)
+    _validate_config(K, T, policy, world)
+    if not isinstance(world, (LawWorld, ResampleWorld)):
+        world = LawWorld(world)
     state = BatchPolicyState(K=K, n=n)
     actions = np.empty((n, T), dtype=np.int64) if record_logs else None
     rewards = np.empty((n, T)) if record_logs else None
     for t0 in range(T):
         chosen = policies.select_batch(policy, state, rng)
-        r = _draw_rewards(arms, chosen, rng)
+        r = world.draw(chosen, rng)
         state.update(chosen, r)
         if record_logs:
             actions[:, t0] = chosen
             rewards[:, t0] = r
-    return BatchOutcome(
-        counts=state.counts,
-        sums=state.sums,
-        sumsq=state.sumsq,
-        actions=actions,
-        rewards=rewards,
-    )
+    return BatchOutcome(counts=state.counts, sums=state.sums, actions=actions, rewards=rewards)
 
 
-def _validate_config(K: int, T: int, policy: PolicySpec, arms: Sequence[dist.RewardDistribution]) -> None:
+def _validate_config(K: int, T: int, policy: PolicySpec, world) -> None:
     if K < 1 or T < 1:
         raise ValueError("K and T must be positive")
-    if len(arms) != K:
-        raise ValueError(f"expected {K} arm distributions, got {len(arms)}")
+    if len(world) != K:
+        raise ValueError(f"expected {K} arm distributions, got {len(world)}")
     if isinstance(policy, policies.EtcSpec) and policy.m * K > T:
         raise ValueError(f"ETC needs m*K <= T, got m={policy.m}, K={K}, T={T}")
 
@@ -173,10 +260,10 @@ def run_experiment(
 def summarize(log: BanditLog) -> ArmSummary:
     counts = np.bincount(log.actions, minlength=log.K)
     sums = np.bincount(log.actions, weights=log.rewards, minlength=log.K)
-    sumsq = np.bincount(log.actions, weights=log.rewards**2, minlength=log.K)
+    squares = np.bincount(log.actions, weights=log.rewards**2, minlength=log.K)
     with np.errstate(invalid="ignore", divide="ignore"):
         means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-        var = sumsq / np.maximum(counts, 1) - means**2
+        var = squares / np.maximum(counts, 1) - means**2
     variances = np.where(counts > 0, np.maximum(var, 0.0), np.nan)
     return ArmSummary(counts=counts, means=means, variances=variances)
 

@@ -5,7 +5,7 @@ Contents:
 * the two-arm Gaussian closed form for the ETC bias and its log form g_k;
 * an exact evaluator of the general two-arm ETC bias identity
   ((T-2m)/(T-m)) E[(mu_k - Xbar_k) 1{arm k committed}] by discrete
-  enumeration or adaptive quadrature;
+  enumeration, or in closed form when arm k is Gaussian;
 * the Legendre-Fenchel transform of the log-MGF and the exact-asymptotics
   constants for mean tail probabilities and tail expectations (lattice and
   non-lattice cases);
@@ -15,10 +15,11 @@ Contents:
   proxy/variance).
 
 The oracles do not switch on a law's class: ``atoms()`` says whether a law has
-finite support (enumeration, lattice constants) or not (quadrature,
-non-lattice constants), and ``mean()``/``variance()`` give the rest.  Every
-lattice span is one rational GCD, ``_span``.  The Monte Carlo checks run at
-horizon T = 4m.
+finite support (enumeration, lattice constants) or not (Gaussian closed
+forms, non-lattice constants), and ``mean()``/``variance()`` give the rest.
+Every lattice span is one rational GCD, ``_span``.  The Monte Carlo checks
+run at horizon T = 4m and draw each ETC experiment's sufficient statistics
+directly (``_etc_two_arm_summaries``), with no loop over rounds.
 """
 from __future__ import annotations
 
@@ -28,18 +29,15 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 from scipy.special import ndtr
-from scipy.stats import norm
 
 from .distributions import Gaussian, RewardDistribution
-from .policies import EtcSpec
-from .simulator import run_batch
+from .simulator import run_batch  # noqa: F401  (perfbench/tracing.py wraps theory.run_batch)
 from .streams import TAG_THEORY, substream
 
 _RATIONAL_DENOMINATOR_CAP = 10**6
 _ENUMERATION_CAP = 5_000_000  # largest mean lattice mean_pmf convolves
-_QUAD_TOL = 1e-12             # absolute tolerance of the Gaussian-arm quadrature
 _SLOPE_TOL = 1e-10            # residual |eta'(zeta) - x| of the Legendre-Fenchel tilt
 
 
@@ -167,11 +165,19 @@ def _mean_cdf(d: RewardDistribution, m: int, x: np.ndarray, strict: bool) -> np.
     return cum[idx]
 
 
+def _std_normal_pdf(z):
+    return np.exp(-0.5 * np.square(z)) / math.sqrt(2.0 * math.pi)
+
+
 def etc_bias_general(arms: Sequence[RewardDistribution], m: int, T: int, k: int) -> float:
-    """Exact ETC bias of arm k (two arms) via enumeration or quadrature.
+    """Exact ETC bias of arm k (two arms) by enumeration or in closed form.
 
     The committed arm is the exploration-phase argmax with ties to arm 1,
-    so arm 1 commits on Xbar_1 >= Xbar_2 and arm 2 on Xbar_2 > Xbar_1.
+    so arm 1 commits on Xbar_1 >= Xbar_2 and arm 2 on Xbar_2 > Xbar_1.  A
+    Gaussian own arm (sd s of its mean) ties with probability 0 and has
+    E[(mu - Xbar) 1{Xbar >= v}] = -s phi((v - mu)/s): summed over the other
+    arm's mean pmf, or, against a Gaussian other arm (sd s2), by Stein's
+    identity -s^2/r phi((mu - mu2)/r) with r = sqrt(s^2 + s2^2).
     """
     if len(arms) != 2 or k not in (1, 2):
         raise ValueError("two arms required; k in {1, 2}")
@@ -180,19 +186,18 @@ def etc_bias_general(arms: Sequence[RewardDistribution], m: int, T: int, k: int)
     own = arms[k - 1]
     other = arms[2 - k]
     mu_own = own.mean()
-    # P(arm k committed | Xbar_own = x); equality goes to arm 1.
-    strict = k == 2
     if own.atoms() is None:
         sd = math.sqrt(own.variance() / m)
-        lo, hi = mu_own - 10.0 * sd, mu_own + 10.0 * sd
-
-        def integrand(x: float) -> float:
-            return (mu_own - x) * norm.pdf(x, mu_own, sd) * float(_mean_cdf(other, m, x, strict)[0])
-
-        expectation, _ = integrate.quad(integrand, lo, hi, epsabs=_QUAD_TOL, limit=400)
+        if other.atoms() is None:
+            r = math.sqrt(sd * sd + other.variance() / m)
+            expectation = -sd * sd / r * float(_std_normal_pdf((mu_own - other.mean()) / r))
+        else:
+            values, probs = mean_pmf(other, m)
+            expectation = -sd * float(np.dot(probs, _std_normal_pdf((values - mu_own) / sd)))
     else:
+        # P(arm k committed | Xbar_own = x); equality goes to arm 1.
         values, probs = mean_pmf(own, m)
-        commit = _mean_cdf(other, m, values, strict)
+        commit = _mean_cdf(other, m, values, strict=k == 2)
         expectation = float(np.dot(probs * (mu_own - values), commit))
     return (T - 2 * m) / (T - m) * expectation
 
@@ -359,6 +364,23 @@ def etc_bias_sharp_asymptotic(d: RewardDistribution, mu2: float, m: int, T: int)
 # --- Monte Carlo convergence experiments -----------------------------------
 
 
+def _sample_stats(d: RewardDistribution, n: int, R: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Sums and centred sums of squares of R samples of n draws from d.
+
+    A continuous (Gaussian) law gives a normal sum and an independent
+    variance * chi^2(n - 1); a finite law gives multinomial atom counts.
+    """
+    atoms = d.atoms()
+    if atoms is None:
+        sums = n * d.mean() + math.sqrt(n * d.variance()) * rng.standard_normal(R)
+        return sums, (d.variance() * rng.chisquare(n - 1, R) if n > 1 else np.zeros(R))
+    support, probs = atoms
+    counts = rng.multinomial(n, probs, size=R)
+    sums = counts @ support
+    mean = sums / max(n, 1)
+    return sums, (counts * np.square(support - mean[:, None])).sum(axis=1)
+
+
 def _etc_two_arm_summaries(
     arms: Sequence[RewardDistribution],
     m: int,
@@ -366,9 +388,29 @@ def _etc_two_arm_summaries(
     replications: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(means, variances) of shape (R, 2) from R lockstep ETC experiments."""
-    out = run_batch(replications, 2, T, EtcSpec(m=m), arms, rng)
-    return out.means(), out.variances()
+    """(means, MLE variances) of shape (R, 2) of R two-arm ETC experiments.
+
+    Draws each arm's exploration statistics, commits to the arm with the
+    larger exploration sum (ties to arm 1) and adds the committed block of
+    T - 2m pulls, whose statistics are drawn for both arms and kept for the
+    committed one.  Equal in law to running ETC round by round.
+    """
+    R, block = replications, T - 2 * m
+    explore = [_sample_stats(d, m, R, rng) for d in arms]
+    committed = np.where(explore[1][0] > explore[0][0], 1, 0)
+    means, variances = np.empty((R, 2)), np.empty((R, 2))
+    for k, d in enumerate(arms):
+        sums, squares = explore[k]
+        block_sums, block_squares = _sample_stats(d, block, R, rng)
+        won = committed == k
+        n = np.where(won, m + block, m)
+        total = sums + np.where(won, block_sums, 0.0)
+        # Pooled centred squares: within both parts plus the gap between their means.
+        gap = sums / m - block_sums / max(block, 1)
+        pooled = squares + np.where(won, block_squares + m * block / (m + block) * gap * gap, 0.0)
+        means[:, k] = total / n
+        variances[:, k] = pooled / n
+    return means, variances
 
 
 def log_bias_ratio_experiment(

@@ -7,6 +7,7 @@ on the per-module suites instead.
 """
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,7 +224,7 @@ def test_criterion_10_worker_invariant_outputs(tmp_path):
         out = str(tmp_path / f"debias_w{w}.json")
         assert dispatch(["debias", "--log", log, "--meta", log + ".meta.json", "--B", "9000",
                          "--seed", "11", "--workers", w, "--out", out]) == 0
-        reports.append(open(out).read())
+        reports.append(Path(out).read_text())
     plan = {
         "cells": [{
             "name": "cell", "policy": {"name": "ts"},

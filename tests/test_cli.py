@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -47,7 +48,7 @@ def test_debias_round_trip(tmp_path, gauss_arms):
     rc = dispatch(["debias", "--log", log, "--meta", log + ".meta.json",
                    "--B", "200", "--seed", "7", "--out", out])
     assert rc == 0
-    report = json.loads(open(out).read())
+    report = json.loads(Path(out).read_text())
     assert report["B"] == 200 and report["bootstrap"] == "mb"
     for k in range(2):
         assert report["corrected_mean"][k] == pytest.approx(
@@ -63,7 +64,7 @@ def test_debias_workers_bit_identical(tmp_path, gauss_arms):
         rc = dispatch(["debias", "--log", log, "--meta", log + ".meta.json",
                        "--B", "9000", "--seed", "7", "--workers", w, "--out", out])
         assert rc == 0
-        outs.append(open(out).read())
+        outs.append(Path(out).read_text())
     assert outs[0] == outs[1]
 
 
@@ -72,7 +73,7 @@ def test_evaluate_ts_log(tmp_path, bern_arms):
     out = str(tmp_path / "eval.json")
     rc = dispatch(["evaluate", "--log", log, "--meta", log + ".meta.json", "--out", out])
     assert rc == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     assert payload["propensities_defined"] is True
     assert len(payload["ipw"]) == 2 and len(payload["aipw"]) == 2
 
@@ -88,10 +89,17 @@ def test_theory_command(tmp_path, bern_arms):
     out = str(tmp_path / "theory.json")
     rc = dispatch(["theory", "--arms", bern_arms, "--m", "10", "--T", "100", "--out", out])
     assert rc == 0
-    payload = json.loads(open(out).read())
+    payload = json.loads(Path(out).read_text())
     assert payload["profile"]["zeta"] == pytest.approx(1.2527629684953678)
     assert payload["bias_exact"]["arm1"] == pytest.approx(-0.018787962827561525)
     assert payload["bias_asymptotic"] < 0
+
+
+@pytest.mark.parametrize("given", [["--m", "10"], ["--T", "100"]], ids=["m_only", "T_only"])
+def test_theory_needs_m_and_T_together(tmp_path, bern_arms, given):
+    out = tmp_path / "theory.json"
+    assert dispatch(["theory", "--arms", bern_arms, *given, "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_theory_out_of_range_is_exit_2(tmp_path, bern_arms):
@@ -171,7 +179,7 @@ def test_workers_env_default(tmp_path, gauss_arms, monkeypatch):
     rc = dispatch(["debias", "--log", log, "--meta", log + ".meta.json",
                    "--B", "5000", "--seed", "7", "--out", ref])
     assert rc == 0
-    assert open(out).read() == open(ref).read()
+    assert Path(out).read_text() == Path(ref).read_text()
 
 
 def test_plan_rejects_bad_cells(tmp_path):
@@ -235,3 +243,27 @@ def _short_row(lines):
 ], ids=["arm_7", "arm_0", "reward_abc", "t_x", "no_arm_column", "short_row"])
 def test_debias_malformed_row_is_exit_2(tmp_path, gauss_arms, edit):
     assert _corrupt_log(tmp_path, gauss_arms, edit) == 2
+
+
+def _plan_file(tmp_path):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"cells": [{
+        "name": "cell", "policy": {"name": "etc", "m": 5},
+        "arms": [{"type": "bernoulli", "p": 0.3}, {"type": "bernoulli", "p": 0.6}],
+        "K": 2, "T": 40, "replications": 2, "bootstrap": {"kind": "mb", "B": 5},
+    }]}))
+    return str(plan_path)
+
+
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_workers_below_one_is_usage_error(tmp_path, gauss_arms, monkeypatch, workers):
+    log = _simulate(tmp_path, gauss_arms, extra=["--m", "10"])
+    debias_args = ["debias", "--log", log, "--meta", log + ".meta.json", "--B", "10", "--seed", "7",
+                   "--out", str(tmp_path / "r.json")]
+    plan_args = ["plan", "--plan", _plan_file(tmp_path), "--seed", "1", "--out-dir", str(tmp_path / "out")]
+    for argv in (debias_args, plan_args):
+        assert dispatch([*argv, "--workers", workers]) == 1, argv[0]
+        monkeypatch.setenv("BANDIT_DEBIAS_WORKERS", workers)
+        assert dispatch(argv) == 1, argv[0]
+        monkeypatch.delenv("BANDIT_DEBIAS_WORKERS")
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "out").exists()

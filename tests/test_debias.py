@@ -46,9 +46,11 @@ def test_mb_estimate_matches_closed_form():
         assert abs(z) < 3, f"arm {k + 1}: z={z:.2f}"
 
 
-def test_workers_bit_identical():
+@pytest.mark.parametrize("kind", ["mb", "efron"])
+def test_workers_bit_identical(kind):
+    # Pool workers receive the world pickled.
     log = run_experiment(2, 60, EtcSpec(5), [Gaussian(1, 1), Gaussian(1.5, 1)], seed=4)
-    spec = BootstrapSpec("mb", 9000)  # spans three chunks
+    spec = BootstrapSpec(kind, 9000)  # spans three chunks
     a = debias(log, spec, seed=5, workers=1)
     b = debias(log, spec, seed=5, workers=4)
     assert np.array_equal(a.estimated_bias, b.estimated_bias)

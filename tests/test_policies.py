@@ -113,9 +113,11 @@ def test_ts_symmetric_propensity():
     assert probs[1] == pytest.approx(0.5, abs=1e-9)
 
 
-def test_deterministic_policies_have_no_propensity():
+def test_deterministic_policies_have_no_propensity(monkeypatch):
     state = play([(0, 1.0), (1, 0.0)])
     actions, rewards = np.array([[0, 1]]), np.array([[1.0, 0.0]])
+    # The answer needs no n*T-row prefix state, so none is built.
+    monkeypatch.setattr(policies, "prefix_state", None)
     for spec in (EtcSpec(1), UcbSpec()):
         assert propensity_batch(spec, state) is None
         assert propensity(spec, actions, rewards, 2) is None
@@ -131,7 +133,6 @@ def _replicated_batch(state, n):
     batch = BatchPolicyState(K=state.K, n=n)
     batch.counts[:] = state.counts
     batch.sums[:] = state.sums
-    batch.sumsq[:] = state.sumsq
     batch.t = state.t
     return batch
 

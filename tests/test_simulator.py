@@ -1,12 +1,14 @@
 import json
-import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bandit_debias.distributions import Bernoulli, Gaussian
+from bandit_debias.distributions import Bernoulli, FiniteDiscrete, Gaussian
 from bandit_debias.policies import EgSpec, EtcSpec, TsSpec, UcbSpec
 from bandit_debias.simulator import (
+    LawWorld,
+    ResampleWorld,
     load_log,
     meta_path_for,
     run_batch,
@@ -116,10 +118,10 @@ def test_log_file_format(tmp_path):
     log = run_experiment(2, 5, EtcSpec(2), DEGENERATE, seed=1)
     path = str(tmp_path / "log.csv")
     save_log(log, path)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "t,arm,reward"
     assert lines[1].startswith("1,1,")  # 1-indexed
-    meta = json.load(open(meta_path_for(path)))
+    meta = json.loads(Path(meta_path_for(path)).read_text())
     assert meta["K"] == 2 and meta["T"] == 5 and meta["world"] == "real"
     assert meta["policy"] == {"name": "etc", "m": 2}
 
@@ -142,3 +144,53 @@ def test_batch_matches_scalar_runs():
     out = run_batch(4, 2, 30, EtcSpec(5), DEGENERATE, substream(77), record_logs=True)
     for row in out.actions:
         assert row.tolist() == [0] * 5 + [1] * 25
+
+
+def _per_arm_draws(laws, chosen, rng):
+    """Reference: each arm's rows drawn in turn by its law's own sampler."""
+    out = np.empty(len(chosen))
+    for k, law in enumerate(laws):
+        rows = np.flatnonzero(chosen == k)
+        if rows.size:
+            out[rows] = law.sample(rng, rows.size)
+    return out
+
+
+@pytest.mark.parametrize("laws", [
+    [Gaussian(1.0, 1.0), Gaussian(1.5, 2.0), Gaussian(-0.5, 0.0)],
+    [Bernoulli(0.3), Bernoulli(0.6), Bernoulli(0.5)],
+], ids=["gaussian", "bernoulli"])
+def test_law_world_reproduces_per_arm_sampling(laws):
+    # Gaussian and Bernoulli worlds hand out one round's draws exactly as
+    # drawing each arm's rows in turn would, so seeded runs keep their outputs.
+    world = LawWorld(laws)
+    rng, ref_rng, picks = substream(3), substream(3), substream(4)
+    for _ in range(20):
+        chosen = picks.integers(0, 3, size=257)
+        assert np.array_equal(world.draw(chosen, rng), _per_arm_draws(laws, chosen, ref_rng))
+
+
+def test_resample_world_reproduces_per_arm_sampling():
+    rewards = np.round(substream(5).standard_normal(60), 1)  # repeated values
+    actions = np.arange(60) % 3
+    world = ResampleWorld(actions, rewards, 3)
+    laws = [world[k] for k in range(3)]
+    assert all(isinstance(law, FiniteDiscrete) for law in laws)
+    rng, ref_rng, picks = substream(6), substream(6), substream(7)
+    for _ in range(20):
+        chosen = picks.integers(0, 3, size=257)
+        assert np.array_equal(world.draw(chosen, rng), _per_arm_draws(laws, chosen, ref_rng))
+
+
+def test_mixed_law_world_moments():
+    """Continuous, Bernoulli and finite arms in one run: per-arm moments within 4 SE."""
+    laws = [Gaussian(1.0, 2.0), Bernoulli(0.3), FiniteDiscrete((0.0, 0.5, 2.0), (0.2, 0.5, 0.3))]
+    out = run_batch(2000, 3, 30, EgSpec(1.0), laws, substream(8), record_logs=True)
+    for k, law in enumerate(laws):
+        x = out.rewards[out.actions == k]
+        mu, var = law.mean(), law.variance()
+        fourth = np.mean((x - mu) ** 4)
+        assert abs(x.mean() - mu) < 4 * np.sqrt(var / x.size), k
+        assert abs(x.var() - var) < 4 * np.sqrt((fourth - var**2) / x.size), k
+    for k in (1, 2):
+        assert set(out.rewards[out.actions == k].tolist()) <= set(laws[k].atoms()[0].tolist())

@@ -1,11 +1,16 @@
 import math
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from bandit_debias.distributions import Bernoulli, FiniteDiscrete, Gaussian
 from bandit_debias import theory as th
+from bandit_debias.policies import EtcSpec
+from bandit_debias.simulator import run_batch
+from bandit_debias.streams import substream
 from bandit_debias.theory import (
     EnumerationTooLarge,
     EtcGaussianParams,
@@ -98,10 +103,25 @@ class TestExactEnumeration:
         assert expect <= 0  # integrand is mu2 - Xbar on {Xbar >= mu2}
 
     def test_general_matches_gaussian_closed_form(self):
-        arms = [Gaussian(1.0, 1.0), Gaussian(1.5, 1.0)]
-        for k in (1, 2):
-            assert th.etc_bias_general(arms, 10, 100, k) == pytest.approx(
-                th.etc_bias_gaussian(STANDARD, k), abs=1e-10)
+        for p in (STANDARD, EtcGaussianParams(0.2, -0.4, 2.0, 0.5, 7, 30),
+                  EtcGaussianParams(1.0, 1.0, 0.3, 3.0, 40, 160), EtcGaussianParams(0.0, 2.0, 1.0, 1.0, 1, 5)):
+            arms = [Gaussian(p.mu1, p.var1), Gaussian(p.mu2, p.var2)]
+            for k in (1, 2):
+                assert th.etc_bias_general(arms, p.m, p.T, k) == pytest.approx(
+                    th.etc_bias_gaussian(p, k), rel=1e-12, abs=1e-300)
+
+    def test_gaussian_against_finite_arm_is_exact(self):
+        """Gaussian(1, 1) against Bernoulli(0.3): the enumeration identity
+        (T-2m)/(T-m) sum_v P(Ybar=v) (-s phi((v-mu)/s)), with no warning."""
+        m, T = 40, 160
+        own, other = Gaussian(1.0, 1.0), Bernoulli(0.3)
+        values, probs = th.mean_pmf(other, m)
+        s = math.sqrt(1.0 / m)
+        identity = (T - 2 * m) / (T - m) * np.dot(probs, -s * scipy.stats.norm.pdf((values - 1.0) / s))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bias = th.etc_bias_general([own, other], m, T, 1)
+        assert bias == pytest.approx(identity, rel=1e-12)
 
     def test_bernoulli_pair_frozen(self):
         arms = [B3, Bernoulli(0.6)]
@@ -239,6 +259,24 @@ class TestMonteCarloConvergence:
         assert med < res["bound"]
         assert not res["bound_violated_at_largest_m"]
         assert 1.0 < med < 1.19  # sub-Gaussian slack is real but below the proxy bound
+
+    @pytest.mark.parametrize("arms", [[Gaussian(1.0, 1.0), Gaussian(1.3, 0.5)], [B3, Bernoulli(0.45)]],
+                             ids=["gaussian", "bernoulli"])
+    def test_summaries_match_round_by_round_etc(self, arms):
+        """Sufficient-statistic ETC against run_batch logs: the first two
+        moments of each arm's mean and MLE variance agree within 4 SE."""
+        m, T, R = 5, 40, 4000
+        fast = th._etc_two_arm_summaries(arms, m, T, R, substream(31))
+        out = run_batch(R, 2, T, EtcSpec(m), arms, substream(32), record_logs=True)
+        pulled = out.actions[:, :, None] == np.arange(2)
+        n = pulled.sum(axis=1)
+        mean = np.where(pulled, out.rewards[:, :, None], 0.0).sum(axis=1) / n
+        var = np.where(pulled, out.rewards[:, :, None] ** 2, 0.0).sum(axis=1) / n - mean**2
+        for a, b in zip(fast, (mean, var)):
+            for power in (1, 2):
+                x, y = a**power, b**power
+                se = np.sqrt((x.var(axis=0) + y.var(axis=0)) / R)
+                assert np.all(np.abs(x.mean(axis=0) - y.mean(axis=0)) < 4 * se), (power, x.mean(0), y.mean(0))
 
     def test_rate_ratio_rejects_degenerate(self):
         with pytest.raises(OutOfRange):
