@@ -14,7 +14,9 @@ Two constructions, both held as per-arm arrays (see ``simulator``):
   index into the chosen arm's slice.  Draws are per-pull i.i.d. resamples,
   so a replay may pull an arm more often than the real log did.
 
-Worlds pickle, so ``debias`` can ship them to pool workers.
+Either world promises only the arm's bootstrap law: replay row i takes the
+i-th draw of each round.  Worlds pickle, so ``debias`` can ship them to
+pool workers.
 """
 from __future__ import annotations
 

@@ -96,10 +96,9 @@ def debias(log: BanditLog, spec: BootstrapSpec, seed: int, workers: int = 1) -> 
         b_eff += n_def
 
     raw = summary.means.astype(np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        boot_avg = np.where(b_eff > 0, sum_means / np.maximum(b_eff, 1), np.nan)
-        var = sum_sq / np.maximum(b_eff, 1) - boot_avg**2
-        se = np.sqrt(np.maximum(var, 0.0) / np.maximum(b_eff, 1))
+    boot_avg = np.where(b_eff > 0, sum_means / np.maximum(b_eff, 1), np.nan)
+    var = sum_sq / np.maximum(b_eff, 1) - boot_avg**2
+    se = np.sqrt(np.maximum(var, 0.0) / np.maximum(b_eff, 1))
     estimated_bias = boot_avg - raw
     corrected = raw - estimated_bias
     undefined = [int(k) for k in np.flatnonzero(b_eff == 0)]

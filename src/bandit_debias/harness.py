@@ -22,7 +22,7 @@ from . import estimators as est
 from . import policies
 from .bootstrap import BootstrapSpec, ZeroCountArm
 from .debias import debias
-from .simulator import atomic_write_text, run_experiment
+from .simulator import atomic_write_text, run_experiment, validate_config
 from .streams import TAG_HARNESS_DEBIAS, TAG_HARNESS_MSE, TAG_HARNESS_SIM, child_seed
 
 
@@ -48,6 +48,11 @@ class Cell:
             raise ValueError("horizon grid must lie in [K, T]")
         if list(self.horizon_grid) != sorted(set(self.horizon_grid)):
             raise ValueError("horizon grid must be strictly increasing")
+        try:
+            for horizon in (*self.horizon_grid, self.T):  # ETC must finish exploring
+                validate_config(self.K, horizon, self.policy, self.arms)
+        except ValueError as exc:
+            raise ValueError(f"cell {self.name!r}: {exc}") from None
         if self.mse_B is not None and self.mse_B < 1:
             raise ValueError("mse_B must be >= 1")
         unknown = set(self.estimators) - set(est.NAMES)

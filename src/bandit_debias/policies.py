@@ -139,9 +139,8 @@ class BatchPolicyState:
             self.committed = np.full(self.n, -1, dtype=np.int64)
 
     def means(self) -> np.ndarray:
-        """Empirical means, 0 for unpulled arms."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(self.counts > 0, self.sums / np.maximum(self.counts, 1), 0.0)
+        """Empirical means, 0 for unpulled arms (whose sums are exactly 0)."""
+        return self.sums / np.maximum(self.counts, 1)
 
     def update(self, arms: np.ndarray, rewards: np.ndarray) -> None:
         # Flat indices into the row-major arrays: a third of the cost of

@@ -10,6 +10,10 @@ vectorized step.  ``LawWorld`` tabulates reward laws (the real world, and
 the Gaussian multiplier bootstrap world); ``ResampleWorld`` holds a log's
 rewards grouped by arm (Efron's bootstrap world).  ``run_batch`` also takes
 a plain sequence of laws and tabulates it once per call.
+
+A world's contract is each arm's law, not a stream layout: row i of a round
+takes the round's i-th draw, whichever arm it chose, so every row's reward
+is an independent draw from its arm's law.
 """
 from __future__ import annotations
 
@@ -91,21 +95,7 @@ class BatchOutcome:
     rewards: Optional[np.ndarray] = None  # (n, T)
 
     def means(self) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(self.counts > 0, self.sums / np.maximum(self.counts, 1), np.nan)
-
-
-def _in_arm_order(draws: np.ndarray, chosen: np.ndarray, K: int) -> np.ndarray:
-    """Hand one draw per row out arm by arm: the rows of arm 0 take the first
-    draws in row order, then the rows of arm 1, and so on.
-
-    That is the order in which drawing each arm's rows in turn consumes the
-    stream, so a seeded run keeps its outputs.  A stable sort on the smallest
-    unsigned type that holds the arm index is a radix sort.
-    """
-    out = np.empty_like(draws)
-    out[np.argsort(chosen.astype(np.min_scalar_type(K - 1)), kind="stable")] = draws
-    return out
+        return np.where(self.counts > 0, self.sums / np.maximum(self.counts, 1), np.nan)
 
 
 class LawWorld:
@@ -116,9 +106,10 @@ class LawWorld:
     mass exceeds u (the inverse survival function, so the highest atom takes
     the lowest uniforms, as ``Bernoulli.sample`` does).  Every other arm draws
     mean + sd * z from one standard normal z per row; a zero-variance arm
-    is its mean.  Normals are drawn only when a normal arm exists and uniforms
-    only when a finite arm exists, normals first.  A lookup compares u with
-    each of the arm's atoms, which suits laws with a handful of atoms.
+    is its mean.  Row i takes the round's i-th normal and i-th uniform.
+    Normals are drawn only when a normal arm exists and uniforms only when a
+    finite arm exists, normals first.  A lookup compares u with each of the
+    arm's atoms, which suits laws with a handful of atoms.
     """
 
     def __init__(self, laws: Sequence[dist.RewardDistribution]):
@@ -147,13 +138,11 @@ class LawWorld:
         return self.laws[k]
 
     def draw(self, chosen: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        K = len(self.laws)
         rewards = None
         if not self.finite.all():
-            z = _in_arm_order(rng.standard_normal(len(chosen)), chosen, K)
-            rewards = self.mu[chosen] + self.sd[chosen] * z
+            rewards = self.mu[chosen] + self.sd[chosen] * rng.standard_normal(len(chosen))
         if self.finite.any():
-            u = _in_arm_order(rng.random(len(chosen)), chosen, K)
+            u = rng.random(len(chosen))
             atom = (u[:, None] >= self.tails[chosen]).sum(axis=1)
             drawn = self.top_down[chosen, atom]
             rewards = drawn if rewards is None else np.where(self.finite[chosen], drawn, rewards)
@@ -163,14 +152,14 @@ class LawWorld:
 class ResampleWorld:
     """Efron's bootstrap world: each arm's observed rewards, grouped by arm.
 
-    ``values`` holds arm 0's rewards in ascending order, then arm 1's, and so
-    on; arm k's slice starts at ``offsets[k]`` and has ``counts[k] >= 1``
-    entries.  A draw is one uniform index into the chosen arm's slice, a
-    resample with replacement.
+    ``values`` holds arm 0's rewards in log order, then arm 1's, and so on;
+    arm k's slice starts at ``offsets[k]`` and has ``counts[k] >= 1``
+    entries.  Row i's draw is the round's i-th uniform, scaled to an index
+    into the chosen arm's slice: a resample with replacement.
     """
 
     def __init__(self, actions: np.ndarray, rewards: np.ndarray, K: int):
-        self.values = rewards[np.lexsort((rewards, actions))]
+        self.values = rewards[np.argsort(actions, kind="stable")]
         self.counts = np.bincount(actions, minlength=K)
         if not self.counts.all():
             raise ValueError(f"arm {np.argmin(self.counts) + 1} has no rewards to resample")
@@ -186,7 +175,7 @@ class ResampleWorld:
         return dist.FiniteDiscrete(values, multiplicity / multiplicity.sum())
 
     def draw(self, chosen: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        u = _in_arm_order(rng.random(len(chosen)), chosen, len(self.counts))
+        u = rng.random(len(chosen))
         # u < 1, so the rounded product stays below the count.
         return self.values[self.offsets[chosen] + (u * self.counts[chosen]).astype(np.int64)]
 
@@ -207,10 +196,10 @@ def run_batch(
 
     ``world`` is a world object or a sequence of K reward laws, which is
     tabulated as a ``LawWorld``.  Per round, the draw order is fixed (policy
-    randomness, then the world's reward draws, handed out to the arms in
-    ascending order), so the outcome is a pure function of the stream state.
+    randomness, then the world's reward draws, taken by the rows in row
+    order), so the outcome is a pure function of the stream state.
     """
-    _validate_config(K, T, policy, world)
+    validate_config(K, T, policy, world)
     if not isinstance(world, (LawWorld, ResampleWorld)):
         world = LawWorld(world)
     state = BatchPolicyState(K=K, n=n)
@@ -226,7 +215,7 @@ def run_batch(
     return BatchOutcome(counts=state.counts, sums=state.sums, actions=actions, rewards=rewards)
 
 
-def _validate_config(K: int, T: int, policy: PolicySpec, world) -> None:
+def validate_config(K: int, T: int, policy: PolicySpec, world) -> None:
     if K < 1 or T < 1:
         raise ValueError("K and T must be positive")
     if len(world) != K:
@@ -261,9 +250,8 @@ def summarize(log: BanditLog) -> ArmSummary:
     counts = np.bincount(log.actions, minlength=log.K)
     sums = np.bincount(log.actions, weights=log.rewards, minlength=log.K)
     squares = np.bincount(log.actions, weights=log.rewards**2, minlength=log.K)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-        var = squares / np.maximum(counts, 1) - means**2
+    means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    var = squares / np.maximum(counts, 1) - means**2
     variances = np.where(counts > 0, np.maximum(var, 0.0), np.nan)
     return ArmSummary(counts=counts, means=means, variances=variances)
 

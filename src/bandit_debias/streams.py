@@ -11,7 +11,6 @@ import numpy as np
 
 # Path tags.  Keeping these in one place guarantees distinct consumers can
 # never collide on a spawn key.
-TAG_EXPERIMENT = 0
 TAG_REPLAY_CHUNK = 1
 TAG_HARNESS_SIM = 2
 TAG_HARNESS_DEBIAS = 3

@@ -43,7 +43,7 @@ def test_efron_support_is_observed_rewards():
     assert isinstance(world, ResampleWorld) and len(world) == 2
     assert np.array_equal(world.counts, s.counts)
     for k in range(2):
-        observed = np.sort(log.rewards[log.actions == k])
+        observed = log.rewards[log.actions == k]  # in log order
         start = world.offsets[k]
         assert np.array_equal(world.values[start : start + world.counts[k]], observed)
         draws = world.draw(_pulls(k, 5000), substream(9))

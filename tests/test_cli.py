@@ -189,12 +189,19 @@ def test_plan_rejects_bad_cells(tmp_path):
         "K": 2, "T": 40, "replications": 2, "bootstrap": {"kind": "mb", "B": 5},
         "horizon_grid": [20, 40],
     }
-    for extra in ({"mse_B": "ten"}, {"mse_B": 0}, {"mse_b": 10}, {"estimators": ["mean", "ipww"]}):
+    # ETC needs m*K <= T at every horizon, checked before any cell runs: a
+    # short grid point or a short second cell must not leave results behind.
+    short_second = [base, {**base, "name": "short", "T": 8, "horizon_grid": []}]
+    plans = [[{**base, **extra}] for extra in (
+        {"mse_B": "ten"}, {"mse_B": 0}, {"mse_b": 10}, {"estimators": ["mean", "ipww"]},
+        {"horizon_grid": [5, 40]},
+    )] + [short_second]
+    for cells in plans:
         plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps({"cells": [{**base, **extra}]}))
+        plan_path.write_text(json.dumps({"cells": cells}))
         rc = dispatch(["plan", "--plan", str(plan_path), "--seed", "1",
                        "--out-dir", str(tmp_path / "out")])
-        assert rc == 1, extra
+        assert rc == 1, cells
     assert not (tmp_path / "out").exists()
 
 

@@ -146,45 +146,71 @@ def test_batch_matches_scalar_runs():
         assert row.tolist() == [0] * 5 + [1] * 25
 
 
-def _per_arm_draws(laws, chosen, rng):
-    """Reference: each arm's rows drawn in turn by its law's own sampler."""
-    out = np.empty(len(chosen))
-    for k, law in enumerate(laws):
-        rows = np.flatnonzero(chosen == k)
-        if rows.size:
-            out[rows] = law.sample(rng, rows.size)
-    return out
+GAUSSIAN_LAWS = [Gaussian(1.0, 1.0), Gaussian(1.5, 2.0), Gaussian(-0.5, 0.0)]
+BERNOULLI_LAWS = [Bernoulli(0.3), Bernoulli(0.6), Bernoulli(0.5)]
+MIXED_LAWS = [Gaussian(1.0, 2.0), Bernoulli(0.3), FiniteDiscrete((0.0, 0.5, 2.0), (0.2, 0.5, 0.3))]
+REPEATED = np.round(substream(5).standard_normal(60), 1)  # 60 rewards with repeated values
 
 
-@pytest.mark.parametrize("laws", [
-    [Gaussian(1.0, 1.0), Gaussian(1.5, 2.0), Gaussian(-0.5, 0.0)],
-    [Bernoulli(0.3), Bernoulli(0.6), Bernoulli(0.5)],
-], ids=["gaussian", "bernoulli"])
-def test_law_world_reproduces_per_arm_sampling(laws):
-    # Gaussian and Bernoulli worlds hand out one round's draws exactly as
-    # drawing each arm's rows in turn would, so seeded runs keep their outputs.
+def _world(name):
+    if name == "resample":
+        return ResampleWorld(np.arange(60) % 3, REPEATED, 3)
+    return LawWorld({"gaussian": GAUSSIAN_LAWS, "bernoulli": BERNOULLI_LAWS, "mixed": MIXED_LAWS}[name])
+
+
+@pytest.mark.parametrize("name", ["gaussian", "bernoulli", "mixed", "resample"])
+def test_draws_are_row_local(name):
+    # Row i takes the round's i-th draw: under the same stream, its reward
+    # depends on its own arm only, not on the arms the other rows chose.
+    world, picks = _world(name), substream(4)
+    for trial in range(20):
+        a = picks.integers(0, 3, size=257)
+        b = picks.integers(0, 3, size=257)
+        agree = picks.random(257) < 0.5
+        b[agree] = a[agree]
+        ra, rb = world.draw(a, substream(3, trial)), world.draw(b, substream(3, trial))
+        assert np.array_equal(ra[agree], rb[agree])
+
+
+@pytest.mark.parametrize("laws", [GAUSSIAN_LAWS, BERNOULLI_LAWS], ids=["gaussian", "bernoulli"])
+def test_constant_arm_draws_match_law_sample(laws):
+    # A round in which every row pulls arm k draws exactly what arm k's law samples.
     world = LawWorld(laws)
-    rng, ref_rng, picks = substream(3), substream(3), substream(4)
-    for _ in range(20):
-        chosen = picks.integers(0, 3, size=257)
-        assert np.array_equal(world.draw(chosen, rng), _per_arm_draws(laws, chosen, ref_rng))
+    for k, law in enumerate(laws):
+        drawn = world.draw(np.full(257, k), substream(3, k))
+        assert np.array_equal(drawn, law.sample(substream(3, k), 257))
 
 
-def test_resample_world_reproduces_per_arm_sampling():
-    rewards = np.round(substream(5).standard_normal(60), 1)  # repeated values
+def test_resample_world_laws_are_observed_rewards():
     actions = np.arange(60) % 3
-    world = ResampleWorld(actions, rewards, 3)
-    laws = [world[k] for k in range(3)]
-    assert all(isinstance(law, FiniteDiscrete) for law in laws)
-    rng, ref_rng, picks = substream(6), substream(6), substream(7)
-    for _ in range(20):
-        chosen = picks.integers(0, 3, size=257)
-        assert np.array_equal(world.draw(chosen, rng), _per_arm_draws(laws, chosen, ref_rng))
+    world = _world("resample")
+    for k in range(3):
+        law = world[k]
+        assert isinstance(law, FiniteDiscrete)
+        support, multiplicity = np.unique(REPEATED[actions == k], return_counts=True)
+        assert law.support == tuple(support.tolist())
+        assert law.probs == tuple((multiplicity / 20).tolist())
+        drawn = world.draw(np.full(257, k), substream(6))
+        assert set(drawn.tolist()) <= set(law.support)
+
+
+@pytest.mark.parametrize("law", [Bernoulli(1.0), Bernoulli(0.0), FiniteDiscrete((0.7,), (1.0,))],
+                         ids=["bernoulli1", "bernoulli0", "one-atom"])
+def test_zero_variance_finite_law_draws_its_value(law):
+    # A finite law of zero variance takes the normal path as mean + 0 * z.
+    value = law.mean()
+    alone = LawWorld([law])
+    assert not alone.finite.any()
+    assert np.all(alone.draw(np.zeros(100, dtype=np.int64), substream(1)) == value)
+    for other in (Gaussian(1.0, 1.0), Bernoulli(0.3)):
+        chosen = substream(2).integers(0, 2, size=100)
+        drawn = LawWorld([other, law]).draw(chosen, substream(3))
+        assert np.all(drawn[chosen == 1] == value)
 
 
 def test_mixed_law_world_moments():
     """Continuous, Bernoulli and finite arms in one run: per-arm moments within 4 SE."""
-    laws = [Gaussian(1.0, 2.0), Bernoulli(0.3), FiniteDiscrete((0.0, 0.5, 2.0), (0.2, 0.5, 0.3))]
+    laws = MIXED_LAWS
     out = run_batch(2000, 3, 30, EgSpec(1.0), laws, substream(8), record_logs=True)
     for k, law in enumerate(laws):
         x = out.rewards[out.actions == k]
