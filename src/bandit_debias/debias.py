@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bootstrap import BootstrapSpec, build_world
-from .simulator import BanditLog, run_batch, summarize
+from .simulator import BanditLog, json_floats, run_batch, summarize
 from .streams import TAG_REPLAY_CHUNK, substream
 
 CHUNK = 4096
@@ -39,19 +39,16 @@ class DebiasReport:
     undefined_arms: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        def col(a):
-            return [None if not np.isfinite(x) else float(x) for x in a]
-
         return {
             "K": self.K,
             "B": self.B,
             "bootstrap": self.kind,
-            "raw_mean": col(self.raw_means),
-            "estimated_bias": col(self.estimated_bias),
-            "corrected_mean": col(self.corrected_means),
+            "raw_mean": json_floats(self.raw_means),
+            "estimated_bias": json_floats(self.estimated_bias),
+            "corrected_mean": json_floats(self.corrected_means),
             "b_effective": [int(b) for b in self.b_effective],
             "zero_pull_replays": [int(z) for z in self.zero_pull_replays],
-            "bootstrap_se": col(self.bootstrap_se),
+            "bootstrap_se": json_floats(self.bootstrap_se),
             "undefined_arms": [int(a) + 1 for a in self.undefined_arms],
         }
 

@@ -22,7 +22,7 @@ from . import estimators as est
 from . import policies
 from .bootstrap import BootstrapSpec, ZeroCountArm
 from .debias import debias
-from .simulator import atomic_write_text, run_experiment, validate_config
+from .simulator import atomic_write_text, json_floats, run_experiment, validate_config
 from .streams import TAG_HARNESS_DEBIAS, TAG_HARNESS_MSE, TAG_HARNESS_SIM, child_seed
 
 
@@ -124,12 +124,12 @@ class CellResult:
             "policy": self.cell.policy.to_dict(),
             "bootstrap": {"kind": self.cell.bootstrap.kind, "B": self.cell.bootstrap.B},
             "true_means": [a.mean() for a in self.cell.arms],
-            "mc_bias": self.mc_bias.tolist(),
-            "mc_bias_se": self.mc_bias_se.tolist(),
-            "mean_raw": self.mean_raw.tolist(),
-            "mean_estimated_bias": self.mean_estimated_bias.tolist(),
-            "mean_corrected": self.mean_corrected.tolist(),
-            "mse": {name: {str(h): v.tolist() for h, v in table.items()} for name, table in self.mse.items()},
+            "mc_bias": json_floats(self.mc_bias),
+            "mc_bias_se": json_floats(self.mc_bias_se),
+            "mean_raw": json_floats(self.mean_raw),
+            "mean_estimated_bias": json_floats(self.mean_estimated_bias),
+            "mean_corrected": json_floats(self.mean_corrected),
+            "mse": {name: {str(h): json_floats(v) for h, v in table.items()} for name, table in self.mse.items()},
             "error_counts": self.error_counts,
         }
 
@@ -237,17 +237,17 @@ def _aggregate(cell: Cell, records: Sequence[ReplicationRecord]) -> CellResult:
     bias = np.stack([r.estimated_bias for r in records])
     corrected = np.stack([r.corrected for r in records])
     n_valid = np.sum(~np.isnan(raw), axis=0)
-    mc_bias = np.nanmean(raw, axis=0) - true_means
-    mc_bias_se = np.nanstd(raw, axis=0, ddof=0) / np.sqrt(np.maximum(n_valid, 1))
+    mean_raw = _nan_columns(np.nanmean, raw)
+    mc_bias_se = _nan_columns(np.nanstd, raw) / np.sqrt(np.maximum(n_valid, 1))
     mse: dict[str, dict[int, np.ndarray]] = {}
     for name in (cell.bootstrap.kind, "ipw", "aipw"):
         horizons = sorted({h for r in records for h in r.horizon_estimates.get(name, {})})
         if horizons:
             nan = np.full(cell.K, np.nan)
             mse[name] = {
-                h: np.nanmean(
+                h: _nan_columns(
+                    np.nanmean,
                     (np.stack([r.horizon_estimates.get(name, {}).get(h, nan) for r in records]) - true_means) ** 2,
-                    axis=0,
                 )
                 for h in horizons
             }
@@ -257,15 +257,21 @@ def _aggregate(cell: Cell, records: Sequence[ReplicationRecord]) -> CellResult:
             error_counts[r.error] = error_counts.get(r.error, 0) + 1
     return CellResult(
         cell=cell,
-        mc_bias=mc_bias,
+        mc_bias=mean_raw - true_means,
         mc_bias_se=mc_bias_se,
-        mean_raw=np.nanmean(raw, axis=0),
-        mean_estimated_bias=np.nanmean(bias, axis=0),
-        mean_corrected=np.nanmean(corrected, axis=0),
+        mean_raw=mean_raw,
+        mean_estimated_bias=_nan_columns(np.nanmean, bias),
+        mean_corrected=_nan_columns(np.nanmean, corrected),
         mse=mse,
         error_counts=error_counts,
         records=list(records),
     )
+
+
+def _nan_columns(reduce, x: np.ndarray) -> np.ndarray:
+    """reduce(x, axis=0) of a NaN-skipping reducer; NaN, with no warning, where a column is all NaN."""
+    empty = np.isnan(x).all(axis=0)
+    return np.where(empty, np.nan, reduce(np.where(empty, 0.0, x), axis=0))
 
 
 def _persist(result: CellResult, out_dir: str) -> None:

@@ -6,10 +6,9 @@ propensity scores share one vectorized core that operates on a leading batch
 dimension, so simulating many experiments in lockstep costs a handful of
 array ops per round.
 
-Every propensity comes from ``propensity_batch``; ``propensity`` applies it
-once to the prefix states of stacked logs, with no loop over rounds.  TS
-with K != 2 has no closed form: its propensity is a fixed-size posterior
-Monte Carlo on a substream keyed by the round, so it is reproducible.
+Every propensity is a pure function of its row's counts and sums, computed by
+``propensity_batch``; ``propensity`` applies it once to the prefix states of
+stacked logs.  TS with K != 2 uses an exact quadrature (``_ts_quadrature``).
 
 Conventions fixed here (ties have positive probability for Bernoulli
 rewards, so they must be pinned down):
@@ -28,14 +27,14 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
-from .streams import substream
+from .streams import substream  # noqa: F401  (perfbench/tracing.py wraps policies.substream)
 
-TS_PROPENSITY_DRAWS = 4096
-# Fixed seed for the K>2 TS propensity Monte Carlo; a dedicated substream
-# keeps the estimate deterministic and independent of caller streams.
-_TS_PROPENSITY_SEED = 0x7A11E5
+# _ts_quadrature: 8-node Gauss-Legendre (nodes +-t, weights w) per piece, breaking at pm + c * sd.
+_GL_T = np.array([0.1834346424956498, 0.5255324099163290, 0.7966664774136267, 0.9602898564975362])
+_GL_W = np.array([0.3626837833783620, 0.3137066458778873, 0.2223810344533745, 0.1012285362903763])
+_TS_BREAKS = np.array([-12.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0, 12.0])
 
 
 @dataclass(frozen=True)
@@ -195,15 +194,7 @@ def propensity_batch(spec: PolicySpec, state: BatchPolicyState) -> Optional[np.n
     if isinstance(spec, TsSpec):
         pm, pv = _ts_posterior(spec, state)
         if state.K != 2:
-            # Every row of round t uses the normals of substream(_TS_PROPENSITY_SEED, t).
-            rounds = state.counts.sum(axis=1) + 1
-            out = np.empty((state.n, state.K))
-            for t in np.unique(rounds):
-                z = substream(_TS_PROPENSITY_SEED, int(t)).standard_normal((TS_PROPENSITY_DRAWS, state.K))
-                for i in np.flatnonzero(rounds == t):
-                    wins = np.argmax(pm[i] + np.sqrt(pv[i]) * z, axis=1)
-                    out[i] = np.bincount(wins, minlength=state.K) / TS_PROPENSITY_DRAWS
-            return out
+            return _ts_quadrature(pm, np.sqrt(pv))
         gap = (pm[:, 0] - pm[:, 1]) / np.sqrt(pv[:, 0] + pv[:, 1])
         p1 = ndtr(gap)
         return np.stack([p1, 1.0 - p1], axis=1)
@@ -246,3 +237,22 @@ def _ts_posterior(spec: TsSpec, state: BatchPolicyState) -> tuple[np.ndarray, np
     pv = 1.0 / prec
     pm = pv * (spec.prior_mean / spec.prior_variance + state.sums / spec.likelihood_variance)
     return pm, pv
+
+
+def _ts_quadrature(pm: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """P(arm k has the largest posterior draw) for (n, K) normal posteriors.
+
+    Integrates phi_k(x) prod_{j != k} Phi((x - pm_j) / sd_j), the product in log space.
+    """
+    edges = np.sort((pm[:, :, None] + sd[:, :, None] * _TS_BREAKS).reshape(len(pm), 1, -1), axis=2)
+    half = np.diff(edges, axis=2)[..., None] / 2  # (n, 1, pieces, 1)
+    z = (edges[..., :-1, None] + half * (1 + np.r_[-_GL_T, _GL_T]) - pm[:, :, None, None]) / sd[:, :, None, None]
+    log_cdf = log_ndtr(z)  # z: (n, K, pieces, nodes), reused in place below
+    z *= z
+    z *= 0.5
+    z += log_cdf
+    np.subtract(log_cdf.sum(axis=1, keepdims=True), z, out=z)
+    np.exp(z, out=z)
+    z *= half * np.r_[_GL_W, _GL_W]
+    out = z.sum(axis=(2, 3)) / sd  # the factor 1/sqrt(2 pi) cancels below
+    return out / out.sum(axis=1, keepdims=True)  # so a one-arm row is exactly 1.0

@@ -249,14 +249,19 @@ def run_experiment(
 def summarize(log: BanditLog) -> ArmSummary:
     counts = np.bincount(log.actions, minlength=log.K)
     sums = np.bincount(log.actions, weights=log.rewards, minlength=log.K)
-    squares = np.bincount(log.actions, weights=log.rewards**2, minlength=log.K)
     means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    var = squares / np.maximum(counts, 1) - means**2
-    variances = np.where(counts > 0, np.maximum(var, 0.0), np.nan)
+    # Centred squares: E[x^2] - mean^2 cancels catastrophically at a large offset.
+    squares = np.bincount(log.actions, weights=(log.rewards - means[log.actions]) ** 2, minlength=log.K)
+    variances = np.where(counts > 0, squares / np.maximum(counts, 1), np.nan)
     return ArmSummary(counts=counts, means=means, variances=variances)
 
 
 # --- persistence -----------------------------------------------------------
+
+
+def json_floats(values) -> list:
+    """Floats for JSON output, with null for an undefined (non-finite) value."""
+    return [float(x) if np.isfinite(x) else None for x in values]
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -47,6 +47,7 @@ def two_arm_grid_results():
     return {r.cell.name: r for r in results}
 
 
+@pytest.mark.slow
 def test_criterion_01_etc_gaussian_anchor(two_arm_grid_results):
     p = th.EtcGaussianParams(1.0, 1.5, 1.0, 1.0, 10, 100)
     closed = [th.etc_bias_gaussian(p, k) for k in (1, 2)]
@@ -61,6 +62,7 @@ def test_criterion_01_etc_gaussian_anchor(two_arm_grid_results):
     assert ok, detail
 
 
+@pytest.mark.slow
 def test_criterion_02_correction_improves_most_cells(two_arm_grid_results):
     improved = 0
     for res in two_arm_grid_results.values():
@@ -73,6 +75,7 @@ def test_criterion_02_correction_improves_most_cells(two_arm_grid_results):
     assert ok, f"improved {improved}/16"
 
 
+@pytest.mark.slow
 def test_criterion_03_bootstrap_matches_plugin_closed_form():
     # Frozen seeds.  Note a literal all-40-within-3-SE family check trips on
     # ~1 in 10 seed choices by pure chance; systematic disagreement would
@@ -185,6 +188,7 @@ def propensity_cells():
     return {r.cell.name: r for r in results}
 
 
+@pytest.mark.slow
 def test_criterion_09_propensity_estimators(propensity_cells):
     truth = np.array([0.3, 0.6])
     ok = True

@@ -13,7 +13,7 @@ from bandit_debias.estimators import (
     propensity_trace,
 )
 from bandit_debias.policies import EgSpec, EtcSpec, TsSpec, UcbSpec, propensity
-from bandit_debias.simulator import run_batch, run_experiment, summarize
+from bandit_debias.simulator import BanditLog, run_batch, run_experiment, summarize
 from bandit_debias.streams import substream
 
 
@@ -102,6 +102,22 @@ def test_zero_propensity_raises():
     assert exc.value.t == 7
     with pytest.raises(DivisionHazard):
         aipw_estimate(log, props)
+
+
+def test_small_ts_propensity_is_not_rounded_to_zero():
+    # Arms 1 and 2 pay 1.0 fifty times each, then arm 3 pays 0.0 sixteen
+    # times.  Arm 3's propensity falls to about 5.5e-5 in the last round; a
+    # finite-draw Monte Carlo rounds it to 0 from round 114 on and raises a
+    # spurious DivisionHazard.
+    actions = np.repeat([0, 1, 2], [50, 50, 16])
+    rewards = np.where(actions < 2, 1.0, 0.0)
+    log = BanditLog(K=3, T=len(actions), actions=actions, rewards=rewards, policy=TsSpec())
+    props = propensity_trace(log)
+    chosen = props[np.arange(log.T), actions]
+    assert np.all(chosen > 0)
+    assert chosen[-1] == pytest.approx(5.524e-5, rel=1e-3)
+    assert np.all(np.isfinite(ipw_estimate(log, props)))
+    assert np.all(np.isfinite(aipw_estimate(log, props)))
 
 
 def test_propensity_trace_rows_sum_to_one():

@@ -148,6 +148,26 @@ def test_persistence_files(tmp_path):
     float(mse_lines[1].split(",")[3])
 
 
+@pytest.mark.filterwarnings("error")
+def test_cell_without_a_successful_replication_writes_strict_json(tmp_path):
+    # EG with epsilon 0 never leaves arm 1 (an unpulled arm's mean is 0), so
+    # every replication's bootstrap world is undefined.
+    cell = Cell(name="eg0", policy=EgSpec(0.0), arms=(Bernoulli(0.3), Bernoulli(0.6)),
+                K=2, T=30, replications=3, bootstrap=BootstrapSpec("mb", 10),
+                estimators=("mean", "ipw", "aipw"), horizon_grid=(15, 30), mse_B=10)
+    run_plan(ExperimentPlan(master_seed=1, cells=(cell,)), out_dir=str(tmp_path))
+
+    def reject(token):
+        raise ValueError(f"{token} is not valid JSON")
+
+    summary = json.loads((tmp_path / "eg0" / "summary.json").read_text(), parse_constant=reject)
+    assert summary["error_counts"] == {"ZeroCountArm": 3}
+    for key in ("mc_bias", "mc_bias_se", "mean_raw", "mean_estimated_bias", "mean_corrected"):
+        assert summary[key] == [None, None]
+    assert summary["mse"]["mb"] == {"15": [None, None], "30": [None, None]}
+    assert all(v is not None for table in summary["mse"]["ipw"].values() for v in table)
+
+
 def test_se_honesty_split_seeds():
     """Disjoint-seed halves agree within 3 pooled SE on every arm."""
     kw = dict(R=150, B=10)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
+from scipy.special import ndtr
 
 from bandit_debias import policies
 from bandit_debias.estimators import plugin_mean_trace
@@ -151,18 +153,68 @@ def test_selection_frequency_matches_propensity(spec):
         assert abs(np.mean(chosen == k) - p) <= 4 * se
 
 
-def test_ts_three_arm_propensity_sums_to_one():
-    spec = TsSpec()
-    state = play([(0, 1.0), (1, 0.4), (2, 0.9)], K=3)
-    probs = propensity_batch(spec, state)[0]
-    # Monte Carlo propensities over a fixed draw budget still sum to 1
-    assert sum(probs) == pytest.approx(1.0, abs=1e-9)
-    assert all(0 <= p <= 1 for p in probs)
-    # and draw their normals from the substream keyed by the round
+def _state(counts, sums):
+    """A batch state whose rows hold the given per-arm counts and sums."""
+    counts, sums = np.atleast_2d(counts), np.atleast_2d(sums)
+    return BatchPolicyState(
+        K=counts.shape[1], n=len(counts), counts=counts.astype(np.int64), sums=sums.astype(float),
+        committed=np.full(len(counts), -1),
+    )
+
+
+def _quad_propensity(pm, sd):
+    """P(arm k is the max) of independent normals by adaptive quadrature over x."""
+    breaks = np.unique(pm[:, None] + sd[:, None] * np.array([-12.0, -6, -3, -1, 0, 1, 3, 6, 12]))
+
+    def density(x, k):
+        cdfs = ndtr((x - pm) / sd)
+        others = np.prod(np.delete(cdfs, k))
+        return math.exp(-0.5 * ((x - pm[k]) / sd[k]) ** 2) / (sd[k] * math.sqrt(2 * math.pi)) * others
+
+    def mass(k):
+        pieces = zip(breaks, breaks[1:])
+        return sum(integrate.quad(density, a, b, args=(k,), epsabs=1e-12, epsrel=1e-10)[0] for a, b in pieces)
+
+    return np.array([mass(k) for k in range(len(pm))])
+
+
+def _check_against_quad(spec, state):
+    probs = propensity_batch(spec, state)
     pm, pv = policies._ts_posterior(spec, state)
-    z = substream(policies._TS_PROPENSITY_SEED, state.t).standard_normal((policies.TS_PROPENSITY_DRAWS, 3))
-    wins = np.argmax(pm + np.sqrt(pv) * z, axis=1)
-    assert np.array_equal(probs, np.bincount(wins, minlength=3) / policies.TS_PROPENSITY_DRAWS)
+    for row, m, v in zip(probs, pm, pv):
+        assert np.abs(row - _quad_propensity(m, np.sqrt(v))).max() < 1e-6
+        assert abs(row.sum() - 1.0) < 1e-6
+        assert np.all(row > 0)
+
+
+def test_ts_three_arm_propensity_sums_to_one():
+    # One arm pulled 998 times, two starved: posterior sds 0.032, 0.71, 0.71.
+    # A narrow arm's CDF is a near-step that a single global rule cannot resolve.
+    _check_against_quad(TsSpec(), _state([998, 1, 1], [998.0, 0.8, 1.2]))
+    _check_against_quad(TsSpec(), play([(0, 1.0), (1, 0.4), (2, 0.9)], K=3))
+
+
+def test_ts_propensity_matches_quad_with_starved_arms():
+    rng = np.random.default_rng(8)
+    for K in rng.integers(3, 6, size=20):
+        counts = rng.integers(0, 1000, K)
+        counts[rng.integers(K)] = rng.integers(0, 3)
+        sums = counts * rng.uniform(0, 1, K) + rng.normal(0, 1, K)
+        spec = TsSpec(rng.normal(), rng.uniform(0.5, 2), rng.uniform(0.5, 2))
+        _check_against_quad(spec, _state(counts, sums))
+
+
+def test_ts_quadrature_matches_two_arm_closed_form():
+    rng = np.random.default_rng(9)
+    state = _state(rng.integers(0, 500, (200, 2)), rng.normal(0, 30, (200, 2)))
+    pm, pv = policies._ts_posterior(TsSpec(), state)
+    closed_form = propensity_batch(TsSpec(), state)
+    assert np.abs(policies._ts_quadrature(pm, np.sqrt(pv)) - closed_form).max() < 1e-10
+
+
+def test_ts_one_arm_propensity_is_exactly_one():
+    state = _state(np.arange(6)[:, None], np.linspace(-3, 3, 6)[:, None])
+    assert np.all(propensity_batch(TsSpec(), state) == 1.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -219,9 +271,9 @@ def stacked_logs(draw):
 )
 def test_prefix_state_propensities_match_step_by_step(spec, logs):
     # Exact equality: the prefix state adds rewards in round order, as the
-    # one-run state does, and TS with K != 2 reuses its round's draws.  Only
-    # the sign of a zero sum can differ (a first reward of -0.0), which
-    # array_equal ignores and no propensity depends on.
+    # one-run state does, and each row's propensity depends on that row
+    # alone.  Only the sign of a zero sum can differ (a first reward of -0.0),
+    # which array_equal ignores and no propensity depends on.
     K, actions, rewards = logs
     ref_props, ref_means = step_by_step(spec, actions, rewards, K)
     assert np.array_equal(propensity(spec, actions, rewards, K), ref_props)

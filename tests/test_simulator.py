@@ -65,6 +65,14 @@ def test_summarize_mle_moments():
     assert s.counts.sum() == 100
 
 
+def test_summarize_variances_survive_a_large_offset():
+    # E[x^2] - mean^2 cancels catastrophically at an offset of 1e8.
+    log = run_experiment(2, 100, EtcSpec(10), [Gaussian(1e8, 1.0), Gaussian(1e8, 1.0)], seed=3)
+    s = summarize(log)
+    for k in range(2):
+        assert s.variances[k] == pytest.approx(log.rewards[log.actions == k].var(), rel=1e-6)
+
+
 def test_single_observation_variance_zero():
     log = run_experiment(2, 2, EtcSpec(1), DEGENERATE, seed=0)
     s = summarize(log)
