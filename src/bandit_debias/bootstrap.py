@@ -15,12 +15,15 @@ Two constructions, both held as per-arm arrays (see ``simulator``):
   so a replay may pull an arm more often than the real log did.
 
 Either world promises only the arm's bootstrap law: replay row i takes the
-i-th draw of each round.  Worlds pickle, so ``debias`` can ship them to
-pool workers.
+i-th draw of each round.  A stack of logs gives one world with a leading
+log axis, one bootstrap law per (log, arm).  Worlds pickle, so ``debias``
+can ship them to pool workers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .distributions import Gaussian
 from .simulator import ArmSummary, BanditLog, LawWorld, ResampleWorld, World
@@ -50,9 +53,10 @@ class BootstrapSpec:
 
 
 def build_world(summary: ArmSummary, log: BanditLog, spec: BootstrapSpec) -> World:
-    """Per-arm unlimited i.i.d. reward source for bootstrap replays."""
+    """Per-arm unlimited i.i.d. reward source for bootstrap replays of a log or a stack."""
     for arm in summary.zero_count_arms:
         raise ZeroCountArm(arm)
     if spec.kind == MULTIPLIER_GAUSSIAN:
-        return LawWorld([Gaussian(float(m), float(v)) for m, v in zip(summary.means, summary.variances)])
+        # One Gaussian per (log, arm), in the summary's shape.
+        return LawWorld(np.frompyfunc(Gaussian, 2, 1)(summary.means, summary.variances))
     return ResampleWorld(log.actions, log.rewards, log.K)

@@ -4,12 +4,15 @@ The procedure: build a bootstrap world from the log, replay B experiments
 with the same K, T and policy against it, average each arm's replay sample
 means, and report corrected means ``raw - (bootstrap average - raw)``.
 
-Replays are grouped into fixed-size chunks; chunk i draws from a substream
-keyed (seed, chunk tag, i) and chunk results are reduced in index order, so
-the report is bit-identical at any worker count.  Replays where an arm was
-never pulled are excluded from that arm's average (its replay sample mean
-is undefined); the per-arm number of contributing replays is reported as
-``b_effective``.
+A stack of logs is corrected in one pass: log w's B replays are rows
+w*B .. (w+1)*B - 1 of one replay batch against a world with a leading log
+axis, and one log is the stack of one.  Rows are grouped into fixed-size
+chunks; chunk i draws from a substream keyed (seed, chunk tag, i), its
+replay means are summed per log, and chunk results are reduced in index
+order, so the reports are bit-identical at any worker count.  Replays
+where an arm was never pulled are excluded from that arm's average (its
+replay sample mean is undefined); the per-arm number of contributing
+replays is reported as ``b_effective``.
 """
 from __future__ import annotations
 
@@ -53,30 +56,40 @@ class DebiasReport:
         }
 
 
-def _chunk_sizes(B: int) -> list[int]:
-    # Boundaries depend only on B, never on the worker count.
-    return [CHUNK] * (B // CHUNK) + ([B % CHUNK] if B % CHUNK else [])
-
-
 def _replay_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    size, K, T, policy, world, seed, index = args
+    """Per-log sums of one chunk's replay means, of their squared deviations
+    from the log's raw mean, and of their counts, each (W, K)."""
+    lo, hi, B, raw, T, policy, world, seed, index = args
+    W, K = raw.shape
+    row_log = np.arange(lo, hi) // B
     rng = substream(seed, TAG_REPLAY_CHUNK, index)
-    out = run_batch(size, K, T, policy, world, rng)
+    out = run_batch(hi - lo, K, T, policy, world, rng, row_log=row_log)
     means = out.means()  # NaN where an arm went unpulled in a replay
     defined = out.counts > 0
-    s1 = np.where(defined, means, 0.0).sum(axis=0)
-    s2 = np.where(defined, means * means, 0.0).sum(axis=0)
-    return s1, s2, defined.sum(axis=0)
+    cells = (row_log[:, None] * K + np.arange(K)).ravel()
+
+    def per_log(x):
+        return np.bincount(cells, weights=np.where(defined, x, 0.0).ravel(), minlength=W * K).reshape(W, K)
+
+    counts = np.bincount(cells[defined.ravel()], minlength=W * K).reshape(W, K)
+    return per_log(means), per_log((means - raw[row_log]) ** 2), counts
 
 
-def debias(log: BanditLog, spec: BootstrapSpec, seed: int, workers: int = 1) -> DebiasReport:
-    """Run the bootstrap correction; deterministic given (log, spec, seed)."""
-    summary = summarize(log)
-    world = build_world(summary, log, spec)  # raises ZeroCountArm
-    sizes = _chunk_sizes(spec.B)
+def debias_stack(logs: BanditLog, spec: BootstrapSpec, seed: int, workers: int = 1) -> list[DebiasReport]:
+    """Run the bootstrap correction of every log in a stack; deterministic given (logs, spec, seed).
+
+    ``logs`` is one log or a stack of W; the W x B replays run as one batch
+    with log w's replays in rows w*B .. (w+1)*B - 1.  Raises ZeroCountArm if
+    some log never pulled an arm.
+    """
+    summary = summarize(logs)
+    world = build_world(summary, logs, spec)  # raises ZeroCountArm
+    raw = summary.means.reshape(-1, logs.K)
+    rows = len(raw) * spec.B
+    # Boundaries depend only on the row count, never on the worker count.
     tasks = [
-        (size, log.K, log.T, log.policy, world, int(seed), i)
-        for i, size in enumerate(sizes)
+        (lo, min(lo + CHUNK, rows), spec.B, raw, logs.T, logs.policy, world, int(seed), i)
+        for i, lo in enumerate(range(0, rows, CHUNK))
     ]
     if workers > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -84,30 +97,39 @@ def debias(log: BanditLog, spec: BootstrapSpec, seed: int, workers: int = 1) -> 
     else:
         results = [_replay_chunk(t) for t in tasks]
 
-    sum_means = np.zeros(log.K)
-    sum_sq = np.zeros(log.K)
-    b_eff = np.zeros(log.K, dtype=np.int64)
+    sum_means = np.zeros_like(raw)
+    sum_dev2 = np.zeros_like(raw)
+    b_eff = np.zeros(raw.shape, dtype=np.int64)
     for s1, s2, n_def in results:  # fixed reduction order by chunk index
         sum_means += s1
-        sum_sq += s2
+        sum_dev2 += s2
         b_eff += n_def
 
-    raw = summary.means.astype(np.float64)
-    boot_avg = np.where(b_eff > 0, sum_means / np.maximum(b_eff, 1), np.nan)
-    var = sum_sq / np.maximum(b_eff, 1) - boot_avg**2
-    se = np.sqrt(np.maximum(var, 0.0) / np.maximum(b_eff, 1))
+    n = np.maximum(b_eff, 1)
+    boot_avg = np.where(b_eff > 0, sum_means / n, np.nan)
     estimated_bias = boot_avg - raw
+    # Squares about the raw mean, not E[x^2] - avg^2, which cancels at a large offset.
+    var = sum_dev2 / n - estimated_bias**2
+    se = np.where(b_eff > 0, np.sqrt(np.maximum(var, 0.0) / n), np.nan)
     corrected = raw - estimated_bias
-    undefined = [int(k) for k in np.flatnonzero(b_eff == 0)]
-    return DebiasReport(
-        K=log.K,
-        B=spec.B,
-        kind=spec.kind,
-        raw_means=raw,
-        estimated_bias=estimated_bias,
-        corrected_means=corrected,
-        b_effective=b_eff,
-        zero_pull_replays=spec.B - b_eff,
-        bootstrap_se=np.where(b_eff > 0, se, np.nan),
-        undefined_arms=undefined,
-    )
+    return [
+        DebiasReport(
+            K=logs.K,
+            B=spec.B,
+            kind=spec.kind,
+            raw_means=raw[w],
+            estimated_bias=estimated_bias[w],
+            corrected_means=corrected[w],
+            b_effective=b_eff[w],
+            zero_pull_replays=spec.B - b_eff[w],
+            bootstrap_se=se[w],
+            undefined_arms=[int(k) for k in np.flatnonzero(b_eff[w] == 0)],
+        )
+        for w in range(len(raw))
+    ]
+
+
+def debias(log: BanditLog, spec: BootstrapSpec, seed: int, workers: int = 1) -> DebiasReport:
+    """Run the bootstrap correction of one log; deterministic given (log, spec, seed)."""
+    (report,) = debias_stack(log, spec, seed, workers)
+    return report

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import policies
-from .simulator import BanditLog, summarize
+from .simulator import BanditLog, json_floats, summarize
 
 NAMES = ("mean", "ipw", "aipw")  # the estimators a plan cell or `evaluate` may name
 
@@ -46,6 +46,11 @@ def propensity_trace(log: BanditLog) -> Optional[np.ndarray]:
 def plugin_mean_trace(log: BanditLog) -> np.ndarray:
     """Running per-arm means using only strictly earlier rounds; 0 before first pull."""
     return policies.prefix_state(log.actions[None, :], log.rewards[None, :], log.K).means()
+
+
+def division_hazards(actions: np.ndarray, props: np.ndarray) -> np.ndarray:
+    """Mask (n,) of stacked logs with a zero propensity on some chosen arm."""
+    return (np.take_along_axis(props, actions[:, :, None], axis=2) == 0.0).any(axis=(1, 2))
 
 
 def _chosen_propensities(actions: np.ndarray, props: np.ndarray) -> np.ndarray:
@@ -88,7 +93,7 @@ def evaluate(log: BanditLog, estimators=NAMES) -> dict:
     """Estimate set for one log; IPW/AIPW keys present iff propensities exist."""
     out: dict = {}
     if "mean" in estimators:
-        out["mean"] = summarize(log).means.tolist()
+        out["mean"] = json_floats(summarize(log).means)  # null for an unpulled arm
     needs_props = {"ipw", "aipw"} & set(estimators)
     if needs_props:
         props = propensity_trace(log)

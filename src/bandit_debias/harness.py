@@ -2,10 +2,14 @@
 
 A plan is a list of cells; a cell fixes (policy, arms, K, T, R, bootstrap,
 estimator set) and optionally a horizon grid for MSE-versus-time curves.
-Each replication runs simulate -> debias -> estimate on seeds derived from
-(master seed, cell index, replication index), so a rerun is bit-identical
-at any worker count.  Per-replication failures (for example an undefined
-bootstrap bias) are counted per cell, not fatal.
+Replications run in fixed blocks of ``BLOCK`` (50).  A block's real
+experiments run as one lockstep batch, the bootstrap replays of all its logs
+as one ``debias_stack`` per horizon, and its IPW/AIPW estimates come from
+one propensity call.  Streams are keyed (master seed, cell index, block
+index), plus the horizon index for truncated-horizon replays.  The block
+size never depends on the worker count, so a rerun is bit-identical at any
+worker count.  Per-replication failures (for example an undefined bootstrap
+bias) are counted per cell, not fatal.
 """
 from __future__ import annotations
 
@@ -20,10 +24,14 @@ import numpy as np
 from . import distributions as dist
 from . import estimators as est
 from . import policies
-from .bootstrap import BootstrapSpec, ZeroCountArm
-from .debias import debias
-from .simulator import atomic_write_text, json_floats, run_experiment, validate_config
-from .streams import TAG_HARNESS_DEBIAS, TAG_HARNESS_MSE, TAG_HARNESS_SIM, child_seed
+from .bootstrap import BootstrapSpec
+from .debias import debias  # noqa: F401  (perfbench/tracing.py wraps harness.debias)
+from .debias import debias_stack
+from .simulator import BanditLog, atomic_write_text, json_floats, run_batch, summarize, validate_config
+from .simulator import run_experiment  # noqa: F401  (perfbench/tracing.py wraps harness.run_experiment)
+from .streams import TAG_HARNESS_DEBIAS, TAG_HARNESS_MSE, TAG_HARNESS_SIM, child_seed, substream
+
+BLOCK = 50  # replications per block of work, whatever the worker count
 
 
 @dataclass(frozen=True)
@@ -139,92 +147,106 @@ def _failed_record(cell: Cell, label: str) -> ReplicationRecord:
     return ReplicationRecord(raw=nan, estimated_bias=nan, corrected=nan, ipw=None, aipw=None, error=label)
 
 
-def _run_replication(cell: Cell, master_seed: int, cell_index: int, r: int) -> ReplicationRecord:
-    try:
-        return _run_replication_inner(cell, master_seed, cell_index, r)
-    except est.DivisionHazard as exc:
-        return _failed_record(cell, type(exc).__name__)
+def _block_count(cell: Cell) -> int:
+    return -(-cell.replications // BLOCK)
 
 
-def _run_replication_inner(cell: Cell, master_seed: int, cell_index: int, r: int) -> ReplicationRecord:
-    sim_seed = child_seed(master_seed, TAG_HARNESS_SIM, cell_index, r)
-    log = run_experiment(cell.K, cell.T, cell.policy, cell.arms, seed=sim_seed)
-    nan = np.full(cell.K, np.nan)
-    error = None
-    try:
-        report = debias(log, cell.bootstrap, seed=child_seed(master_seed, TAG_HARNESS_DEBIAS, cell_index, r))
-        raw, est_bias, corrected = report.raw_means, report.estimated_bias, report.corrected_means
-        if report.undefined_arms:
-            error = "UndefinedBias"
-    except ZeroCountArm as exc:
-        # The bootstrap world is undefined, but the log itself is fine;
-        # keep the propensity-weighted estimates so they stay unconditional.
-        raw = est_bias = corrected = nan
-        error = type(exc).__name__
-    ipw = aipw = None
-    props = None
-    if {"ipw", "aipw"} & set(cell.estimators):
-        props = est.propensity_trace(log)
-        if props is not None:
-            if "ipw" in cell.estimators:
-                ipw = est.ipw_estimate(log, props)
-            if "aipw" in cell.estimators:
-                aipw = est.aipw_estimate(log, props)
-    record = ReplicationRecord(
-        raw=raw,
-        estimated_bias=est_bias,
-        corrected=corrected,
-        ipw=ipw,
-        aipw=aipw,
-        error=error,
-    )
-    kind = cell.bootstrap.kind
-    for h_index, horizon in enumerate(cell.horizon_grid):
-        if horizon == cell.T:
-            # The full-horizon truncation is the log itself; reuse the
-            # terminal debias/estimates so the grid endpoint matches run_plan.
-            record.horizon_estimates.setdefault(kind, {})[horizon] = corrected
-            if ipw is not None:
-                record.horizon_estimates.setdefault("ipw", {})[horizon] = ipw
-            if aipw is not None:
-                record.horizon_estimates.setdefault("aipw", {})[horizon] = aipw
-            continue
-        trunc = log.truncated(horizon)
-        boot = BootstrapSpec(kind, cell.mse_B or cell.bootstrap.B)
-        try:
-            trep = debias(trunc, boot, seed=child_seed(master_seed, TAG_HARNESS_MSE, cell_index, r, h_index))
-            record.horizon_estimates.setdefault(kind, {})[horizon] = trep.corrected_means
-        except ZeroCountArm:
-            record.horizon_estimates.setdefault(kind, {})[horizon] = nan
-        if props is not None:
-            tprops = props[:horizon]
-            if "ipw" in cell.estimators:
-                record.horizon_estimates.setdefault("ipw", {})[horizon] = est.ipw_estimate(trunc, tprops)
-            if "aipw" in cell.estimators:
-                record.horizon_estimates.setdefault("aipw", {})[horizon] = est.aipw_estimate(trunc, tprops)
-    return record
+def _debias_rows(logs: BanditLog, spec: BootstrapSpec, seed: int) -> list:
+    """Per row of the stacked logs, its debias report, or None where the log
+    left an arm unpulled and has no bootstrap world."""
+    rows = np.flatnonzero((summarize(logs).counts > 0).all(axis=1))
+    reports = [None] * len(logs.actions)
+    if rows.size:
+        pulled = BanditLog(logs.K, logs.T, logs.actions[rows], logs.rewards[rows], logs.policy)
+        for r, report in zip(rows, debias_stack(pulled, spec, seed)):
+            reports[r] = report
+    return reports
 
 
 def _run_block(args) -> list[ReplicationRecord]:
-    cell, master_seed, cell_index, r_lo, r_hi = args
-    return [_run_replication(cell, master_seed, cell_index, r) for r in range(r_lo, r_hi)]
+    """Records of the replications in one block of a cell."""
+    cell, master_seed, cell_index, block = args
+    K, T, kind = cell.K, cell.T, cell.bootstrap.kind
+    n = min(BLOCK, cell.replications - block * BLOCK)
+    rng = substream(master_seed, TAG_HARNESS_SIM, cell_index, block)
+    sim = run_batch(n, K, T, cell.policy, cell.arms, rng, record_logs=True)
+    logs = BanditLog(K, T, sim.actions, sim.rewards, cell.policy)
+    nan = np.full(K, np.nan)
+
+    def corrected(reports):
+        return [nan if rep is None else rep.corrected_means for rep in reports]
+
+    reports = _debias_rows(logs, cell.bootstrap, child_seed(master_seed, TAG_HARNESS_DEBIAS, cell_index, block))
+    # estimator -> horizon -> one per-arm estimate per row
+    estimates: dict[str, dict] = {kind: {T: corrected(reports)}}
+    mse_spec = BootstrapSpec(kind, cell.mse_B or cell.bootstrap.B)
+    for h_index, horizon in enumerate(cell.horizon_grid):
+        if horizon < T:  # the full horizon reuses the terminal debias
+            seed = child_seed(master_seed, TAG_HARNESS_MSE, cell_index, block, h_index)
+            estimates[kind][horizon] = corrected(_debias_rows(logs.truncated(horizon), mse_spec, seed))
+    hazard = np.zeros(n, dtype=bool)
+    props = None
+    if {"ipw", "aipw"} & set(cell.estimators):
+        props = policies.propensity(cell.policy, sim.actions, sim.rewards, K)
+    if props is not None:
+        # A zero chosen-arm propensity fails its replication, not the block.
+        hazard = est.division_hazards(sim.actions, props)
+        good = np.flatnonzero(~hazard)
+        for name, kernel in (("ipw", est.ipw_batch), ("aipw", est.aipw_batch)):
+            if name in cell.estimators:
+                estimates[name] = {}
+                for h in {T, *cell.horizon_grid}:
+                    estimates[name][h] = np.full((n, K), np.nan)
+                    estimates[name][h][good] = kernel(sim.actions[good, :h], sim.rewards[good, :h], props[good, :h])
+    records = []
+    for r, report in enumerate(reports):
+        if hazard[r]:
+            records.append(_failed_record(cell, "DivisionHazard"))
+            continue
+        # A log with an unpulled arm has no bootstrap world, but the log
+        # itself is fine: its propensity-weighted estimates stay.
+        error = "ZeroCountArm" if report is None else ("UndefinedBias" if report.undefined_arms else None)
+        records.append(
+            ReplicationRecord(
+                raw=nan if report is None else report.raw_means,
+                estimated_bias=nan if report is None else report.estimated_bias,
+                corrected=estimates[kind][T][r],
+                ipw=estimates["ipw"][T][r] if "ipw" in estimates else None,
+                aipw=estimates["aipw"][T][r] if "aipw" in estimates else None,
+                horizon_estimates={
+                    name: {h: table[h][r] for h in cell.horizon_grid} for name, table in estimates.items()
+                },
+                error=error,
+            )
+        )
+    return records
+
+
+# perfbench/tracing.py wraps harness._run_replication; the unit of work is a block.
+_run_replication = _run_block
 
 
 def run_plan(plan: ExperimentPlan, workers: int = 1, out_dir: Optional[str] = None) -> list[CellResult]:
-    """Execute every cell; optionally persist summary.json / replications.csv / mse.csv."""
+    """Execute every cell; optionally persist summary.json / replications.csv / mse.csv.
+
+    With workers > 1 one process pool runs the blocks of every cell.
+    """
+    tasks = [
+        (cell, plan.master_seed, cell_index, block)
+        for cell_index, cell in enumerate(plan.cells)
+        for block in range(_block_count(cell))
+    ]
+    if workers > 1 and len(tasks) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            return _collect(plan, pool.map(_run_block, tasks), out_dir)
+    return _collect(plan, map(_run_block, tasks), out_dir)
+
+
+def _collect(plan: ExperimentPlan, blocks, out_dir: Optional[str]) -> list[CellResult]:
+    """Aggregate (and persist) each cell as soon as its blocks, taken in task order, are in."""
     results = []
-    for cell_index, cell in enumerate(plan.cells):
-        block = 50
-        tasks = [
-            (cell, plan.master_seed, cell_index, lo, min(lo + block, cell.replications))
-            for lo in range(0, cell.replications, block)
-        ]
-        if workers > 1 and len(tasks) > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                blocks = list(pool.map(_run_block, tasks))
-        else:
-            blocks = [_run_block(t) for t in tasks]
-        records = [rec for blk in blocks for rec in blk]
+    for cell in plan.cells:
+        records = [rec for _ in range(_block_count(cell)) for rec in next(blocks)]
         results.append(_aggregate(cell, records))
         if out_dir is not None:
             _persist(results[-1], out_dir)

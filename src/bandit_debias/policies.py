@@ -7,8 +7,9 @@ dimension, so simulating many experiments in lockstep costs a handful of
 array ops per round.
 
 Every propensity is a pure function of its row's counts and sums, computed by
-``propensity_batch``; ``propensity`` applies it once to the prefix states of
-stacked logs.  TS with K != 2 uses an exact quadrature (``_ts_quadrature``).
+``propensity_batch``; ``propensity`` applies it to the prefix states of
+stacked logs in fixed blocks of ``_PROPENSITY_ROWS`` rows, which bounds the
+working set.  TS with K != 2 uses an exact quadrature (``_ts_quadrature``).
 
 Conventions fixed here (ties have positive probability for Bernoulli
 rewards, so they must be pinned down):
@@ -35,6 +36,9 @@ from .streams import substream  # noqa: F401  (perfbench/tracing.py wraps polici
 _GL_T = np.array([0.1834346424956498, 0.5255324099163290, 0.7966664774136267, 0.9602898564975362])
 _GL_W = np.array([0.3626837833783620, 0.3137066458778873, 0.2223810344533745, 0.1012285362903763])
 _TS_BREAKS = np.array([-12.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0, 12.0])
+# Prefix-state rows per propensity_batch call: the TS quadrature holds two
+# rows x K x 8(9K - 1) arrays, 2.3 MiB per block at K=4.
+_PROPENSITY_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -229,7 +233,13 @@ def propensity(spec: PolicySpec, actions: np.ndarray, rewards: np.ndarray, K: in
     """e_t(k) of stacked logs, shape (n, T, K); None for non-randomized policies."""
     if isinstance(spec, _DETERMINISTIC):
         return None
-    return propensity_batch(spec, prefix_state(actions, rewards, K)).reshape(actions.shape + (K,))
+    state = prefix_state(actions, rewards, K)
+    out = np.empty((state.n, K))
+    for lo in range(0, state.n, _PROPENSITY_ROWS):
+        hi = min(lo + _PROPENSITY_ROWS, state.n)
+        rows = BatchPolicyState(K=K, n=hi - lo, counts=state.counts[lo:hi], sums=state.sums[lo:hi])
+        out[lo:hi] = propensity_batch(spec, rows)
+    return out.reshape(actions.shape + (K,))
 
 
 def _ts_posterior(spec: TsSpec, state: BatchPolicyState) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,11 @@ the Gaussian multiplier bootstrap world); ``ResampleWorld`` holds a log's
 rewards grouped by arm (Efron's bootstrap world).  ``run_batch`` also takes
 a plain sequence of laws and tabulates it once per call.
 
+A world built from a stack of W logs has a leading log axis: its tables are
+(W, K), and ``run_batch(..., row_log=...)`` names the log each row replays.
+A round's draw is one gather at the flat cell ``row_log * K + arm``; a
+world of one log is the case W = 1, where the cell is the arm.
+
 A world's contract is each arm's law, not a stream layout: row i of a round
 takes the round's i-th draw, whichever arm it chose, so every row's reward
 is an independent draw from its arm's law.
@@ -37,7 +42,8 @@ from .streams import substream
 class BanditLog:
     """One experiment: action and reward sequences plus metadata.
 
-    Actions are stored 0-indexed; the CSV wire format is 1-indexed.
+    Actions are stored 0-indexed; the CSV wire format is 1-indexed.  A stack
+    of W experiments that share K, T and the policy holds (W, T) arrays.
     """
 
     K: int
@@ -51,7 +57,7 @@ class BanditLog:
     def __post_init__(self):
         self.actions = np.asarray(self.actions, dtype=np.int64)
         self.rewards = np.asarray(self.rewards, dtype=np.float64)
-        if len(self.actions) != self.T or len(self.rewards) != self.T:
+        if self.actions.shape[-1:] != (self.T,) or self.rewards.shape != self.actions.shape:
             raise ValueError("action/reward sequences must have length T")
         if self.T and (self.actions.min() < 0 or self.actions.max() >= self.K):
             raise ValueError("actions out of range")
@@ -64,8 +70,8 @@ class BanditLog:
         return BanditLog(
             K=self.K,
             T=horizon,
-            actions=self.actions[:horizon].copy(),
-            rewards=self.rewards[:horizon].copy(),
+            actions=self.actions[..., :horizon].copy(),
+            rewards=self.rewards[..., :horizon].copy(),
             policy=self.policy,
             seed=self.seed,
             world=self.world,
@@ -74,7 +80,7 @@ class BanditLog:
 
 @dataclass
 class ArmSummary:
-    """Per-arm sufficient statistics; variance uses the 1/n (MLE) convention."""
+    """Per-arm sufficient statistics, (K,) or (W, K) for a stack; variance uses the 1/n (MLE) convention."""
 
     counts: np.ndarray
     means: np.ndarray
@@ -82,7 +88,8 @@ class ArmSummary:
 
     @property
     def zero_count_arms(self) -> list[int]:
-        return [int(k) for k in np.flatnonzero(self.counts == 0)]
+        """Arms that some summarized log never pulled."""
+        return [int(k) for k in np.flatnonzero((self.counts == 0).reshape(-1, self.counts.shape[-1]).any(axis=0))]
 
 
 @dataclass
@@ -101,6 +108,10 @@ class BatchOutcome:
 class LawWorld:
     """Per-arm reward laws tabulated for one vectorized draw per round.
 
+    ``laws`` holds K laws, or a (W, K) array of them for a stack of logs;
+    every table has the same leading shape, and ``world[k]`` is arm k's law
+    (the first log's, in a stack).
+
     An arm with a law of positive variance and finite ``atoms()`` is finite:
     it draws one uniform u per row and takes the top atom whose upper tail
     mass exceeds u (the inverse survival function, so the highest atom takes
@@ -112,72 +123,85 @@ class LawWorld:
     arm's atoms, which suits laws with a handful of atoms.
     """
 
-    def __init__(self, laws: Sequence[dist.RewardDistribution]):
-        self.laws = tuple(laws)
-        K = len(self.laws)
-        self.mu = np.array([d.mean() for d in self.laws], dtype=np.float64)
-        self.sd = np.array([math.sqrt(d.variance()) for d in self.laws])
-        atoms = [d.atoms() if d.variance() > 0 else None for d in self.laws]
-        self.finite = np.array([a is not None for a in atoms])
+    def __init__(self, laws: Union[Sequence[dist.RewardDistribution], np.ndarray]):
+        self.laws = np.array(laws, dtype=object)
+        flat = self.laws.ravel()
+        shape = self.laws.shape
+        self.mu = np.array([d.mean() for d in flat], dtype=np.float64).reshape(shape)
+        self.sd = np.array([math.sqrt(d.variance()) for d in flat]).reshape(shape)
+        atoms = [d.atoms() if d.variance() > 0 else None for d in flat]
+        self.finite = np.array([a is not None for a in atoms]).reshape(shape)
         width = max((len(a[0]) for a in atoms if a is not None), default=0)
-        # Row k: arm k's atoms from the top down and their cumulative upper
+        # Row c: cell c's atoms from the top down and their cumulative upper
         # tail masses, the last forced to 1; padding tails never reach u < 1.
-        self.top_down = np.zeros((K, width))
-        self.tails = np.full((K, width), 2.0)
-        for k, a in enumerate(atoms):
+        top_down = np.zeros((len(flat), width))
+        tails = np.full((len(flat), width), 2.0)
+        for c, a in enumerate(atoms):
             if a is not None:
                 support, probs = a
-                self.top_down[k, : len(support)] = support[::-1]
-                self.tails[k, : len(support)] = np.cumsum(probs[::-1])
-                self.tails[k, len(support) - 1] = 1.0
+                top_down[c, : len(support)] = support[::-1]
+                tails[c, : len(support)] = np.cumsum(probs[::-1])
+                tails[c, len(support) - 1] = 1.0
+        self.top_down = top_down.reshape(shape + (width,))
+        self.tails = tails.reshape(shape + (width,))
 
     def __len__(self) -> int:
-        return len(self.laws)
+        return self.laws.shape[-1]
 
     def __getitem__(self, k: int) -> dist.RewardDistribution:
-        return self.laws[k]
+        return self.laws.reshape(-1, len(self))[0, k]
 
-    def draw(self, chosen: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def draw(self, cells: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One reward per row from the law of its flat cell (log * K + arm)."""
         rewards = None
         if not self.finite.all():
-            rewards = self.mu[chosen] + self.sd[chosen] * rng.standard_normal(len(chosen))
+            rewards = self.mu.reshape(-1)[cells] + self.sd.reshape(-1)[cells] * rng.standard_normal(len(cells))
         if self.finite.any():
-            u = rng.random(len(chosen))
-            atom = (u[:, None] >= self.tails[chosen]).sum(axis=1)
-            drawn = self.top_down[chosen, atom]
-            rewards = drawn if rewards is None else np.where(self.finite[chosen], drawn, rewards)
+            u = rng.random(len(cells))
+            width = self.tails.shape[-1]
+            atom = (u[:, None] >= self.tails.reshape(-1, width)[cells]).sum(axis=1)
+            drawn = self.top_down.reshape(-1, width)[cells, atom]
+            rewards = drawn if rewards is None else np.where(self.finite.reshape(-1)[cells], drawn, rewards)
         return rewards
 
 
 class ResampleWorld:
     """Efron's bootstrap world: each arm's observed rewards, grouped by arm.
 
-    ``values`` holds arm 0's rewards in log order, then arm 1's, and so on;
-    arm k's slice starts at ``offsets[k]`` and has ``counts[k] >= 1``
-    entries.  Row i's draw is the round's i-th uniform, scaled to an index
-    into the chosen arm's slice: a resample with replacement.
+    ``actions`` and ``rewards`` are one log's (T,) or a stack's (W, T).
+    ``values`` holds the first log's arm 0 rewards in log order, then its
+    arm 1's, and so on through every log; cell (w, k)'s slice starts at
+    ``offsets[w, k]`` and has ``counts[w, k] >= 1`` entries (``offsets``
+    and ``counts`` are (K,) for one log).  Row i's draw is the round's i-th
+    uniform, scaled to an index into its cell's slice: a resample with
+    replacement.
     """
 
     def __init__(self, actions: np.ndarray, rewards: np.ndarray, K: int):
-        self.values = rewards[np.argsort(actions, kind="stable")]
-        self.counts = np.bincount(actions, minlength=K)
-        if not self.counts.all():
-            raise ValueError(f"arm {np.argmin(self.counts) + 1} has no rewards to resample")
-        self.offsets = np.cumsum(self.counts) - self.counts
+        shape = np.shape(actions)[:-1] + (K,)
+        cells = _log_cells(actions, K)
+        self.values = np.asarray(rewards).ravel()[np.argsort(cells, kind="stable")]
+        counts = np.bincount(cells, minlength=math.prod(shape))
+        if not counts.all():
+            raise ValueError(f"arm {np.argmin(counts) % K + 1} has no rewards to resample")
+        self.counts = counts.reshape(shape)
+        self.offsets = (np.cumsum(counts) - counts).reshape(shape)
 
     def __len__(self) -> int:
-        return len(self.counts)
+        return self.counts.shape[-1]
 
     def __getitem__(self, k: int) -> dist.FiniteDiscrete:
-        """Arm k's resampling law: its distinct rewards, weighted by multiplicity."""
-        start = self.offsets[k]
-        values, multiplicity = np.unique(self.values[start : start + self.counts[k]], return_counts=True)
+        """Arm k's resampling law (the first log's, in a stack): its distinct rewards, weighted by multiplicity."""
+        start = self.offsets.reshape(-1)[k]
+        values, multiplicity = np.unique(self.values[start : start + self.counts.reshape(-1)[k]], return_counts=True)
         return dist.FiniteDiscrete(values, multiplicity / multiplicity.sum())
 
-    def draw(self, chosen: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(len(chosen))
+    def draw(self, cells: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One resampled reward per row from its flat cell (log * K + arm)."""
+        u = rng.random(len(cells))
         # u < 1, so the rounded product stays below the count.
-        return self.values[self.offsets[chosen] + (u * self.counts[chosen]).astype(np.int64)]
+        counts = self.counts.reshape(-1)[cells]
+        return self.values[self.offsets.reshape(-1)[cells] + (u * counts).astype(np.int64)]
 
 
 World = Union[LawWorld, ResampleWorld]
@@ -191,23 +215,26 @@ def run_batch(
     world: Union[World, Sequence[dist.RewardDistribution]],
     rng: np.random.Generator,
     record_logs: bool = False,
+    row_log: Optional[np.ndarray] = None,
 ) -> BatchOutcome:
     """Run n independent experiments in lockstep off one stream.
 
     ``world`` is a world object or a sequence of K reward laws, which is
-    tabulated as a ``LawWorld``.  Per round, the draw order is fixed (policy
+    tabulated as a ``LawWorld``.  In a world of stacked logs, row i replays
+    log ``row_log[i]``.  Per round, the draw order is fixed (policy
     randomness, then the world's reward draws, taken by the rows in row
     order), so the outcome is a pure function of the stream state.
     """
     validate_config(K, T, policy, world)
     if not isinstance(world, (LawWorld, ResampleWorld)):
         world = LawWorld(world)
+    base = 0 if row_log is None else row_log * K
     state = BatchPolicyState(K=K, n=n)
     actions = np.empty((n, T), dtype=np.int64) if record_logs else None
     rewards = np.empty((n, T)) if record_logs else None
     for t0 in range(T):
         chosen = policies.select_batch(policy, state, rng)
-        r = world.draw(chosen, rng)
+        r = world.draw(base + chosen, rng)
         state.update(chosen, r)
         if record_logs:
             actions[:, t0] = chosen
@@ -246,14 +273,25 @@ def run_experiment(
     )
 
 
+def _log_cells(actions: np.ndarray, K: int) -> np.ndarray:
+    """Flat cell log * K + arm of every round of a log (T,) or a stack (W, T), raveled."""
+    stacked = np.atleast_2d(actions)
+    return (stacked + K * np.arange(len(stacked))[:, None]).ravel()
+
+
 def summarize(log: BanditLog) -> ArmSummary:
-    counts = np.bincount(log.actions, minlength=log.K)
-    sums = np.bincount(log.actions, weights=log.rewards, minlength=log.K)
+    """Per-arm statistics of a log, or of each log in a stack."""
+    shape = log.actions.shape[:-1] + (log.K,)
+    size = math.prod(shape)
+    cells = _log_cells(log.actions, log.K)
+    rewards = log.rewards.ravel()
+    counts = np.bincount(cells, minlength=size)
+    sums = np.bincount(cells, weights=rewards, minlength=size)
     means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     # Centred squares: E[x^2] - mean^2 cancels catastrophically at a large offset.
-    squares = np.bincount(log.actions, weights=(log.rewards - means[log.actions]) ** 2, minlength=log.K)
+    squares = np.bincount(cells, weights=(rewards - means[cells]) ** 2, minlength=size)
     variances = np.where(counts > 0, squares / np.maximum(counts, 1), np.nan)
-    return ArmSummary(counts=counts, means=means, variances=variances)
+    return ArmSummary(counts=counts.reshape(shape), means=means.reshape(shape), variances=variances.reshape(shape))
 
 
 # --- persistence -----------------------------------------------------------

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from bandit_debias.bootstrap import BootstrapSpec
-from bandit_debias.debias import debias
+from bandit_debias.debias import CHUNK, debias, debias_stack
 from bandit_debias.distributions import Gaussian
-from bandit_debias.policies import EgSpec, EtcSpec
-from bandit_debias.simulator import run_experiment, summarize
+from bandit_debias.policies import EgSpec, EtcSpec, TsSpec
+from bandit_debias.simulator import BanditLog, run_experiment, summarize
 from bandit_debias.theory import EtcGaussianParams, etc_bias_gaussian
 
 
@@ -108,3 +108,45 @@ def test_to_dict_json_clean():
     assert d["undefined_arms"] == [2]  # reported 1-indexed
     assert isinstance(d["b_effective"][0], int)
     assert d["bootstrap"] == "mb"
+
+
+@pytest.mark.parametrize(
+    "kind, bias, corrected",
+    [
+        ("mb", [-0.1694012062471093, -0.15883963442464388], [1.39133432255445, 1.4086797023763984]),
+        ("efron", [-0.1500116087063057, -0.16193140074952983], [1.3719447250136465, 1.4117714687012843]),
+    ],
+)
+def test_golden_report(kind, bias, corrected):
+    # Pinned values: a one-log report must not move when the replay core changes.
+    log = run_experiment(2, 100, TsSpec(), [Gaussian(1, 1), Gaussian(1.5, 1)], seed=7)
+    rep = debias(log, BootstrapSpec(kind, 5000), seed=2)
+    assert rep.estimated_bias.tolist() == bias
+    assert rep.corrected_means.tolist() == corrected
+
+
+def test_bootstrap_se_survives_a_large_offset():
+    # Rewards shifted by 1e8 replay the same experiments shifted by 1e8.
+    log = run_experiment(2, 100, EtcSpec(10), [Gaussian(1, 1), Gaussian(1.5, 1)], seed=12)
+    shifted = BanditLog(K=2, T=100, actions=log.actions, rewards=log.rewards + 1e8, policy=log.policy)
+    spec = BootstrapSpec("mb", 2000)
+    base, far = debias(log, spec, seed=3), debias(shifted, spec, seed=3)
+    assert np.all(base.bootstrap_se > 0)
+    np.testing.assert_allclose(far.bootstrap_se, base.bootstrap_se, rtol=1e-3, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["mb", "efron"])
+def test_stacked_logs_replay_their_own_worlds(kind):
+    # Two logs 1e3 apart; log 2's replays straddle a chunk boundary.  A row
+    # replayed against the other log's world would move its average by ~1e3.
+    log = run_experiment(2, 60, EtcSpec(5), [Gaussian(1, 1), Gaussian(1.5, 1)], seed=4)
+    stack = BanditLog(K=2, T=60, actions=np.stack([log.actions] * 2),
+                      rewards=np.stack([log.rewards, log.rewards + 1e3]), policy=log.policy)
+    B = 3000
+    assert B < CHUNK < 2 * B
+    reports = debias_stack(stack, BootstrapSpec(kind, B), seed=5)
+    assert len(reports) == 2
+    for w, rep in enumerate(reports):
+        np.testing.assert_allclose(rep.raw_means, summarize(log).means + 1e3 * w, rtol=0, atol=1e-9)
+        assert rep.b_effective.tolist() == [B, B]
+        assert np.all(np.abs(rep.estimated_bias) < 0.5)

@@ -134,3 +134,16 @@ def test_evaluate_with_randomized_policy():
     assert out["propensities_defined"] is True
     assert len(out["ipw"]) == 2 and len(out["aipw"]) == 2
     np.testing.assert_allclose(out["mean"], summarize(log).means)
+
+
+def test_evaluate_writes_strict_json_for_an_unpulled_arm():
+    import json
+
+    log = BanditLog(K=2, T=20, actions=np.zeros(20, dtype=np.int64), rewards=np.linspace(0, 1, 20), policy=EgSpec(0.1))
+
+    def reject(token):
+        raise ValueError(f"{token} is not valid JSON")
+
+    out = json.loads(json.dumps(evaluate(log)), parse_constant=reject)
+    assert out["mean"] == [pytest.approx(0.5), None]
+    assert all(v is not None for v in out["ipw"] + out["aipw"])

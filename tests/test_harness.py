@@ -6,6 +6,7 @@ import pytest
 
 from bandit_debias.bootstrap import BootstrapSpec
 from bandit_debias.distributions import Bernoulli, Gaussian
+from bandit_debias import harness
 from bandit_debias.harness import Cell, ExperimentPlan, run_plan
 from bandit_debias.policies import EgSpec, EtcSpec, TsSpec
 
@@ -218,3 +219,54 @@ def test_ts_terminal_mse_within_factor_two(ts_gaussian_curves):
     lo = np.min(tables, axis=0)
     hi = np.max(tables, axis=0)
     assert np.all(hi <= 2 * lo)
+
+
+def test_chunk_straddling_cell_is_worker_invariant(tmp_path):
+    # One block of 7 logs x B=1000 replays: rows 4096.. of log 5 spill into
+    # the second chunk.  The second cell gives the shared pool two tasks.
+    cells = (
+        _gauss_cell(name="straddle", R=7, B=1000, policy=TsSpec(), T=40,
+                    bootstrap=BootstrapSpec("efron", 1000), horizon_grid=(20, 40), mse_B=1000,
+                    estimators=("mean", "ipw", "aipw")),
+        _gauss_cell(name="second", R=3, B=10),
+    )
+    outputs = []
+    for workers in (1, 2):
+        run_plan(ExperimentPlan(master_seed=31, cells=cells), workers=workers, out_dir=str(tmp_path / str(workers)))
+        outputs.append({f: (tmp_path / str(workers) / "straddle" / f).read_bytes()
+                        for f in ("summary.json", "replications.csv", "mse.csv")})
+    assert outputs[0] == outputs[1]
+    assert b"nan" not in outputs[0]["replications.csv"]
+
+
+def test_block_with_a_zero_count_arm_log_fills_the_others():
+    cell = Cell(name="eg", policy=EgSpec(0.05), arms=(Gaussian(1.0, 1.0), Gaussian(1.5, 1.0)),
+                K=2, T=30, replications=harness.BLOCK, bootstrap=BootstrapSpec("mb", 20),
+                estimators=("mean", "ipw", "aipw"), horizon_grid=(20, 30), mse_B=20)
+    (res,) = run_plan(ExperimentPlan(master_seed=3, cells=(cell,)))
+    failed = [r for r in res.records if r.error == "ZeroCountArm"]
+    assert 0 < len(failed) == res.error_counts["ZeroCountArm"] < harness.BLOCK
+    for rec in res.records:
+        assert np.all(np.isfinite(rec.ipw)) and np.all(np.isfinite(rec.aipw))
+        if rec.error is None:
+            assert np.all(np.isfinite(rec.raw)) and np.all(np.isfinite(rec.corrected))
+            assert np.all(np.isfinite(rec.horizon_estimates["mb"][30]))
+    assert all(np.isnan(r.raw).all() and np.isnan(r.horizon_estimates["mb"][20]).all() for r in failed)
+
+
+def test_zero_propensity_fails_only_its_replication(monkeypatch):
+    real = harness.policies.propensity
+
+    def zero_for_log_1(spec, actions, rewards, K):
+        props = real(spec, actions, rewards, K)
+        props[1, 5, actions[1, 5]] = 0.0
+        return props
+
+    monkeypatch.setattr(harness.policies, "propensity", zero_for_log_1)
+    cell = _gauss_cell(R=4, B=10, policy=EgSpec(0.2), estimators=("mean", "ipw"), horizon_grid=(50,), mse_B=10)
+    (res,) = run_plan(ExperimentPlan(master_seed=9, cells=(cell,)))
+    assert res.error_counts == {"DivisionHazard": 1}
+    assert res.records[1].ipw is None and np.isnan(res.records[1].raw).all()
+    for r in (0, 2, 3):
+        assert np.all(np.isfinite(res.records[r].ipw)) and np.all(np.isfinite(res.records[r].raw))
+        assert set(res.records[r].horizon_estimates) == {"mb", "ipw"}

@@ -297,3 +297,31 @@ def test_spec_validation():
         EgSpec(1.5)
     with pytest.raises(ValueError):
         TsSpec(prior_variance=-1.0)
+
+
+@pytest.mark.parametrize("spec", [TsSpec(), TsSpec(0.5, 2.0, 0.5), EgSpec(0.1)], ids=["ts", "ts-prior", "eg"])
+@pytest.mark.parametrize("K", [2, 3])
+def test_blocked_propensity_equals_one_shot(spec, K):
+    # 3 logs x 100 rounds = 300 prefix-state rows: blocks of 128, 128 and 44.
+    rng = substream(40, K)
+    actions = rng.integers(0, K, size=(3, 100))
+    rewards = rng.standard_normal((3, 100))
+    one_shot = propensity_batch(spec, policies.prefix_state(actions, rewards, K)).reshape(3, 100, K)
+    assert np.array_equal(propensity(spec, actions, rewards, K), one_shot)
+
+
+def test_long_ts_log_propensity_memory_is_bounded():
+    import tracemalloc
+
+    from bandit_debias.distributions import Bernoulli
+    from bandit_debias.simulator import run_experiment
+
+    log = run_experiment(4, 2000, TsSpec(), [Bernoulli(p) for p in (0.3, 0.4, 0.5, 0.6)], seed=5)
+    tracemalloc.start()
+    try:
+        props = propensity(log.policy, log.actions[None], log.rewards[None], 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert props.shape == (1, 2000, 4)
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
