@@ -18,10 +18,11 @@ from . import policies, theory
 from .bootstrap import BootstrapSpec, ZeroCountArm
 from .debias import debias
 from .harness import ExperimentPlan, run_plan
-from .simulator import CorruptLog, atomic_write_text, load_log, run_experiment, save_log
+from .simulator import CorruptLog, PolicyMismatch, atomic_write_text, load_log, run_experiment, save_log
 
 _DATA_ERRORS = (
     CorruptLog,
+    PolicyMismatch,
     ZeroCountArm,
     est.DivisionHazard,
     theory.OutOfRange,

@@ -13,6 +13,11 @@ order, so the reports are bit-identical at any worker count.  Replays
 where an arm was never pulled are excluded from that arm's average (its
 replay sample mean is undefined); the per-arm number of contributing
 replays is reported as ``b_effective``.
+
+Replays are unlogged ``run_batch`` calls, so ETC replays take the
+simulator's sufficient-statistic path: per-arm exploration sums from the
+world's ``draw_sum``, the commit, and one committed-block sum, with no
+per-round policy step.  Every other policy replays round by round.
 """
 from __future__ import annotations
 

@@ -14,8 +14,9 @@ working set.  TS with K != 2 uses an exact quadrature (``_ts_quadrature``).
 Conventions fixed here (ties have positive probability for Bernoulli
 rewards, so they must be pinned down):
 
-* every argmax (ETC commit, UCB, EG greedy) breaks ties toward the lowest
-  arm index;
+* every row argmax (ETC commit, UCB, TS, EG greedy) is ``_argmax_rows``,
+  one comparison pass per arm column with ties toward the lowest arm index,
+  so it equals ``np.argmax(x, axis=1)`` on NaN-free scores;
 * UCB treats an unpulled arm's bonus as +inf, forcing one pull of each arm
   in the first K rounds, lowest index first;
 * EG's empirical mean of an unpulled arm is 0;
@@ -163,24 +164,41 @@ def select_batch(spec: PolicySpec, state: BatchPolicyState, rng: np.random.Gener
             return np.full(n, (t - 1) // spec.m, dtype=np.int64)
         stale = state.committed < 0
         if stale.any():
-            state.committed = np.where(stale, np.argmax(state.means(), axis=1), state.committed)
+            state.committed = np.where(stale, _argmax_rows(state.means()), state.committed)
         return state.committed.copy()
     if isinstance(spec, UcbSpec):
         unpulled = state.counts == 0
         with np.errstate(divide="ignore", invalid="ignore"):
             bonus = np.sqrt(math.log(t) / state.counts)
         scores = np.where(unpulled, np.inf, state.means() + bonus)
-        return np.argmax(scores, axis=1)
+        return _argmax_rows(scores)
     if isinstance(spec, TsSpec):
         pm, pv = _ts_posterior(spec, state)
         draws = pm + np.sqrt(pv) * rng.standard_normal((n, K))
-        return np.argmax(draws, axis=1)
+        return _argmax_rows(draws)
     if isinstance(spec, EgSpec):
-        greedy = np.argmax(state.means(), axis=1)
+        greedy = _argmax_rows(state.means())
         coin = rng.random(n)
         uniform_arm = rng.integers(0, K, size=n)
         return np.where(coin < spec.epsilon, uniform_arm, greedy)
     raise TypeError(f"unknown policy spec {spec!r}")
+
+
+def _argmax_rows(x: np.ndarray) -> np.ndarray:
+    """Column of the largest entry in each row of (n, K) x, ties to the lowest.
+
+    One pass per column: numpy's ``argmax(x, axis=1)`` reduces one short row
+    at a time, several times slower on wide batches of few arms.
+    """
+    n, K = x.shape
+    if K == 1:
+        return np.zeros(n, dtype=np.int64)
+    arm = (x[:, 1] > x[:, 0]).astype(np.int64)
+    best = x[:, 0]
+    for k in range(2, K):
+        best = np.maximum(best, x[:, k - 1])
+        arm[x[:, k] > best] = k
+    return arm
 
 
 def propensity_batch(spec: PolicySpec, state: BatchPolicyState) -> Optional[np.ndarray]:
@@ -191,7 +209,7 @@ def propensity_batch(spec: PolicySpec, state: BatchPolicyState) -> Optional[np.n
     if isinstance(spec, _DETERMINISTIC):
         return None
     if isinstance(spec, EgSpec):
-        greedy = np.argmax(state.means(), axis=1)
+        greedy = _argmax_rows(state.means())
         out = np.full((state.n, state.K), spec.epsilon / state.K)
         out[np.arange(state.n), greedy] += 1.0 - spec.epsilon
         return out

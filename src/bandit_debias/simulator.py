@@ -19,6 +19,13 @@ world of one log is the case W = 1, where the cell is the arm.
 A world's contract is each arm's law, not a stream layout: row i of a round
 takes the round's i-th draw, whichever arm it chose, so every row's reward
 is an independent draw from its arm's law.
+
+An explore-then-commit batch whose logs are not kept never steps round by
+round.  Its outcome is a function of per-arm sums: K exploration sums of m
+draws, the commit to their argmax, and the committed block's sum of T - mK
+draws, each taken from the world's ``draw_sum``.  Logged runs (``simulate``
+and the harness's real experiments) keep the round loop, so their logs do
+not depend on this shortcut.
 """
 from __future__ import annotations
 
@@ -36,6 +43,10 @@ from . import distributions as dist
 from . import policies
 from .policies import BatchPolicyState, PolicySpec
 from .streams import substream
+
+# Cells (rows x rounds) per block that draw_sum draws at once: a block's
+# arrays stay near 128 KiB, in cache, whatever the batch width.
+_SUM_CELLS = 4096 * 4
 
 
 @dataclass
@@ -157,12 +168,31 @@ class LawWorld:
         if not self.finite.all():
             rewards = self.mu.reshape(-1)[cells] + self.sd.reshape(-1)[cells] * rng.standard_normal(len(cells))
         if self.finite.any():
-            u = rng.random(len(cells))
-            width = self.tails.shape[-1]
-            atom = (u[:, None] >= self.tails.reshape(-1, width)[cells]).sum(axis=1)
-            drawn = self.top_down.reshape(-1, width)[cells, atom]
+            drawn = self._lookup(cells, self.tails.reshape(-1, self.tails.shape[-1])[cells], rng.random(len(cells)))
             rewards = drawn if rewards is None else np.where(self.finite.reshape(-1)[cells], drawn, rewards)
         return rewards
+
+    def draw_sum(self, cells: np.ndarray, j: int, rng: np.random.Generator) -> np.ndarray:
+        """Per row, the sum of j i.i.d. draws from the law of its flat cell.
+
+        A normal cell's sum is j * mean + sqrt(j) * sd * z, one normal per
+        row; a finite cell's is the sum of j inverse-survival lookups, drawn
+        in blocks of rounds.
+        """
+        sums = None
+        if not self.finite.all():
+            z = rng.standard_normal(len(cells))
+            sums = j * self.mu.reshape(-1)[cells] + math.sqrt(j) * self.sd.reshape(-1)[cells] * z
+        if self.finite.any():
+            tails = self.tails.reshape(-1, self.tails.shape[-1])[cells]
+            drawn = _sum_draws(len(cells), j, rng, lambda u: self._lookup(cells, tails, u))
+            sums = drawn if sums is None else np.where(self.finite.reshape(-1)[cells], drawn, sums)
+        return sums
+
+    def _lookup(self, cells: np.ndarray, tails: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Atoms drawn by uniforms u (..., n) from the rows' cells; ``tails`` is gathered per row."""
+        atom = (u[..., None] >= tails).sum(axis=-1)
+        return self.top_down.reshape(-1, self.top_down.shape[-1])[cells, atom]
 
 
 class ResampleWorld:
@@ -203,6 +233,21 @@ class ResampleWorld:
         counts = self.counts.reshape(-1)[cells]
         return self.values[self.offsets.reshape(-1)[cells] + (u * counts).astype(np.int64)]
 
+    def draw_sum(self, cells: np.ndarray, j: int, rng: np.random.Generator) -> np.ndarray:
+        """Per row, the sum of j resampled rewards from its flat cell, drawn in blocks of rounds."""
+        offsets = self.offsets.reshape(-1)[cells]
+        counts = self.counts.reshape(-1)[cells]
+        return _sum_draws(len(cells), j, rng, lambda u: self.values[offsets + (u * counts).astype(np.int64)])
+
+
+def _sum_draws(n: int, j: int, rng: np.random.Generator, draw_block) -> np.ndarray:
+    """Sums of j draws for n rows; ``draw_block`` maps (rounds, n) uniforms to rewards."""
+    rounds = max(1, _SUM_CELLS // n)
+    sums = np.zeros(n)
+    for done in range(0, j, rounds):
+        sums += draw_block(rng.random((min(rounds, j - done), n))).sum(axis=0)
+    return sums
+
 
 World = Union[LawWorld, ResampleWorld]
 
@@ -223,12 +268,15 @@ def run_batch(
     tabulated as a ``LawWorld``.  In a world of stacked logs, row i replays
     log ``row_log[i]``.  Per round, the draw order is fixed (policy
     randomness, then the world's reward draws, taken by the rows in row
-    order), so the outcome is a pure function of the stream state.
+    order), so the outcome is a pure function of the stream state.  An
+    unlogged ETC batch draws per-arm sums instead (``_run_etc``).
     """
     validate_config(K, T, policy, world)
     if not isinstance(world, (LawWorld, ResampleWorld)):
         world = LawWorld(world)
     base = 0 if row_log is None else row_log * K
+    if isinstance(policy, policies.EtcSpec) and not record_logs:
+        return _run_etc(n, K, T, policy.m, world, np.broadcast_to(base, (n,)), rng)
     state = BatchPolicyState(K=K, n=n)
     actions = np.empty((n, T), dtype=np.int64) if record_logs else None
     rewards = np.empty((n, T)) if record_logs else None
@@ -240,6 +288,23 @@ def run_batch(
             actions[:, t0] = chosen
             rewards[:, t0] = r
     return BatchOutcome(counts=state.counts, sums=state.sums, actions=actions, rewards=rewards)
+
+
+def _run_etc(n: int, K: int, T: int, m: int, world: World, base: np.ndarray, rng: np.random.Generator) -> BatchOutcome:
+    """Sufficient statistics of n ETC runs: each arm's exploration sum of m
+    draws, the commit to the argmax of their means (ties to the lowest arm,
+    as at round mK + 1 of the round loop), and one committed-block sum."""
+    sums = np.empty((n, K))
+    for k in range(K):
+        sums[:, k] = world.draw_sum(base + k, m, rng)
+    counts = np.full((n, K), m, dtype=np.int64)
+    rest = T - m * K
+    if rest:
+        committed = policies._argmax_rows(sums / m)
+        rows = np.arange(n)
+        sums[rows, committed] += world.draw_sum(base + committed, rest, rng)
+        counts[rows, committed] += rest
+    return BatchOutcome(counts=counts, sums=sums)
 
 
 def validate_config(K: int, T: int, policy: PolicySpec, world) -> None:
@@ -341,6 +406,36 @@ class CorruptLog(Exception):
     """A log CSV that does not hold one arm in 1..K and one finite reward for each round 1..T."""
 
 
+class PolicyMismatch(Exception):
+    """A log that its declared policy could not have produced."""
+
+
+def check_policy(log: BanditLog) -> None:
+    """Raise PolicyMismatch at the first round of an ETC log that ETC would have played differently.
+
+    ETC explores arm t // m at round t < mK, then commits to the argmax of
+    the exploration means, which are summed round by round as the policy
+    sums them, with the policy's tie rule.
+    """
+    if not isinstance(log.policy, policies.EtcSpec):
+        return
+    m, K, T = log.policy.m, log.K, log.T
+    if m * K > T:
+        raise PolicyMismatch(f"ETC with m={m} explores for {m * K} rounds, longer than the log's {T}")
+    expected = np.repeat(np.arange(K), m)
+    if T > m * K:
+        sums = np.cumsum(log.rewards[: m * K].reshape(K, m), axis=1)[:, -1]
+        committed = policies._argmax_rows((sums / m)[None])[0]
+        expected = np.concatenate([expected, np.full(T - m * K, committed)])
+    bad = np.flatnonzero(log.actions != expected)
+    if bad.size:
+        t = bad[0]
+        phase = "explores" if t < m * K else "commits to"
+        raise PolicyMismatch(
+            f"round {t + 1}: ETC with m={m} {phase} arm {expected[t] + 1}, the log has arm {log.actions[t] + 1}"
+        )
+
+
 def _column(rows: list, name: str, kind: type, dtype) -> np.ndarray:
     try:
         return np.array([kind(row[name]) for row in rows], dtype=dtype)
@@ -376,7 +471,7 @@ def load_log(csv_path: str, meta_path: str) -> BanditLog:
     nonfinite = np.flatnonzero(~np.isfinite(rewards))
     if nonfinite.size:
         raise CorruptLog(f"non-finite reward at round {nonfinite[0] + 1}")
-    return BanditLog(
+    log = BanditLog(
         K=K,
         T=T,
         actions=actions,
@@ -385,3 +480,5 @@ def load_log(csv_path: str, meta_path: str) -> BanditLog:
         seed=meta.get("seed"),
         world=meta.get("world", "real"),
     )
+    check_policy(log)
+    return log

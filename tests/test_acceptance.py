@@ -75,7 +75,6 @@ def test_criterion_02_correction_improves_most_cells(two_arm_grid_results):
     assert ok, f"improved {improved}/16"
 
 
-@pytest.mark.slow
 def test_criterion_03_bootstrap_matches_plugin_closed_form():
     # Frozen seeds.  Note a literal all-40-within-3-SE family check trips on
     # ~1 in 10 seed choices by pure chance; systematic disagreement would

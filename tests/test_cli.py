@@ -205,8 +205,8 @@ def test_plan_rejects_bad_cells(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def _corrupt_log(tmp_path, gauss_arms, edit):
-    log = _simulate(tmp_path, gauss_arms, policy="eg", extra=["--epsilon", "0.2"])
+def _corrupt_log(tmp_path, gauss_arms, edit, policy="eg", extra=("--epsilon", "0.2")):
+    log = _simulate(tmp_path, gauss_arms, policy=policy, extra=extra)
     with open(log) as f:
         lines = f.read().splitlines()
     edit(lines)
@@ -226,6 +226,28 @@ def test_debias_nan_reward_is_exit_2(tmp_path, gauss_arms):
     def nan_reward(lines):
         lines[10] = lines[10].rsplit(",", 1)[0] + ",nan"
     assert _corrupt_log(tmp_path, gauss_arms, nan_reward) == 2
+
+
+def _relabel_first_rounds(lines):
+    for i in range(1, 11):  # swap arms 1 and 2 in rounds 1..10
+        t, arm, reward = lines[i].split(",")
+        lines[i] = f"{t},{3 - int(arm)},{reward}"
+
+
+def _switch_committed_arm(lines):
+    t, arm, reward = lines[60].split(",")
+    lines[60] = f"{t},{3 - int(arm)},{reward}"
+
+
+@pytest.mark.parametrize("edit, round_", [(_relabel_first_rounds, 1), (_switch_committed_arm, 60)],
+                         ids=["wrong_schedule", "committed_block_switches"])
+def test_etc_log_etc_could_not_produce_is_exit_2(tmp_path, gauss_arms, capsys, edit, round_):
+    assert _corrupt_log(tmp_path, gauss_arms, edit, policy="etc", extra=("--m", "5")) == 2
+    assert f"PolicyMismatch: round {round_}:" in capsys.readouterr().err
+    log = str(tmp_path / "log.csv")
+    rc = dispatch(["evaluate", "--log", log, "--meta", log + ".meta.json", "--out", str(tmp_path / "e.json")])
+    assert rc == 2
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "e.json").exists()
 
 
 def _set_field(column, value):

@@ -325,3 +325,21 @@ def test_long_ts_log_propensity_memory_is_bounded():
         tracemalloc.stop()
     assert props.shape == (1, 2000, 4)
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@st.composite
+def score_tables(draw):
+    """Tie-heavy (n, K) scores: small integers as floats, and infinities."""
+    K = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 30))
+    entry = st.one_of(st.integers(-3, 3).map(float), st.sampled_from([np.inf, -np.inf]))
+    return np.array(draw(st.lists(entry, min_size=n * K, max_size=n * K))).reshape(n, K)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=score_tables())
+def test_argmax_rows_matches_numpy(x):
+    # Ties go to the lowest column, as numpy's argmax does on NaN-free rows.
+    arms = policies._argmax_rows(x)
+    assert arms.dtype == np.int64
+    assert np.array_equal(arms, np.argmax(x, axis=1))

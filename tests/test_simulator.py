@@ -4,11 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bandit_debias import policies
+from bandit_debias.bootstrap import BootstrapSpec
+from bandit_debias.debias import debias
 from bandit_debias.distributions import Bernoulli, FiniteDiscrete, Gaussian
 from bandit_debias.policies import EgSpec, EtcSpec, TsSpec, UcbSpec
 from bandit_debias.simulator import (
     LawWorld,
+    PolicyMismatch,
     ResampleWorld,
+    check_policy,
     load_log,
     meta_path_for,
     run_batch,
@@ -228,3 +233,116 @@ def test_mixed_law_world_moments():
         assert abs(x.var() - var) < 4 * np.sqrt((fourth - var**2) / x.size), k
     for k in (1, 2):
         assert set(out.rewards[out.actions == k].tolist()) <= set(laws[k].atoms()[0].tolist())
+
+
+# --- the unlogged ETC path: per-arm sums in place of the round loop ---------
+
+ZERO_ONE = (np.arange(40) % 5 < 2).astype(float)  # 0/1 rewards: exploration means tie often
+ETC_CASES = {
+    "mb": (2, 40, 5, LawWorld([Gaussian(1.0, 1.0), Gaussian(1.3, 2.0)]), None),
+    "bernoulli": (2, 40, 5, LawWorld([Bernoulli(0.4), Bernoulli(0.5)]), None),
+    "resample-ties": (2, 40, 5, ResampleWorld(np.arange(40) % 2, ZERO_ONE, 2), None),
+    "stacked": (2, 40, 5, LawWorld(np.array([[Gaussian(0.0, 1.0), Gaussian(0.2, 1.0)],
+                                             [Gaussian(5.0, 1.0), Gaussian(4.8, 4.0)]], dtype=object)),
+                np.arange(3000) % 2),
+    "k3-mixed": (3, 36, 4, LawWorld(MIXED_LAWS), None),
+    "explore-only": (2, 10, 5, LawWorld([Gaussian(1.0, 1.0), Gaussian(1.3, 2.0)]), None),
+}
+
+
+@pytest.mark.parametrize("case", list(ETC_CASES))
+def test_etc_sums_match_round_loop_in_law(case):
+    # record_logs=True forces the round loop; both paths must give the same
+    # per-arm means and commit frequencies (within 4 SE) and ETC's exact counts.
+    K, T, m, world, row_log = ETC_CASES[case]
+    n, rest = 3000, T - m * K
+    fast = run_batch(n, K, T, EtcSpec(m), world, substream(21), row_log=row_log)
+    loop = run_batch(n, K, T, EtcSpec(m), world, substream(22), record_logs=True, row_log=row_log)
+    assert fast.actions is None
+    groups = np.zeros(n, dtype=np.int64) if row_log is None else row_log
+    for out in (fast, loop):
+        committed = np.argmax(out.counts, axis=1)
+        expect = np.full((n, K), m)
+        if rest:
+            expect[np.arange(n), committed] += rest
+        assert np.array_equal(out.counts, expect)
+    for g in np.unique(groups):
+        a, b = fast.means()[groups == g], loop.means()[groups == g]
+        se = np.sqrt(a.var(axis=0) / len(a) + b.var(axis=0) / len(b))
+        assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 4 * se), (g, a.mean(axis=0), b.mean(axis=0))
+        if rest:
+            fa = np.bincount(np.argmax(fast.counts[groups == g], axis=1), minlength=K) / len(a)
+            fb = np.bincount(np.argmax(loop.counts[groups == g], axis=1), minlength=K) / len(b)
+            p = (fa + fb) / 2
+            assert np.all(np.abs(fa - fb) <= 4 * np.sqrt(p * (1 - p) * (1 / len(a) + 1 / len(b)))), (g, fa, fb)
+
+
+def test_unlogged_etc_batches_skip_the_policy_step(monkeypatch):
+    log = run_experiment(2, 40, EtcSpec(5), [Gaussian(1, 1), Gaussian(1.5, 1)], seed=4)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("select_batch called")
+
+    monkeypatch.setattr(policies, "select_batch", no_step)
+    out = run_batch(100, 2, 40, EtcSpec(5), [Gaussian(1, 1), Gaussian(1.5, 1)], substream(1))
+    assert np.all(out.counts.sum(axis=1) == 40)
+    for kind in ("mb", "efron"):
+        assert np.all(np.isfinite(debias(log, BootstrapSpec(kind, 50), seed=2).estimated_bias))
+    with pytest.raises(AssertionError):
+        run_batch(100, 2, 40, EtcSpec(5), [Gaussian(1, 1), Gaussian(1.5, 1)], substream(1), record_logs=True)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "bernoulli", "mixed", "resample"])
+def test_draw_sum_moments(name):
+    # 64 draws per row take several blocks of rounds at this width.
+    world, j, n = _world(name), 64, 2000
+    for k in range(3):
+        law = world[k]
+        sums = world.draw_sum(np.full(n, k), j, substream(7, k))
+        mu, var = law.mean(), law.variance()
+        assert abs(sums.mean() - j * mu) <= 4 * np.sqrt(j * var / n), k
+        if var > 0:
+            assert abs(sums.var() / (j * var) - 1) < 4 * np.sqrt(2 / n), k
+
+
+# --- logs that ETC could not have produced ----------------------------------
+
+
+def _reload(log, tmp_path):
+    path = str(tmp_path / "log.csv")
+    save_log(log, path)
+    return load_log(path, meta_path_for(path))
+
+
+def test_seeded_etc_logs_pass_the_policy_check():
+    # Exploration means tie often on these laws, so the check must apply
+    # ETC's tie rule to the means the policy summed, in the policy's order:
+    # with 0.1-steps and m=10 the two arms' sums can differ in the last bit.
+    tenths = FiniteDiscrete((0.1, 0.2, 0.7), (0.4, 0.4, 0.2))
+    cases = (([Bernoulli(0.5)] * 2, 2, 3), ([Bernoulli(0.4), Bernoulli(0.5), Gaussian(0.5, 1)], 3, 2),
+             ([tenths] * 2, 2, 10))
+    for seed in range(100):
+        for arms, K, m in cases:
+            check_policy(run_experiment(K, m * K + 5, EtcSpec(m), arms, seed=seed))
+
+
+def test_etc_log_with_a_wrong_schedule_is_rejected(tmp_path):
+    log = run_experiment(2, 40, EtcSpec(5), [Gaussian(1, 1), Gaussian(1.5, 1)], seed=3)
+    log.actions[:10] = 1 - log.actions[:10]  # arm 2 explored first
+    with pytest.raises(PolicyMismatch, match="round 1: ETC with m=5 explores arm 1"):
+        _reload(log, tmp_path)
+
+
+def test_etc_log_whose_committed_block_switches_arms_is_rejected(tmp_path):
+    log = run_experiment(2, 40, EtcSpec(5), [Gaussian(1, 1), Gaussian(1.5, 1)], seed=3)
+    committed = log.actions[10]
+    log.actions[25] = 1 - committed
+    with pytest.raises(PolicyMismatch, match=f"round 26: ETC with m=5 commits to arm {committed + 1}"):
+        _reload(log, tmp_path)
+
+
+def test_etc_log_shorter_than_its_exploration_is_rejected(tmp_path):
+    log = run_experiment(2, 10, EtcSpec(5), [Gaussian(1, 1), Gaussian(1.5, 1)], seed=3)
+    log.policy = EtcSpec(6)
+    with pytest.raises(PolicyMismatch, match="explores for 12 rounds"):
+        _reload(log, tmp_path)
