@@ -4,15 +4,16 @@ The procedure: build a bootstrap world from the log, replay B experiments
 with the same K, T and policy against it, average each arm's replay sample
 means, and report corrected means ``raw - (bootstrap average - raw)``.
 
-A stack of logs is corrected in one pass: log w's B replays are rows
-w*B .. (w+1)*B - 1 of one replay batch against a world with a leading log
-axis, and one log is the stack of one.  Rows are grouped into fixed-size
-chunks; chunk i draws from a substream keyed (seed, chunk tag, i), its
-replay means are summed per log, and chunk results are reduced in index
-order, so the reports are bit-identical at any worker count.  Replays
-where an arm was never pulled are excluded from that arm's average (its
-replay sample mean is undefined); the per-arm number of contributing
-replays is reported as ``b_effective``.
+``debias`` takes one log or a stack of W logs and returns one report whose
+arrays are (K,) for a log and (W, K) for a stack.  A stack is corrected in
+one pass: log w's B replays are rows w*B .. (w+1)*B - 1 of one replay batch
+against a world with a leading log axis, and one log is the stack of one.
+Rows are grouped into fixed-size chunks; chunk i draws from a substream
+keyed (seed, chunk tag, i), its replay means are summed per log, and chunk
+results are reduced in index order, so a report is bit-identical at any
+worker count.  Replays where an arm was never pulled are excluded from that
+arm's average (its replay sample mean is undefined); the per-arm number of
+contributing replays is reported as ``b_effective``.
 
 Replays are unlogged ``run_batch`` calls, so ETC replays take the
 simulator's sufficient-statistic path: per-arm exploration sums from the
@@ -22,7 +23,7 @@ per-round policy step.  Every other policy replays round by round.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +36,8 @@ CHUNK = 4096
 
 @dataclass
 class DebiasReport:
+    """Per-arm results, (K,) for one log or (W, K) for a stack of W."""
+
     K: int
     B: int
     kind: str
@@ -42,11 +45,19 @@ class DebiasReport:
     estimated_bias: np.ndarray   # bootstrap average - raw; NaN where undefined
     corrected_means: np.ndarray  # raw - estimated_bias, exactly
     b_effective: np.ndarray      # replays contributing per arm
-    zero_pull_replays: np.ndarray
     bootstrap_se: np.ndarray     # MC standard error of the bootstrap average
-    undefined_arms: list = field(default_factory=list)
+
+    @property
+    def zero_pull_replays(self) -> np.ndarray:
+        return self.B - self.b_effective
+
+    @property
+    def undefined_arms(self) -> list[int]:
+        """Arms of a one-log report that no replay pulled: their bias is undefined."""
+        return [int(k) for k in np.flatnonzero(self.b_effective == 0)]
 
     def to_dict(self) -> dict:
+        """The JSON form of a one-log report."""
         return {
             "K": self.K,
             "B": self.B,
@@ -57,7 +68,7 @@ class DebiasReport:
             "b_effective": [int(b) for b in self.b_effective],
             "zero_pull_replays": [int(z) for z in self.zero_pull_replays],
             "bootstrap_se": json_floats(self.bootstrap_se),
-            "undefined_arms": [int(a) + 1 for a in self.undefined_arms],
+            "undefined_arms": [a + 1 for a in self.undefined_arms],
         }
 
 
@@ -80,12 +91,12 @@ def _replay_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return per_log(means), per_log((means - raw[row_log]) ** 2), counts
 
 
-def debias_stack(logs: BanditLog, spec: BootstrapSpec, seed: int, workers: int = 1) -> list[DebiasReport]:
-    """Run the bootstrap correction of every log in a stack; deterministic given (logs, spec, seed).
+def debias(logs: BanditLog, spec: BootstrapSpec, seed: int, workers: int = 1) -> DebiasReport:
+    """Run the bootstrap correction of one log or a stack; deterministic given (logs, spec, seed).
 
-    ``logs`` is one log or a stack of W; the W x B replays run as one batch
-    with log w's replays in rows w*B .. (w+1)*B - 1.  Raises ZeroCountArm if
-    some log never pulled an arm.
+    The W x B replays of a stack run as one batch, with log w's replays in
+    rows w*B .. (w+1)*B - 1; the report's arrays take the summary's shape.
+    Raises ZeroCountArm if some log never pulled an arm.
     """
     summary = summarize(logs)
     world = build_world(summary, logs, spec)  # raises ZeroCountArm
@@ -116,25 +127,6 @@ def debias_stack(logs: BanditLog, spec: BootstrapSpec, seed: int, workers: int =
     # Squares about the raw mean, not E[x^2] - avg^2, which cancels at a large offset.
     var = sum_dev2 / n - estimated_bias**2
     se = np.where(b_eff > 0, np.sqrt(np.maximum(var, 0.0) / n), np.nan)
-    corrected = raw - estimated_bias
-    return [
-        DebiasReport(
-            K=logs.K,
-            B=spec.B,
-            kind=spec.kind,
-            raw_means=raw[w],
-            estimated_bias=estimated_bias[w],
-            corrected_means=corrected[w],
-            b_effective=b_eff[w],
-            zero_pull_replays=spec.B - b_eff[w],
-            bootstrap_se=se[w],
-            undefined_arms=[int(k) for k in np.flatnonzero(b_eff[w] == 0)],
-        )
-        for w in range(len(raw))
-    ]
-
-
-def debias(log: BanditLog, spec: BootstrapSpec, seed: int, workers: int = 1) -> DebiasReport:
-    """Run the bootstrap correction of one log; deterministic given (log, spec, seed)."""
-    (report,) = debias_stack(log, spec, seed, workers)
-    return report
+    shape = summary.means.shape  # (K,) for one log, (W, K) for a stack
+    fields = (estimated_bias, raw - estimated_bias, b_eff, se)
+    return DebiasReport(logs.K, spec.B, spec.kind, summary.means, *(x.reshape(shape) for x in fields))

@@ -18,6 +18,13 @@ import numpy as np
 from scipy.special import logsumexp
 
 
+def _finite(what: str, *values) -> None:
+    """Reject a NaN or infinite parameter: it would sample NaN rewards, not fail."""
+    for value in values:
+        if value is not None and not math.isfinite(float(value)):
+            raise ValueError(f"{what} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Gaussian:
     mu: float
@@ -25,6 +32,7 @@ class Gaussian:
     proxy: Optional[float] = None  # sub-Gaussian variance proxy override
 
     def __post_init__(self):
+        _finite("Gaussian mean, variance and variance_proxy", self.mu, self.var, self.proxy)
         if self.var < 0:
             raise ValueError(f"Gaussian variance must be >= 0, got {self.var}")
 
@@ -65,6 +73,7 @@ class Bernoulli:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"Bernoulli p must be in [0, 1], got {self.p}")
+        _finite("variance_proxy", self.proxy)
 
     def mean(self) -> float:
         return self.p
@@ -117,6 +126,7 @@ class FiniteDiscrete:
         probs = tuple(float(p) for p in probs)
         if len(support) == 0 or len(support) != len(probs):
             raise ValueError("support and probs must be nonempty and equal-length")
+        _finite("support points, probs and variance_proxy", *support, *probs, proxy)
         if any(b <= a for a, b in zip(support, support[1:])):
             raise ValueError("support must be strictly increasing")
         if any(p < 0 for p in probs):

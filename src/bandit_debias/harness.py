@@ -4,20 +4,23 @@ A plan is a list of cells; a cell fixes (policy, arms, K, T, R, bootstrap,
 estimator set) and optionally a horizon grid for MSE-versus-time curves.
 Replications run in fixed blocks of ``BLOCK`` (50).  A block's real
 experiments run as one lockstep batch, the bootstrap replays of all its logs
-as one ``debias_stack`` per horizon, and its IPW/AIPW estimates come from
-one propensity call.  Streams are keyed (master seed, cell index, block
-index), plus the horizon index for truncated-horizon replays.  The block
-size never depends on the worker count, so a rerun is bit-identical at any
-worker count.  Per-replication failures (for example an undefined bootstrap
-bias) are counted per cell, not fatal.
+as one ``debias`` call on their stack per horizon, and its IPW/AIPW
+estimates come from one propensity call.  Streams are keyed (master seed,
+cell index, block index), plus the horizon index for truncated-horizon
+replays.  The block size never depends on the worker count, so a rerun is
+bit-identical at any worker count.  Results stay per-replication columns
+from the replay to the writer: a cell concatenates its blocks' columns and
+derives its summaries from them.  Per-replication failures (for example an
+undefined bootstrap bias) are labelled and counted per cell, not fatal.
 """
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import json
 import os
-from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Optional
 
 import numpy as np
 
@@ -25,8 +28,7 @@ from . import distributions as dist
 from . import estimators as est
 from . import policies
 from .bootstrap import BootstrapSpec
-from .debias import debias  # noqa: F401  (perfbench/tracing.py wraps harness.debias)
-from .debias import debias_stack
+from .debias import debias
 from .simulator import BanditLog, atomic_write_text, json_floats, run_batch, summarize, validate_config
 from .simulator import run_experiment  # noqa: F401  (perfbench/tracing.py wraps harness.run_experiment)
 from .streams import TAG_HARNESS_DEBIAS, TAG_HARNESS_MSE, TAG_HARNESS_SIM, child_seed, substream
@@ -100,28 +102,60 @@ class ExperimentPlan:
 
 
 @dataclass
-class ReplicationRecord:
-    raw: np.ndarray
-    estimated_bias: np.ndarray
-    corrected: np.ndarray
-    ipw: Optional[np.ndarray]
-    aipw: Optional[np.ndarray]
-    # estimator -> horizon -> per-arm estimate
-    horizon_estimates: dict = field(default_factory=dict)
-    error: Optional[str] = None
-
-
-@dataclass
 class CellResult:
+    """A cell's per-replication columns and the summaries derived from them.
+
+    A ZeroCountArm row keeps only its IPW/AIPW estimates; a DivisionHazard row is NaN throughout.
+    """
+
     cell: Cell
-    mc_bias: np.ndarray
-    mc_bias_se: np.ndarray
-    mean_raw: np.ndarray
-    mean_estimated_bias: np.ndarray
-    mean_corrected: np.ndarray
-    mse: dict  # estimator -> {horizon -> per-arm MSE}
-    error_counts: dict
-    records: list
+    raw: np.ndarray             # (R, K) sample means
+    estimated_bias: np.ndarray  # (R, K)
+    estimates: dict             # estimator -> {horizon -> (R, K)}
+    errors: list                # per replication, its failure label or None
+
+    @property
+    def corrected(self) -> np.ndarray:
+        return self.estimates[self.cell.bootstrap.kind][self.cell.T]
+
+    @property
+    def true_means(self) -> np.ndarray:
+        return np.array([a.mean() for a in self.cell.arms])
+
+    @property
+    def mean_raw(self) -> np.ndarray:
+        return _nan_columns(np.nanmean, self.raw)
+
+    @property
+    def mc_bias(self) -> np.ndarray:
+        return self.mean_raw - self.true_means
+
+    @property
+    def mc_bias_se(self) -> np.ndarray:
+        n_valid = np.sum(~np.isnan(self.raw), axis=0)
+        return _nan_columns(np.nanstd, self.raw) / np.sqrt(np.maximum(n_valid, 1))
+
+    @property
+    def mean_estimated_bias(self) -> np.ndarray:
+        return _nan_columns(np.nanmean, self.estimated_bias)
+
+    @property
+    def mean_corrected(self) -> np.ndarray:
+        return _nan_columns(np.nanmean, self.corrected)
+
+    @property
+    def mse(self) -> dict:
+        """estimator -> {horizon -> per-arm MSE} over the horizon grid."""
+        truth = self.true_means
+        grid = self.cell.horizon_grid
+        return {
+            name: {h: _nan_columns(np.nanmean, (table[h] - truth) ** 2) for h in grid}
+            for name, table in self.estimates.items()
+        } if grid else {}
+
+    @property
+    def error_counts(self) -> dict:
+        return dict(collections.Counter(filter(None, self.errors)))
 
     def summary_dict(self) -> dict:
         return {
@@ -142,84 +176,62 @@ class CellResult:
         }
 
 
-def _failed_record(cell: Cell, label: str) -> ReplicationRecord:
-    nan = np.full(cell.K, np.nan)
-    return ReplicationRecord(raw=nan, estimated_bias=nan, corrected=nan, ipw=None, aipw=None, error=label)
-
-
 def _block_count(cell: Cell) -> int:
     return -(-cell.replications // BLOCK)
 
 
-def _debias_rows(logs: BanditLog, spec: BootstrapSpec, seed: int) -> list:
-    """Per row of the stacked logs, its debias report, or None where the log
-    left an arm unpulled and has no bootstrap world."""
-    rows = np.flatnonzero((summarize(logs).counts > 0).all(axis=1))
-    reports = [None] * len(logs.actions)
-    if rows.size:
-        pulled = BanditLog(logs.K, logs.T, logs.actions[rows], logs.rewards[rows], logs.policy)
-        for r, report in zip(rows, debias_stack(pulled, spec, seed)):
-            reports[r] = report
-    return reports
+def _debias_rows(logs: BanditLog, spec: BootstrapSpec, seed: int) -> tuple:
+    """``debias`` of stacked logs scattered into NaN-filled (n, K) raw, bias and corrected
+    arrays, plus masks of the logs with no bootstrap world and with an undefined bias."""
+    no_world = (summarize(logs).counts == 0).any(axis=1)
+    columns = np.full((3, len(no_world), logs.K), np.nan)
+    undefined = np.zeros(len(no_world), dtype=bool)
+    if not no_world.all():
+        pulled = BanditLog(logs.K, logs.T, logs.actions[~no_world], logs.rewards[~no_world], logs.policy)
+        report = debias(pulled, spec, seed)
+        columns[:, ~no_world] = report.raw_means, report.estimated_bias, report.corrected_means
+        undefined[~no_world] = (report.b_effective == 0).any(axis=1)
+    return *columns, no_world, undefined
 
 
-def _run_block(args) -> list[ReplicationRecord]:
-    """Records of the replications in one block of a cell."""
+def _run_block(args) -> tuple:
+    """One block's columns: raw means and estimated biases (n, K), estimates
+    {estimator: {horizon: (n, K)}}, and per row its failure label or None."""
     cell, master_seed, cell_index, block = args
     K, T, kind = cell.K, cell.T, cell.bootstrap.kind
     n = min(BLOCK, cell.replications - block * BLOCK)
     rng = substream(master_seed, TAG_HARNESS_SIM, cell_index, block)
     sim = run_batch(n, K, T, cell.policy, cell.arms, rng, record_logs=True)
     logs = BanditLog(K, T, sim.actions, sim.rewards, cell.policy)
-    nan = np.full(K, np.nan)
-
-    def corrected(reports):
-        return [nan if rep is None else rep.corrected_means for rep in reports]
-
-    reports = _debias_rows(logs, cell.bootstrap, child_seed(master_seed, TAG_HARNESS_DEBIAS, cell_index, block))
-    # estimator -> horizon -> one per-arm estimate per row
-    estimates: dict[str, dict] = {kind: {T: corrected(reports)}}
+    seed = child_seed(master_seed, TAG_HARNESS_DEBIAS, cell_index, block)
+    raw, bias, corrected, no_world, undefined = _debias_rows(logs, cell.bootstrap, seed)
+    estimates = {kind: {T: corrected}}
     mse_spec = BootstrapSpec(kind, cell.mse_B or cell.bootstrap.B)
     for h_index, horizon in enumerate(cell.horizon_grid):
         if horizon < T:  # the full horizon reuses the terminal debias
             seed = child_seed(master_seed, TAG_HARNESS_MSE, cell_index, block, h_index)
-            estimates[kind][horizon] = corrected(_debias_rows(logs.truncated(horizon), mse_spec, seed))
+            estimates[kind][horizon] = _debias_rows(logs.truncated(horizon), mse_spec, seed)[2]
     hazard = np.zeros(n, dtype=bool)
-    props = None
-    if {"ipw", "aipw"} & set(cell.estimators):
-        props = policies.propensity(cell.policy, sim.actions, sim.rewards, K)
+    weighted = {"ipw", "aipw"} & set(cell.estimators)
+    props = policies.propensity(cell.policy, sim.actions, sim.rewards, K) if weighted else None
     if props is not None:
         # A zero chosen-arm propensity fails its replication, not the block.
         hazard = est.division_hazards(sim.actions, props)
         good = np.flatnonzero(~hazard)
         for name, kernel in (("ipw", est.ipw_batch), ("aipw", est.aipw_batch)):
-            if name in cell.estimators:
-                estimates[name] = {}
-                for h in {T, *cell.horizon_grid}:
-                    estimates[name][h] = np.full((n, K), np.nan)
-                    estimates[name][h][good] = kernel(sim.actions[good, :h], sim.rewards[good, :h], props[good, :h])
-    records = []
-    for r, report in enumerate(reports):
-        if hazard[r]:
-            records.append(_failed_record(cell, "DivisionHazard"))
-            continue
-        # A log with an unpulled arm has no bootstrap world, but the log
-        # itself is fine: its propensity-weighted estimates stay.
-        error = "ZeroCountArm" if report is None else ("UndefinedBias" if report.undefined_arms else None)
-        records.append(
-            ReplicationRecord(
-                raw=nan if report is None else report.raw_means,
-                estimated_bias=nan if report is None else report.estimated_bias,
-                corrected=estimates[kind][T][r],
-                ipw=estimates["ipw"][T][r] if "ipw" in estimates else None,
-                aipw=estimates["aipw"][T][r] if "aipw" in estimates else None,
-                horizon_estimates={
-                    name: {h: table[h][r] for h in cell.horizon_grid} for name, table in estimates.items()
-                },
-                error=error,
-            )
-        )
-    return records
+            if name in weighted:
+                estimates[name] = {h: np.full((n, K), np.nan) for h in {T, *cell.horizon_grid}}
+                for h, table in estimates[name].items():
+                    table[good] = kernel(sim.actions[good, :h], sim.rewards[good, :h], props[good, :h])
+    for column in (raw, bias, *estimates[kind].values()):  # a DivisionHazard row is NaN throughout
+        column[hazard] = np.nan
+    # A log with an unpulled arm has no bootstrap world, but the log itself
+    # is fine: its propensity-weighted estimates stay.
+    errors = [
+        "DivisionHazard" if h else "ZeroCountArm" if z else "UndefinedBias" if u else None
+        for h, z, u in zip(hazard, no_world, undefined)
+    ]
+    return raw, bias, estimates, errors
 
 
 # perfbench/tracing.py wraps harness._run_replication; the unit of work is a block.
@@ -243,51 +255,19 @@ def run_plan(plan: ExperimentPlan, workers: int = 1, out_dir: Optional[str] = No
 
 
 def _collect(plan: ExperimentPlan, blocks, out_dir: Optional[str]) -> list[CellResult]:
-    """Aggregate (and persist) each cell as soon as its blocks, taken in task order, are in."""
+    """Concatenate (and persist) each cell's columns as soon as its blocks, taken in task order, are in."""
     results = []
     for cell in plan.cells:
-        records = [rec for _ in range(_block_count(cell)) for rec in next(blocks)]
-        results.append(_aggregate(cell, records))
+        raw, bias, estimates, errors = zip(*(next(blocks) for _ in range(_block_count(cell))))
+        tables = {
+            name: {h: np.concatenate([block[name][h] for block in estimates]) for h in table}
+            for name, table in estimates[0].items()
+        }
+        labels = [label for block in errors for label in block]
+        results.append(CellResult(cell, np.concatenate(raw), np.concatenate(bias), tables, labels))
         if out_dir is not None:
             _persist(results[-1], out_dir)
     return results
-
-
-def _aggregate(cell: Cell, records: Sequence[ReplicationRecord]) -> CellResult:
-    true_means = np.array([a.mean() for a in cell.arms])
-    raw = np.stack([r.raw for r in records])
-    bias = np.stack([r.estimated_bias for r in records])
-    corrected = np.stack([r.corrected for r in records])
-    n_valid = np.sum(~np.isnan(raw), axis=0)
-    mean_raw = _nan_columns(np.nanmean, raw)
-    mc_bias_se = _nan_columns(np.nanstd, raw) / np.sqrt(np.maximum(n_valid, 1))
-    mse: dict[str, dict[int, np.ndarray]] = {}
-    for name in (cell.bootstrap.kind, "ipw", "aipw"):
-        horizons = sorted({h for r in records for h in r.horizon_estimates.get(name, {})})
-        if horizons:
-            nan = np.full(cell.K, np.nan)
-            mse[name] = {
-                h: _nan_columns(
-                    np.nanmean,
-                    (np.stack([r.horizon_estimates.get(name, {}).get(h, nan) for r in records]) - true_means) ** 2,
-                )
-                for h in horizons
-            }
-    error_counts: dict[str, int] = {}
-    for r in records:
-        if r.error:
-            error_counts[r.error] = error_counts.get(r.error, 0) + 1
-    return CellResult(
-        cell=cell,
-        mc_bias=mean_raw - true_means,
-        mc_bias_se=mc_bias_se,
-        mean_raw=mean_raw,
-        mean_estimated_bias=_nan_columns(np.nanmean, bias),
-        mean_corrected=_nan_columns(np.nanmean, corrected),
-        mse=mse,
-        error_counts=error_counts,
-        records=list(records),
-    )
 
 
 def _nan_columns(reduce, x: np.ndarray) -> np.ndarray:
@@ -300,15 +280,15 @@ def _persist(result: CellResult, out_dir: str) -> None:
     cell_dir = os.path.join(out_dir, result.cell.name)
     os.makedirs(cell_dir, exist_ok=True)
     atomic_write_text(os.path.join(cell_dir, "summary.json"), json.dumps(result.summary_dict(), indent=2) + "\n")
+    columns = [result.raw, result.estimated_bias, result.corrected]
+    # Blank where the cell has no such estimator or the row is a DivisionHazard.
+    weighted = [result.estimates.get(name, {}).get(result.cell.T) for name in ("ipw", "aipw")]
     lines = ["replication,arm,raw_mean,estimated_bias,corrected_mean,ipw,aipw"]
-    for r_index, rec in enumerate(result.records):
+    for r, error in enumerate(result.errors):
         for k in range(result.cell.K):
-            ipw = "" if rec.ipw is None else repr(float(rec.ipw[k]))
-            aipw = "" if rec.aipw is None else repr(float(rec.aipw[k]))
-            lines.append(
-                f"{r_index},{k + 1},{float(rec.raw[k])!r},{float(rec.estimated_bias[k])!r},"
-                f"{float(rec.corrected[k])!r},{ipw},{aipw}"
-            )
+            values = [repr(float(c[r, k])) for c in columns]
+            values += ["" if w is None or error == "DivisionHazard" else repr(float(w[r, k])) for w in weighted]
+            lines.append(f"{r},{k + 1}," + ",".join(values))
     atomic_write_text(os.path.join(cell_dir, "replications.csv"), "\n".join(lines) + "\n")
     if result.mse:
         lines = ["estimator,horizon,arm,mse"]

@@ -134,13 +134,11 @@ class BatchPolicyState:
     t: int = 1
     counts: np.ndarray = field(default=None)  # (n, K) int64, C-contiguous
     sums: np.ndarray = field(default=None)    # (n, K), C-contiguous
-    committed: np.ndarray = field(default=None)  # (n,) int64, -1 before commit
 
     def __post_init__(self):
         if self.counts is None:
             self.counts = np.zeros((self.n, self.K), dtype=np.int64)
             self.sums = np.zeros((self.n, self.K))
-            self.committed = np.full(self.n, -1, dtype=np.int64)
 
     def means(self) -> np.ndarray:
         """Empirical means, 0 for unpulled arms (whose sums are exactly 0)."""
@@ -156,16 +154,16 @@ class BatchPolicyState:
 
 
 def select_batch(spec: PolicySpec, state: BatchPolicyState, rng: np.random.Generator) -> np.ndarray:
-    """Arm choices (n,) for the current round; draws from rng in a fixed order."""
+    """Arm choices (n,) for the current round; reads ``state`` only, draws from rng in a fixed order."""
     n, K, t = state.n, state.K, state.t
     if isinstance(spec, EtcSpec):
         horizon_explore = spec.m * K
         if t <= horizon_explore:
             return np.full(n, (t - 1) // spec.m, dtype=np.int64)
-        stale = state.committed < 0
-        if stale.any():
-            state.committed = np.where(stale, _argmax_rows(state.means()), state.committed)
-        return state.committed.copy()
+        if t == horizon_explore + 1:
+            return _argmax_rows(state.means())
+        # The committed arm is the only one pulled more than m times.
+        return _argmax_rows(state.counts)
     if isinstance(spec, UcbSpec):
         unpulled = state.counts == 0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -243,7 +241,6 @@ def prefix_state(actions: np.ndarray, rewards: np.ndarray, K: int) -> BatchPolic
         n=n * T,
         counts=strict_past(onehot.astype(np.int64)),
         sums=strict_past(r),
-        committed=np.full(n * T, -1, dtype=np.int64),
     )
 
 

@@ -443,11 +443,28 @@ def _column(rows: list, name: str, kind: type, dtype) -> np.ndarray:
         raise CorruptLog(f"unparsable {name!r} field: {exc}") from None
 
 
+def _sidecar_field(meta: dict, name: str, parse):
+    """A parsed sidecar field; a missing or unparsable one is a CorruptLog that names it."""
+    if name not in meta:
+        raise CorruptLog(f"sidecar has no {name!r} field")
+    try:
+        return parse(meta[name])
+    except KeyError as exc:  # a policy without a parameter its name needs
+        raise CorruptLog(f"invalid sidecar {name!r} field: no {exc} key") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise CorruptLog(f"invalid sidecar {name!r} field: {exc}") from None
+
+
 def load_log(csv_path: str, meta_path: str) -> BanditLog:
-    with open(meta_path) as f:
-        meta = json.load(f)
-    policy = policies.spec_from_dict(meta["policy"])
-    K, T = int(meta["K"]), int(meta["T"])
+    with open(meta_path) as f:  # a missing sidecar stays an OSError
+        try:
+            meta = json.load(f)
+        except ValueError as exc:
+            raise CorruptLog(f"sidecar is not valid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise CorruptLog("sidecar must hold a JSON object")
+    K, T = _sidecar_field(meta, "K", int), _sidecar_field(meta, "T", int)
+    policy = _sidecar_field(meta, "policy", policies.spec_from_dict)
     with open(csv_path, newline="") as f:
         reader = csv.DictReader(f)
         rows = list(reader)

@@ -194,7 +194,8 @@ def test_criterion_09_propensity_estimators(propensity_cells):
     details = []
     for name, res in propensity_cells.items():
         for label in ("ipw", "aipw"):
-            stacked = np.stack([getattr(r, label) for r in res.records if getattr(r, label) is not None])
+            hazard = np.array([e == "DivisionHazard" for e in res.errors])
+            stacked = res.estimates[label][res.cell.T][~hazard]
             err = stacked.mean(axis=0) - truth
             se = stacked.std(axis=0) / math.sqrt(len(stacked))
             z = np.abs(err) / se

@@ -132,6 +132,16 @@ def test_bad_arms_file(tmp_path):
     assert rc == 1
 
 
+def test_simulate_nan_mean_is_usage_error(tmp_path, capsys):
+    arms = tmp_path / "nan_arms.json"
+    arms.write_text('[{"type": "gaussian", "mean": NaN, "variance": 1.0}, {"type": "bernoulli", "p": 0.5}]')
+    rc = dispatch(["simulate", "--policy", "ucb", "--K", "2", "--T", "10",
+                   "--arms", str(arms), "--seed", "1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.csv.meta.json").exists()
+
+
 def test_debias_zero_count_arm_is_exit_2(tmp_path, gauss_arms):
     # eg with epsilon 0 pins itself to one arm; its log defeats the bootstrap
     log = _simulate(tmp_path, gauss_arms, policy="eg", extra=["--epsilon", "0.0"])
@@ -202,6 +212,19 @@ def test_plan_rejects_bad_cells(tmp_path):
         rc = dispatch(["plan", "--plan", str(plan_path), "--seed", "1",
                        "--out-dir", str(tmp_path / "out")])
         assert rc == 1, cells
+    assert not (tmp_path / "out").exists()
+
+
+def test_plan_nan_arm_mean_is_usage_error(tmp_path, capsys):
+    # A NaN arm mean in the second cell stops the plan before the first cell runs.
+    ok = {"name": "ok", "policy": {"name": "ucb"}, "K": 2, "T": 20, "replications": 2,
+          "arms": [{"type": "bernoulli", "p": 0.3}, {"type": "bernoulli", "p": 0.6}]}
+    nan = {**ok, "name": "nan", "arms": [{"type": "gaussian", "mean": float("nan"), "variance": 1.0}] * 2}
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"cells": [ok, nan]}))
+    rc = dispatch(["plan", "--plan", str(plan_path), "--seed", "1", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -296,3 +319,34 @@ def test_workers_below_one_is_usage_error(tmp_path, gauss_arms, monkeypatch, wor
         assert dispatch(argv) == 1, argv[0]
         monkeypatch.delenv("BANDIT_DEBIAS_WORKERS")
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "out").exists()
+
+
+def _without(key):
+    return lambda meta: json.dumps({k: v for k, v in meta.items() if k != key})
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_without("policy"), "'policy'"),
+    (lambda meta: json.dumps({**meta, "K": "two"}), "'K'"),
+    (lambda meta: json.dumps(meta)[:-10], "JSON"),
+    (lambda meta: json.dumps({**meta, "policy": {**meta["policy"], "prior_variance": -1}}), "'policy'"),
+    (lambda meta: json.dumps({**meta, "policy": {"name": "etc"}}), "'policy' field: no 'm' key"),
+], ids=["no_policy", "K_two", "truncated_json", "negative_prior_variance", "etc_without_m"])
+def test_debias_bad_sidecar_is_exit_2(tmp_path, gauss_arms, capsys, edit, field):
+    log = _simulate(tmp_path, gauss_arms, policy="ts")
+    meta = tmp_path / "log.csv.meta.json"
+    meta.write_text(edit(json.loads(meta.read_text())))
+    rc = dispatch(["debias", "--log", log, "--meta", str(meta), "--B", "10", "--seed", "2",
+                   "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("CorruptLog: ") and field in err, err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_debias_missing_sidecar_is_usage_error(tmp_path, gauss_arms, capsys):
+    log = _simulate(tmp_path, gauss_arms, policy="ts")
+    rc = dispatch(["debias", "--log", log, "--meta", str(tmp_path / "absent.json"), "--B", "10", "--seed", "2",
+                   "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert "No such file" in capsys.readouterr().err

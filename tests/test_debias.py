@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bandit_debias.bootstrap import BootstrapSpec
-from bandit_debias.debias import CHUNK, debias, debias_stack
+from bandit_debias.debias import CHUNK, debias
 from bandit_debias.distributions import Gaussian
 from bandit_debias.policies import EgSpec, EtcSpec, TsSpec
 from bandit_debias.simulator import BanditLog, run_experiment, summarize
@@ -144,9 +144,9 @@ def test_stacked_logs_replay_their_own_worlds(kind):
                       rewards=np.stack([log.rewards, log.rewards + 1e3]), policy=log.policy)
     B = 3000
     assert B < CHUNK < 2 * B
-    reports = debias_stack(stack, BootstrapSpec(kind, B), seed=5)
-    assert len(reports) == 2
-    for w, rep in enumerate(reports):
-        np.testing.assert_allclose(rep.raw_means, summarize(log).means + 1e3 * w, rtol=0, atol=1e-9)
-        assert rep.b_effective.tolist() == [B, B]
-        assert np.all(np.abs(rep.estimated_bias) < 0.5)
+    rep = debias(stack, BootstrapSpec(kind, B), seed=5)
+    assert rep.raw_means.shape == rep.corrected_means.shape == rep.bootstrap_se.shape == (2, 2)
+    np.testing.assert_allclose(rep.raw_means, summarize(log).means + [[0.0], [1e3]], rtol=0, atol=1e-9)
+    assert rep.b_effective.tolist() == [[B, B], [B, B]]
+    assert rep.zero_pull_replays.tolist() == [[0, 0], [0, 0]]
+    assert np.all(np.abs(rep.estimated_bias) < 0.5)

@@ -147,6 +147,22 @@ def test_finite_discrete_validation():
         Gaussian(0.0, -1.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Gaussian(math.nan, 1.0),
+    lambda: Gaussian(0.0, math.inf),
+    lambda: Gaussian(0.0, 1.0, proxy=math.nan),
+    lambda: Bernoulli(0.5, proxy=math.inf),
+    lambda: FiniteDiscrete((0.0, 1.0), (math.nan, 1.0)),
+    lambda: FiniteDiscrete((0.0, math.nan), (0.5, 0.5)),
+    lambda: FiniteDiscrete((-math.inf, 0.0), (0.5, 0.5)),
+    lambda: FiniteDiscrete((0.0, 1.0), (0.5, 0.5), proxy=math.nan),
+], ids=["gaussian_nan_mean", "gaussian_inf_variance", "gaussian_nan_proxy", "bernoulli_inf_proxy",
+        "discrete_nan_prob", "discrete_nan_support", "discrete_inf_support", "discrete_nan_proxy"])
+def test_non_finite_parameters_rejected(make):
+    with pytest.raises(ValueError, match="must be finite"):
+        make()
+
+
 def test_from_dict_round_trip():
     for d in VARIANTS:
         again = dist.from_dict(d.to_dict())

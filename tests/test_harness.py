@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -76,9 +77,8 @@ def test_worker_count_bit_identical():
     (b,) = run_plan(plan, workers=2)
     assert np.array_equal(a.mc_bias, b.mc_bias)
     assert np.array_equal(a.mean_corrected, b.mean_corrected)
-    for ra, rb in zip(a.records, b.records):
-        assert np.array_equal(ra.raw, rb.raw)
-        assert np.array_equal(ra.corrected, rb.corrected)
+    assert np.array_equal(a.raw, b.raw)
+    assert np.array_equal(a.corrected, b.corrected)
 
 
 def test_rerun_is_deterministic():
@@ -97,12 +97,12 @@ def test_failed_replications_counted_not_fatal():
                 estimators=("mean", "ipw"))
     (res,) = run_plan(ExperimentPlan(master_seed=3, cells=(cell,)))
     assert res.error_counts.get("ZeroCountArm", 0) > 0
-    n_failed = sum(1 for r in res.records if np.isnan(r.raw).all())
+    n_failed = np.isnan(res.raw).all(axis=1).sum()
     assert n_failed == res.error_counts["ZeroCountArm"]
     assert np.all(np.isfinite(res.mc_bias))
     # propensity estimates survive bootstrap failure: they stay unconditional
-    failed = [r for r in res.records if r.error == "ZeroCountArm"]
-    assert all(r.ipw is not None and np.all(np.isfinite(r.ipw)) for r in failed)
+    failed = np.array([e == "ZeroCountArm" for e in res.errors])
+    assert np.all(np.isfinite(res.estimates["ipw"][30][failed]))
 
 
 def test_horizon_grid_endpoint_matches_terminal():
@@ -110,12 +110,10 @@ def test_horizon_grid_endpoint_matches_terminal():
     for kind in ("mb", "efron"):
         cell = _gauss_cell(R=10, horizon_grid=(50, 100), mse_B=10, bootstrap=BootstrapSpec(kind, 20))
         (res,) = run_plan(ExperimentPlan(master_seed=8, cells=(cell,)))
-        for rec in res.records:
-            assert np.array_equal(rec.horizon_estimates[kind][100], rec.corrected)
+        assert np.array_equal(res.estimates[kind][100], res.raw - res.estimated_bias)
         assert set(res.mse) == {kind}
         assert set(res.mse[kind]) == {50, 100}
-        terminal = np.nanmean(
-            (np.stack([r.corrected for r in res.records]) - np.array([1.0, 1.5])) ** 2, axis=0)
+        terminal = np.nanmean((res.raw - res.estimated_bias - np.array([1.0, 1.5])) ** 2, axis=0)
         np.testing.assert_allclose(res.mse[kind][100], terminal, rtol=0, atol=1e-15)
 
 
@@ -244,14 +242,13 @@ def test_block_with_a_zero_count_arm_log_fills_the_others():
                 K=2, T=30, replications=harness.BLOCK, bootstrap=BootstrapSpec("mb", 20),
                 estimators=("mean", "ipw", "aipw"), horizon_grid=(20, 30), mse_B=20)
     (res,) = run_plan(ExperimentPlan(master_seed=3, cells=(cell,)))
-    failed = [r for r in res.records if r.error == "ZeroCountArm"]
-    assert 0 < len(failed) == res.error_counts["ZeroCountArm"] < harness.BLOCK
-    for rec in res.records:
-        assert np.all(np.isfinite(rec.ipw)) and np.all(np.isfinite(rec.aipw))
-        if rec.error is None:
-            assert np.all(np.isfinite(rec.raw)) and np.all(np.isfinite(rec.corrected))
-            assert np.all(np.isfinite(rec.horizon_estimates["mb"][30]))
-    assert all(np.isnan(r.raw).all() and np.isnan(r.horizon_estimates["mb"][20]).all() for r in failed)
+    failed = np.array([e == "ZeroCountArm" for e in res.errors])
+    fine = np.array([e is None for e in res.errors])
+    assert 0 < failed.sum() == res.error_counts["ZeroCountArm"] < harness.BLOCK
+    assert np.all(np.isfinite(res.estimates["ipw"][30])) and np.all(np.isfinite(res.estimates["aipw"][30]))
+    for column in (res.raw, res.corrected, res.estimates["mb"][30]):
+        assert np.all(np.isfinite(column[fine]))
+    assert np.isnan(res.raw[failed]).all() and np.isnan(res.estimates["mb"][20][failed]).all()
 
 
 def test_zero_propensity_fails_only_its_replication(monkeypatch):
@@ -266,7 +263,61 @@ def test_zero_propensity_fails_only_its_replication(monkeypatch):
     cell = _gauss_cell(R=4, B=10, policy=EgSpec(0.2), estimators=("mean", "ipw"), horizon_grid=(50,), mse_B=10)
     (res,) = run_plan(ExperimentPlan(master_seed=9, cells=(cell,)))
     assert res.error_counts == {"DivisionHazard": 1}
-    assert res.records[1].ipw is None and np.isnan(res.records[1].raw).all()
-    for r in (0, 2, 3):
-        assert np.all(np.isfinite(res.records[r].ipw)) and np.all(np.isfinite(res.records[r].raw))
-        assert set(res.records[r].horizon_estimates) == {"mb", "ipw"}
+    assert res.errors == [None, "DivisionHazard", None, None]
+    assert set(res.estimates) == {"mb", "ipw"}
+    # The failed replication is NaN in every column; the others are whole.
+    for column in (res.raw, res.estimated_bias, *(t for table in res.estimates.values() for t in table.values())):
+        assert np.isnan(column[1]).all() and np.all(np.isfinite(column[[0, 2, 3]]))
+
+
+def test_division_hazard_outranks_zero_count_arm(monkeypatch):
+    # A log that left an arm unpulled and also met a zero propensity is labelled DivisionHazard.
+    cell = Cell(name="eg", policy=EgSpec(0.05), arms=(Gaussian(1.0, 1.0), Gaussian(1.5, 1.0)),
+                K=2, T=30, replications=20, bootstrap=BootstrapSpec("mb", 10), estimators=("mean", "ipw"))
+    plan = ExperimentPlan(master_seed=3, cells=(cell,))
+    (plain,) = run_plan(plan)
+    assert plain.error_counts["ZeroCountArm"] > 0
+    real = harness.policies.propensity
+
+    def zero_everywhere(spec, actions, rewards, K):
+        props = real(spec, actions, rewards, K)
+        props[np.arange(len(actions)), 5, actions[:, 5]] = 0.0
+        return props
+
+    monkeypatch.setattr(harness.policies, "propensity", zero_everywhere)
+    (res,) = run_plan(plan)
+    assert res.error_counts == {"DivisionHazard": 20}
+    assert np.isnan(res.estimates["ipw"][30]).all() and np.isnan(res.corrected).all()
+
+GOLDEN_PLAN_SHA256 = {
+    "eg/summary.json": "01826eaef5a43eace2595bfa3df29ed166ef4f7f0de526f833c794e421213a9f",
+    "eg/replications.csv": "93c2dffa0b194668cf526b4695de570ebea8294858dfdf4e0bb8f1ebac0333e7",
+    "eg/mse.csv": "6a8a04d78cd767a1a64bd152b77a4f73169a10f228a07c2fe86db74ba1e67b38",
+    "etc/summary.json": "720b70d6edb2435175bc601e135f03cbc95a6493bb86b75f2a77c715cb6f86aa",
+    "etc/replications.csv": "0a9b3ed5f04de91732db489cd063db7b8a6c199b8fa8f6e42b861384fe49ae33",
+    "etc/mse.csv": "18ee6797e79d922984faf8785cd4241fae232a3110eaacc153d8dc812b97e3b5",
+}
+
+
+def test_plan_outputs_golden(tmp_path, monkeypatch):
+    # Pinned bytes: a rewrite of how replications are collected and written
+    # must not move a plan's outputs.  Log 1's zero propensity makes it a
+    # DivisionHazard row; EG at T=30 leaves arm 2 unpulled in some others.
+    real = harness.policies.propensity
+
+    def zero_for_log_1(spec, actions, rewards, K):
+        props = real(spec, actions, rewards, K)
+        props[1, 5, actions[1, 5]] = 0.0
+        return props
+
+    monkeypatch.setattr(harness.policies, "propensity", zero_for_log_1)
+    cells = (
+        Cell(name="eg", policy=EgSpec(0.05), arms=(Gaussian(1.0, 1.0), Gaussian(1.5, 1.0)),
+             K=2, T=30, replications=12, bootstrap=BootstrapSpec("efron", 20),
+             estimators=("mean", "ipw", "aipw"), horizon_grid=(15, 30), mse_B=10),
+        _gauss_cell(name="etc", R=6, B=20, policy=EtcSpec(5), T=30, horizon_grid=(15, 30), mse_B=10),
+    )
+    (eg, _) = run_plan(ExperimentPlan(master_seed=17, cells=cells), out_dir=str(tmp_path))
+    assert eg.error_counts["DivisionHazard"] == 1 and eg.error_counts["ZeroCountArm"] > 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_PLAN_SHA256}
+    assert digests == GOLDEN_PLAN_SHA256

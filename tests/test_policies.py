@@ -62,6 +62,19 @@ def test_etc_exploration_schedule():
     assert seen == [math.ceil(t / 3) for t in range(1, 7)]
 
 
+def test_etc_choice_is_a_function_of_the_state():
+    # After the commit round, ETC plays the arm pulled more than m times,
+    # whatever the means say now, and selection writes nothing to the state.
+    spec = EtcSpec(m=3)
+    state = _state([[3, 5], [6, 3]], [[9.0, 0.0], [0.0, 9.0]])
+    state.t = 9
+    before = (state.counts.copy(), state.sums.copy(), state.t)
+    for _ in range(2):
+        assert select_batch(spec, state, substream(0)).tolist() == [1, 0]
+    assert np.array_equal(state.counts, before[0]) and np.array_equal(state.sums, before[1])
+    assert state.t == before[2]
+
+
 def test_ucb_forced_round_robin():
     spec = UcbSpec()
     state = BatchPolicyState(K=3, n=1)
@@ -158,7 +171,6 @@ def _state(counts, sums):
     counts, sums = np.atleast_2d(counts), np.atleast_2d(sums)
     return BatchPolicyState(
         K=counts.shape[1], n=len(counts), counts=counts.astype(np.int64), sums=sums.astype(float),
-        committed=np.full(len(counts), -1),
     )
 
 
