@@ -54,9 +54,17 @@ class BootstrapSpec:
 
 
 def build_world(summary: ArmSummary, log: BanditLog, spec: BootstrapSpec) -> World:
-    """Per-arm unlimited i.i.d. reward source for bootstrap replays of a log or a stack."""
+    """Per-arm unlimited i.i.d. reward source for bootstrap replays of a log or a stack.
+
+    Raises ZeroCountArm for an arm some log never pulled, and OverflowError
+    for an arm whose rewards' squared deviations overflow: neither the mb
+    world nor any bootstrap standard error is finite then.
+    """
     for arm in summary.zero_count_arms:
         raise ZeroCountArm(arm)
+    overflow = np.argwhere(~np.isfinite(summary.variances))
+    if overflow.size:
+        raise OverflowError(f"arm {overflow[0][-1] + 1} has a non-finite MLE variance; its rewards are too large")
     if spec.kind == MULTIPLIER_GAUSSIAN:
         # One Gaussian per (log, arm), in the summary's shape.
         return LawWorld(np.frompyfunc(Gaussian, 2, 1)(summary.means, summary.variances))

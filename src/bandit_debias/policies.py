@@ -14,17 +14,19 @@ working set.  TS with K != 2 uses an exact quadrature (``_ts_quadrature``).
 Conventions fixed here (ties have positive probability for Bernoulli
 rewards, so they must be pinned down):
 
-* every row argmax (ETC commit, UCB, TS, EG greedy) is ``_argmax_rows``,
-  one comparison pass per arm column with ties toward the lowest arm index,
-  so it equals ``np.argmax(x, axis=1)`` on NaN-free scores;
+* every row argmax (ETC, UCB, TS, EG greedy) is ``_argmax_rows``, one
+  comparison pass per arm column with ties toward the lowest arm index, so
+  it equals ``np.argmax(x, axis=1)`` on NaN-free scores;
 * UCB treats an unpulled arm's bonus as +inf, forcing one pull of each arm
   in the first K rounds, lowest index first;
+* ETC scores an arm with exactly m pulls by its mean and every other arm
+  +inf: the lowest arm short of m pulls explores, the best mean commits
+  once every arm has m, and the committed arm is then the only one above m;
 * EG's empirical mean of an unpulled arm is 0;
 * TS uses a Gaussian prior/likelihood for all reward families.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -122,16 +124,17 @@ def spec_from_dict(d: dict) -> PolicySpec:
 
 @dataclass
 class BatchPolicyState:
-    """State of ``n`` policy runs advanced in lockstep.
+    """State of ``n`` policy runs.
 
-    Round index ``t`` is 1-based; sum(counts[i]) == t - 1 at the start of
-    round t for every run i.  The rows of a ``prefix_state`` sit at
-    different rounds; each row's round is sum(counts[i]) + 1.
+    ``t`` is each row's 1-based round, sum(counts[i]) + 1: an int for rows
+    advanced in lockstep, an (n, 1) column for the rows of a
+    ``prefix_state``, which sit at different rounds.  Either broadcasts
+    against the (n, K) counts.
     """
 
     K: int
     n: int
-    t: int = 1
+    t: Union[int, np.ndarray] = 1
     counts: np.ndarray = field(default=None)  # (n, K) int64, C-contiguous
     sums: np.ndarray = field(default=None)    # (n, K), C-contiguous
 
@@ -155,19 +158,13 @@ class BatchPolicyState:
 
 def select_batch(spec: PolicySpec, state: BatchPolicyState, rng: np.random.Generator) -> np.ndarray:
     """Arm choices (n,) for the current round; reads ``state`` only, draws from rng in a fixed order."""
-    n, K, t = state.n, state.K, state.t
+    n, K = state.n, state.K
     if isinstance(spec, EtcSpec):
-        horizon_explore = spec.m * K
-        if t <= horizon_explore:
-            return np.full(n, (t - 1) // spec.m, dtype=np.int64)
-        if t == horizon_explore + 1:
-            return _argmax_rows(state.means())
-        # The committed arm is the only one pulled more than m times.
-        return _argmax_rows(state.counts)
+        return _argmax_rows(np.where(state.counts == spec.m, state.means(), np.inf))
     if isinstance(spec, UcbSpec):
         unpulled = state.counts == 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            bonus = np.sqrt(math.log(t) / state.counts)
+            bonus = np.sqrt(np.log(state.t) / state.counts)
         scores = np.where(unpulled, np.inf, state.means() + bonus)
         return _argmax_rows(scores)
     if isinstance(spec, TsSpec):
@@ -239,6 +236,7 @@ def prefix_state(actions: np.ndarray, rewards: np.ndarray, K: int) -> BatchPolic
     return BatchPolicyState(
         K=K,
         n=n * T,
+        t=np.tile(np.arange(1, T + 1), n)[:, None],
         counts=strict_past(onehot.astype(np.int64)),
         sums=strict_past(r),
     )
@@ -252,7 +250,7 @@ def propensity(spec: PolicySpec, actions: np.ndarray, rewards: np.ndarray, K: in
     out = np.empty((state.n, K))
     for lo in range(0, state.n, _PROPENSITY_ROWS):
         hi = min(lo + _PROPENSITY_ROWS, state.n)
-        rows = BatchPolicyState(K=K, n=hi - lo, counts=state.counts[lo:hi], sums=state.sums[lo:hi])
+        rows = BatchPolicyState(K=K, n=hi - lo, t=state.t[lo:hi], counts=state.counts[lo:hi], sums=state.sums[lo:hi])
         out[lo:hi] = propensity_batch(spec, rows)
     return out.reshape(actions.shape + (K,))
 

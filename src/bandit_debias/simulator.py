@@ -72,8 +72,7 @@ class BanditLog:
             raise ValueError("action/reward sequences must have length T")
         if self.T and (self.actions.min() < 0 or self.actions.max() >= self.K):
             raise ValueError("actions out of range")
-        if self.world not in ("real", "bootstrap"):
-            raise ValueError(f"unknown world tag {self.world!r}")
+        _world_tag(self.world)
 
     def truncated(self, horizon: int) -> "BanditLog":
         if not 0 < horizon <= self.T:
@@ -87,6 +86,12 @@ class BanditLog:
             seed=self.seed,
             world=self.world,
         )
+
+
+def _world_tag(tag) -> str:
+    if tag not in ("real", "bootstrap"):
+        raise ValueError(f"unknown world tag {tag!r}")
+    return tag
 
 
 @dataclass
@@ -316,26 +321,10 @@ def validate_config(K: int, T: int, policy: PolicySpec, world) -> None:
         raise ValueError(f"ETC needs m*K <= T, got m={policy.m}, K={K}, T={T}")
 
 
-def run_experiment(
-    K: int,
-    T: int,
-    policy: PolicySpec,
-    arms: Sequence[dist.RewardDistribution],
-    seed: int,
-    world: str = "real",
-) -> BanditLog:
+def run_experiment(K: int, T: int, policy: PolicySpec, arms: Sequence[dist.RewardDistribution], seed: int) -> BanditLog:
     """One experiment, deterministic given the seed."""
-    rng = substream(seed)
-    out = run_batch(1, K, T, policy, arms, rng, record_logs=True)
-    return BanditLog(
-        K=K,
-        T=T,
-        actions=out.actions[0],
-        rewards=out.rewards[0],
-        policy=policy,
-        seed=int(seed),
-        world=world,
-    )
+    out = run_batch(1, K, T, policy, arms, substream(seed), record_logs=True)
+    return BanditLog(K=K, T=T, actions=out.actions[0], rewards=out.rewards[0], policy=policy, seed=int(seed))
 
 
 def _log_cells(actions: np.ndarray, K: int) -> np.ndarray:
@@ -353,8 +342,10 @@ def summarize(log: BanditLog) -> ArmSummary:
     counts = np.bincount(cells, minlength=size)
     sums = np.bincount(cells, weights=rewards, minlength=size)
     means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    # Centred squares: E[x^2] - mean^2 cancels catastrophically at a large offset.
-    squares = np.bincount(cells, weights=(rewards - means[cells]) ** 2, minlength=size)
+    # Centred squares: E[x^2] - mean^2 cancels catastrophically at a large
+    # offset.  Squares of finite rewards may overflow: their variance is inf.
+    with np.errstate(over="ignore"):
+        squares = np.bincount(cells, weights=(rewards - means[cells]) ** 2, minlength=size)
     variances = np.where(counts > 0, squares / np.maximum(counts, 1), np.nan)
     return ArmSummary(counts=counts.reshape(shape), means=means.reshape(shape), variances=variances.reshape(shape))
 
@@ -411,28 +402,25 @@ class PolicyMismatch(Exception):
 
 
 def check_policy(log: BanditLog) -> None:
-    """Raise PolicyMismatch at the first round of an ETC log that ETC would have played differently.
+    """Raise PolicyMismatch at the first round whose logged arm the log's policy would not have played.
 
-    ETC explores arm t // m at round t < mK, then commits to the argmax of
-    the exploration means, which are summed round by round as the policy
-    sums them, with the policy's tie rule.
+    ETC, UCB and EG with epsilon = 0 draw nothing that decides their choice,
+    so ``select_batch`` on the log's prefix states (summed as the policy sums
+    them) must give back every logged arm.  TS and EG with epsilon > 0 give
+    every arm positive probability, so they can produce any arm sequence.
     """
-    if not isinstance(log.policy, policies.EtcSpec):
+    policy, K, T = log.policy, log.K, log.T
+    if isinstance(policy, policies.EtcSpec) and policy.m * K > T:
+        raise PolicyMismatch(f"ETC with m={policy.m} explores for {policy.m * K} rounds, longer than the log's {T}")
+    if isinstance(policy, policies.TsSpec) or (isinstance(policy, policies.EgSpec) and policy.epsilon > 0):
         return
-    m, K, T = log.policy.m, log.K, log.T
-    if m * K > T:
-        raise PolicyMismatch(f"ETC with m={m} explores for {m * K} rounds, longer than the log's {T}")
-    expected = np.repeat(np.arange(K), m)
-    if T > m * K:
-        sums = np.cumsum(log.rewards[: m * K].reshape(K, m), axis=1)[:, -1]
-        committed = policies._argmax_rows((sums / m)[None])[0]
-        expected = np.concatenate([expected, np.full(T - m * K, committed)])
+    state = policies.prefix_state(log.actions[None], log.rewards[None], K)
+    expected = policies.select_batch(policy, state, substream(0))  # EG's coin never fires at epsilon = 0
     bad = np.flatnonzero(log.actions != expected)
     if bad.size:
         t = bad[0]
-        phase = "explores" if t < m * K else "commits to"
         raise PolicyMismatch(
-            f"round {t + 1}: ETC with m={m} {phase} arm {expected[t] + 1}, the log has arm {log.actions[t] + 1}"
+            f"round {t + 1}: {policy!r} plays arm {expected[t] + 1}, the log has arm {log.actions[t] + 1}"
         )
 
 
@@ -455,6 +443,13 @@ def _sidecar_field(meta: dict, name: str, parse):
         raise CorruptLog(f"invalid sidecar {name!r} field: {exc}") from None
 
 
+def _positive_int(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"must be >= 1, got {n}")
+    return n
+
+
 def load_log(csv_path: str, meta_path: str) -> BanditLog:
     with open(meta_path) as f:  # a missing sidecar stays an OSError
         try:
@@ -463,8 +458,9 @@ def load_log(csv_path: str, meta_path: str) -> BanditLog:
             raise CorruptLog(f"sidecar is not valid JSON: {exc}") from None
     if not isinstance(meta, dict):
         raise CorruptLog("sidecar must hold a JSON object")
-    K, T = _sidecar_field(meta, "K", int), _sidecar_field(meta, "T", int)
+    K, T = _sidecar_field(meta, "K", _positive_int), _sidecar_field(meta, "T", _positive_int)
     policy = _sidecar_field(meta, "policy", policies.spec_from_dict)
+    world = _sidecar_field(meta, "world", _world_tag) if "world" in meta else "real"
     with open(csv_path, newline="") as f:
         reader = csv.DictReader(f)
         rows = list(reader)
@@ -495,7 +491,7 @@ def load_log(csv_path: str, meta_path: str) -> BanditLog:
         rewards=rewards,
         policy=policy,
         seed=meta.get("seed"),
-        world=meta.get("world", "real"),
+        world=world,
     )
     check_policy(log)
     return log

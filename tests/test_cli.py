@@ -251,25 +251,51 @@ def test_debias_nan_reward_is_exit_2(tmp_path, gauss_arms):
     assert _corrupt_log(tmp_path, gauss_arms, nan_reward) == 2
 
 
+def test_overflowing_rewards_are_a_data_error(tmp_path, capsys):
+    # Finite rewards of +-1e200: the squared deviations, so the MLE variance, overflow.
+    log = tmp_path / "big.csv"
+    log.write_text("t,arm,reward\n" + "".join(f"{t},{(t - 1) % 2 + 1},{(-1) ** (t // 2) * 1e200!r}\n"
+                                             for t in range(1, 41)))
+    meta = tmp_path / "big.csv.meta.json"
+    meta.write_text(json.dumps({"K": 2, "T": 40, "policy": {"name": "eg", "epsilon": 0.2}}))
+    for kind in ("mb", "efron"):
+        rc = dispatch(["debias", "--log", str(log), "--meta", str(meta), "--bootstrap", kind, "--B", "10",
+                       "--seed", "2", "--out", str(tmp_path / "r.json")])
+        assert rc == 2, kind
+        assert capsys.readouterr().err.startswith("OverflowError: arm 1 has a non-finite MLE variance")
+    assert not (tmp_path / "r.json").exists()
+    # evaluate needs no variance: exit 0 and no overflow warning.
+    assert dispatch(["evaluate", "--log", str(log), "--meta", str(meta), "--out", str(tmp_path / "e.json")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def _relabel_first_rounds(lines):
     for i in range(1, 11):  # swap arms 1 and 2 in rounds 1..10
         t, arm, reward = lines[i].split(",")
         lines[i] = f"{t},{3 - int(arm)},{reward}"
 
 
-def _switch_committed_arm(lines):
-    t, arm, reward = lines[60].split(",")
-    lines[60] = f"{t},{3 - int(arm)},{reward}"
+def _flip_round(t):
+    def edit(lines):
+        round_, arm, reward = lines[t].split(",")
+        lines[t] = f"{round_},{3 - int(arm)},{reward}"
+    return edit
 
 
-@pytest.mark.parametrize("edit, round_", [(_relabel_first_rounds, 1), (_switch_committed_arm, 60)],
-                         ids=["wrong_schedule", "committed_block_switches"])
-def test_etc_log_etc_could_not_produce_is_exit_2(tmp_path, gauss_arms, capsys, edit, round_):
-    assert _corrupt_log(tmp_path, gauss_arms, edit, policy="etc", extra=("--m", "5")) == 2
+@pytest.mark.parametrize("edit, round_, policy, extra", [
+    (_relabel_first_rounds, 1, "etc", ("--m", "5")),
+    (_flip_round(60), 60, "etc", ("--m", "5")),
+    (_flip_round(10), 10, "ucb", ()),
+    (_flip_round(30), 30, "eg", ("--epsilon", "0")),
+], ids=["wrong_schedule", "committed_block_switches", "ucb_round_flipped", "eg0_leaves_greedy_arm"])
+def test_etc_log_etc_could_not_produce_is_exit_2(tmp_path, gauss_arms, capsys, edit, round_, policy, extra):
+    # ETC, UCB and EG with epsilon = 0 choose without drawing: any other arm is impossible.
+    assert _corrupt_log(tmp_path, gauss_arms, edit, policy=policy, extra=extra) == 2
     assert f"PolicyMismatch: round {round_}:" in capsys.readouterr().err
     log = str(tmp_path / "log.csv")
     rc = dispatch(["evaluate", "--log", log, "--meta", log + ".meta.json", "--out", str(tmp_path / "e.json")])
     assert rc == 2
+    assert f"PolicyMismatch: round {round_}:" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "e.json").exists()
 
 
@@ -331,7 +357,10 @@ def _without(key):
     (lambda meta: json.dumps(meta)[:-10], "JSON"),
     (lambda meta: json.dumps({**meta, "policy": {**meta["policy"], "prior_variance": -1}}), "'policy'"),
     (lambda meta: json.dumps({**meta, "policy": {"name": "etc"}}), "'policy' field: no 'm' key"),
-], ids=["no_policy", "K_two", "truncated_json", "negative_prior_variance", "etc_without_m"])
+    (lambda meta: json.dumps({**meta, "world": "foo"}), "'world' field: unknown world tag 'foo'"),
+    (lambda meta: json.dumps({**meta, "K": 0}), "'K' field: must be >= 1"),
+    (lambda meta: json.dumps({**meta, "T": 0}), "'T' field: must be >= 1"),
+], ids=["no_policy", "K_two", "truncated_json", "negative_prior_variance", "etc_without_m", "world_foo", "K_0", "T_0"])
 def test_debias_bad_sidecar_is_exit_2(tmp_path, gauss_arms, capsys, edit, field):
     log = _simulate(tmp_path, gauss_arms, policy="ts")
     meta = tmp_path / "log.csv.meta.json"

@@ -287,6 +287,8 @@ def test_prefix_state_propensities_match_step_by_step(spec, logs):
     # alone.  Only the sign of a zero sum can differ (a first reward of -0.0),
     # which array_equal ignores and no propensity depends on.
     K, actions, rewards = logs
+    state = policies.prefix_state(actions, rewards, K)
+    assert np.array_equal(state.t, state.counts.sum(axis=1, keepdims=True) + 1)  # each row's own round
     ref_props, ref_means = step_by_step(spec, actions, rewards, K)
     assert np.array_equal(propensity(spec, actions, rewards, K), ref_props)
     for i in range(len(actions)):

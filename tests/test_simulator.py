@@ -315,21 +315,22 @@ def _reload(log, tmp_path):
 
 
 def test_seeded_etc_logs_pass_the_policy_check():
-    # Exploration means tie often on these laws, so the check must apply
-    # ETC's tie rule to the means the policy summed, in the policy's order:
-    # with 0.1-steps and m=10 the two arms' sums can differ in the last bit.
+    # Means tie often on these laws, so the check must apply each policy's
+    # tie rule to the means the policy summed, in the policy's order: with
+    # 0.1-steps and m=10 the two arms' sums can differ in the last bit.
     tenths = FiniteDiscrete((0.1, 0.2, 0.7), (0.4, 0.4, 0.2))
     cases = (([Bernoulli(0.5)] * 2, 2, 3), ([Bernoulli(0.4), Bernoulli(0.5), Gaussian(0.5, 1)], 3, 2),
              ([tenths] * 2, 2, 10))
     for seed in range(100):
         for arms, K, m in cases:
-            check_policy(run_experiment(K, m * K + 5, EtcSpec(m), arms, seed=seed))
+            for spec in (EtcSpec(m), UcbSpec(), EgSpec(0.0)):
+                check_policy(run_experiment(K, m * K + 5, spec, arms, seed=seed))
 
 
 def test_etc_log_with_a_wrong_schedule_is_rejected(tmp_path):
     log = run_experiment(2, 40, EtcSpec(5), [Gaussian(1, 1), Gaussian(1.5, 1)], seed=3)
     log.actions[:10] = 1 - log.actions[:10]  # arm 2 explored first
-    with pytest.raises(PolicyMismatch, match="round 1: ETC with m=5 explores arm 1"):
+    with pytest.raises(PolicyMismatch, match=r"round 1: EtcSpec\(m=5\) plays arm 1, the log has arm 2"):
         _reload(log, tmp_path)
 
 
@@ -337,7 +338,7 @@ def test_etc_log_whose_committed_block_switches_arms_is_rejected(tmp_path):
     log = run_experiment(2, 40, EtcSpec(5), [Gaussian(1, 1), Gaussian(1.5, 1)], seed=3)
     committed = log.actions[10]
     log.actions[25] = 1 - committed
-    with pytest.raises(PolicyMismatch, match=f"round 26: ETC with m=5 commits to arm {committed + 1}"):
+    with pytest.raises(PolicyMismatch, match=rf"round 26: EtcSpec\(m=5\) plays arm {committed + 1}, the log has arm"):
         _reload(log, tmp_path)
 
 
