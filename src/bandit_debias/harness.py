@@ -84,21 +84,26 @@ class ExperimentPlan:
             if unknown:
                 raise ValueError(f"cell {c.get('name')!r}: unknown key(s) {sorted(unknown)}")
             boot = c.get("bootstrap", {"kind": "mb", "B": 1000})
+            name = str(c["name"])
+
+            def integer(value, field: str) -> int:
+                return policies.json_int(value, f"cell {name!r}: {field}")
+
             cells.append(
                 Cell(
-                    name=str(c["name"]),
+                    name=name,
                     policy=policies.spec_from_dict(c["policy"]),
                     arms=tuple(dist.from_dict(a) for a in c["arms"]),
-                    K=int(c["K"]),
-                    T=int(c["T"]),
-                    replications=int(c["replications"]),
-                    bootstrap=BootstrapSpec(boot["kind"], int(boot["B"])),
+                    K=integer(c["K"], "K"),
+                    T=integer(c["T"], "T"),
+                    replications=integer(c["replications"], "replications"),
+                    bootstrap=BootstrapSpec(boot["kind"], integer(boot["B"], "B")),
                     estimators=tuple(c.get("estimators", ["mean"])),
-                    horizon_grid=tuple(int(h) for h in c.get("horizon_grid", [])),
-                    mse_B=None if c.get("mse_B") is None else int(c["mse_B"]),
+                    horizon_grid=tuple(integer(h, "horizon_grid") for h in c.get("horizon_grid", [])),
+                    mse_B=None if c.get("mse_B") is None else integer(c["mse_B"], "mse_B"),
                 )
             )
-        return ExperimentPlan(master_seed=int(d["master_seed"]), cells=tuple(cells))
+        return ExperimentPlan(master_seed=policies.json_int(d["master_seed"], "master_seed"), cells=tuple(cells))
 
 
 @dataclass

@@ -23,10 +23,17 @@ rewards, so they must be pinned down):
   +inf: the lowest arm short of m pulls explores, the best mean commits
   once every arm has m, and the committed arm is then the only one above m;
 * EG's empirical mean of an unpulled arm is 0;
-* TS uses a Gaussian prior/likelihood for all reward families.
+* EG draws one uniform u per row: u < epsilon explores and plays arm
+  floor(u / epsilon * K) (at most K - 1), otherwise the greedy arm plays;
+* TS uses a Gaussian prior/likelihood for all reward families;
+* TS with K = 2 draws one normal z per row and plays arm index 1 iff
+  pm1 - pm0 > sqrt(pv0 + pv1) * z, the event of the two-draw argmax whose
+  probability ``propensity_batch`` gives by ``ndtr``; other K draw K
+  normals and take their ``_argmax_rows``.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -105,10 +112,23 @@ PolicySpec = Union[EtcSpec, UcbSpec, TsSpec, EgSpec]
 _DETERMINISTIC = (EtcSpec, UcbSpec)  # no internal randomization, so no propensities
 
 
+def json_int(value, name: str) -> int:
+    """An integer field of a JSON document: an int, or a float with an integral value.
+
+    ``int()`` would truncate 2.7 to 2 and read ``true`` as 1; a bool, a
+    non-integral number or a non-number is a ValueError naming the field.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def spec_from_dict(d: dict) -> PolicySpec:
     name = d.get("name")
     if name == "etc":
-        return EtcSpec(int(d["m"]))
+        return EtcSpec(json_int(d["m"], "m"))
     if name == "ucb":
         return UcbSpec()
     if name == "ts":
@@ -169,13 +189,20 @@ def select_batch(spec: PolicySpec, state: BatchPolicyState, rng: np.random.Gener
         return _argmax_rows(scores)
     if isinstance(spec, TsSpec):
         pm, pv = _ts_posterior(spec, state)
-        draws = pm + np.sqrt(pv) * rng.standard_normal((n, K))
-        return _argmax_rows(draws)
+        if K == 2:
+            # The two-draw argmax plays arm 1 with probability
+            # ndtr((pm1 - pm0) / sqrt(pv0 + pv1)): one normal decides it.
+            gap = pm[:, 1] - pm[:, 0]
+            return (gap > np.sqrt(pv[:, 0] + pv[:, 1]) * rng.standard_normal(n)).astype(np.int64)
+        return _argmax_rows(pm + np.sqrt(pv) * rng.standard_normal((n, K)))
     if isinstance(spec, EgSpec):
-        greedy = _argmax_rows(state.means())
-        coin = rng.random(n)
-        uniform_arm = rng.integers(0, K, size=n)
-        return np.where(coin < spec.epsilon, uniform_arm, greedy)
+        arms = _argmax_rows(state.means())
+        u = rng.random(n)
+        explore = u < spec.epsilon
+        # Given u < epsilon, u / epsilon is uniform on [0, 1); a product that
+        # rounds up to K is clipped.
+        arms[explore] = np.minimum((u[explore] / spec.epsilon * K).astype(np.int64), K - 1)
+        return arms
     raise TypeError(f"unknown policy spec {spec!r}")
 
 

@@ -415,7 +415,7 @@ def check_policy(log: BanditLog) -> None:
     if isinstance(policy, policies.TsSpec) or (isinstance(policy, policies.EgSpec) and policy.epsilon > 0):
         return
     state = policies.prefix_state(log.actions[None], log.rewards[None], K)
-    expected = policies.select_batch(policy, state, substream(0))  # EG's coin never fires at epsilon = 0
+    expected = policies.select_batch(policy, state, substream(0))  # EG never explores at epsilon = 0
     bad = np.flatnonzero(log.actions != expected)
     if bad.size:
         t = bad[0]
@@ -443,8 +443,8 @@ def _sidecar_field(meta: dict, name: str, parse):
         raise CorruptLog(f"invalid sidecar {name!r} field: {exc}") from None
 
 
-def _positive_int(value) -> int:
-    n = int(value)
+def _positive_int(value, name: str) -> int:
+    n = policies.json_int(value, name)
     if n < 1:
         raise ValueError(f"must be >= 1, got {n}")
     return n
@@ -458,7 +458,8 @@ def load_log(csv_path: str, meta_path: str) -> BanditLog:
             raise CorruptLog(f"sidecar is not valid JSON: {exc}") from None
     if not isinstance(meta, dict):
         raise CorruptLog("sidecar must hold a JSON object")
-    K, T = _sidecar_field(meta, "K", _positive_int), _sidecar_field(meta, "T", _positive_int)
+    K = _sidecar_field(meta, "K", lambda value: _positive_int(value, "K"))
+    T = _sidecar_field(meta, "T", lambda value: _positive_int(value, "T"))
     policy = _sidecar_field(meta, "policy", policies.spec_from_dict)
     world = _sidecar_field(meta, "world", _world_tag) if "world" in meta else "real"
     with open(csv_path, newline="") as f:

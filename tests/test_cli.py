@@ -215,6 +215,26 @@ def test_plan_rejects_bad_cells(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"K": 2.7}, "cell 'cell': K must be an integer, got 2.7"),
+    ({"T": 40.5}, "cell 'cell': T must be an integer, got 40.5"),
+    ({"replications": True}, "cell 'cell': replications must be an integer, got True"),
+    ({"bootstrap": {"kind": "mb", "B": 5.5}}, "cell 'cell': B must be an integer, got 5.5"),
+    ({"mse_B": 10.5}, "cell 'cell': mse_B must be an integer, got 10.5"),
+    ({"horizon_grid": [20.5, 40]}, "cell 'cell': horizon_grid must be an integer, got 20.5"),
+    ({"policy": {"name": "etc", "m": 2.5}}, "m must be an integer, got 2.5"),
+], ids=["K", "T", "replications", "B", "mse_B", "horizon_grid", "m"])
+def test_plan_non_integer_field_is_usage_error(tmp_path, capsys, edit, message):
+    # int() would truncate each of these and run the plan.
+    cell = json.loads(Path(_plan_file(tmp_path)).read_text())["cells"][0]
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"cells": [{**cell, **edit}]}))
+    rc = dispatch(["plan", "--plan", str(plan_path), "--seed", "1", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_plan_nan_arm_mean_is_usage_error(tmp_path, capsys):
     # A NaN arm mean in the second cell stops the plan before the first cell runs.
     ok = {"name": "ok", "policy": {"name": "ucb"}, "K": 2, "T": 20, "replications": 2,
@@ -360,7 +380,12 @@ def _without(key):
     (lambda meta: json.dumps({**meta, "world": "foo"}), "'world' field: unknown world tag 'foo'"),
     (lambda meta: json.dumps({**meta, "K": 0}), "'K' field: must be >= 1"),
     (lambda meta: json.dumps({**meta, "T": 0}), "'T' field: must be >= 1"),
-], ids=["no_policy", "K_two", "truncated_json", "negative_prior_variance", "etc_without_m", "world_foo", "K_0", "T_0"])
+    # int() would truncate these to K = 2, T = 1 and m = 2.
+    (lambda meta: json.dumps({**meta, "K": 2.7}), "'K' field: K must be an integer, got 2.7"),
+    (lambda meta: json.dumps({**meta, "T": True}), "'T' field: T must be an integer, got True"),
+    (lambda meta: json.dumps({**meta, "policy": {"name": "etc", "m": 2.5}}), "'policy' field: m must be an integer"),
+], ids=["no_policy", "K_two", "truncated_json", "negative_prior_variance", "etc_without_m", "world_foo", "K_0", "T_0",
+        "K_2.7", "T_true", "m_2.5"])
 def test_debias_bad_sidecar_is_exit_2(tmp_path, gauss_arms, capsys, edit, field):
     log = _simulate(tmp_path, gauss_arms, policy="ts")
     meta = tmp_path / "log.csv.meta.json"

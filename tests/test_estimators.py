@@ -129,7 +129,10 @@ def test_propensity_trace_rows_sum_to_one():
 
 
 def test_evaluate_with_randomized_policy():
-    log = run_experiment(2, 40, EgSpec(0.1), [Bernoulli(0.3), Bernoulli(0.6)], seed=4)
+    # A hand-made EG log with Bernoulli rewards that pulls both arms.
+    actions = np.array([0, 1, 1, 0, 1, 1, 1, 0] * 5)
+    rewards = np.array([1, 0, 1, 0, 1, 1, 0, 0] * 5, dtype=float)
+    log = BanditLog(K=2, T=40, actions=actions, rewards=rewards, policy=EgSpec(0.1))
     out = evaluate(log)
     assert out["propensities_defined"] is True
     assert len(out["ipw"]) == 2 and len(out["aipw"]) == 2

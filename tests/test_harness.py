@@ -47,6 +47,11 @@ def test_plan_from_dict_round_trip():
     assert cell.bootstrap == BootstrapSpec("efron", 20)
     assert cell.horizon_grid == (25, 50)
     assert cell.mse_B == 10
+    # Integral floats read as integers; a fractional or boolean master seed is refused.
+    assert ExperimentPlan.from_dict({**d, "master_seed": 9.0}) == plan
+    for seed in (9.5, True):
+        with pytest.raises(ValueError, match="master_seed must be an integer"):
+            ExperimentPlan.from_dict({**d, "master_seed": seed})
 
 
 def test_cell_validation():
@@ -290,12 +295,12 @@ def test_division_hazard_outranks_zero_count_arm(monkeypatch):
     assert np.isnan(res.estimates["ipw"][30]).all() and np.isnan(res.corrected).all()
 
 GOLDEN_PLAN_SHA256 = {
-    "eg/summary.json": "01826eaef5a43eace2595bfa3df29ed166ef4f7f0de526f833c794e421213a9f",
-    "eg/replications.csv": "93c2dffa0b194668cf526b4695de570ebea8294858dfdf4e0bb8f1ebac0333e7",
-    "eg/mse.csv": "6a8a04d78cd767a1a64bd152b77a4f73169a10f228a07c2fe86db74ba1e67b38",
-    "etc/summary.json": "720b70d6edb2435175bc601e135f03cbc95a6493bb86b75f2a77c715cb6f86aa",
-    "etc/replications.csv": "0a9b3ed5f04de91732db489cd063db7b8a6c199b8fa8f6e42b861384fe49ae33",
-    "etc/mse.csv": "18ee6797e79d922984faf8785cd4241fae232a3110eaacc153d8dc812b97e3b5",
+    "eg/summary.json": "aa48d23ad31cf5e4e841f8223c7fcf0d8eaf629d9aed53fef8dbd99545ff2fb3",
+    "eg/replications.csv": "988a863e24758b8463a2138ce1320f221583aa726fd31602bfdd7c05497eec90",
+    "eg/mse.csv": "2e69953a93305dd663decce9d0bfae7ca44f260179911117fda4accf126f07bb",
+    "etc/summary.json": "dbc4b9ca0a7808daa7a63ea3f55fdb2aaaeefafecd97e552a6fb99727138441e",
+    "etc/replications.csv": "42e3acffc6ddef83a4ac360496afda7b3600d06ba1ef6af0b2e4e7a7756d12fc",
+    "etc/mse.csv": "a9acde42604d34cc8ef8a9cd9773033fe14165949f8e74cb7d3233184a725968",
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,51 @@ def _state(counts, sums):
     return BatchPolicyState(
         K=counts.shape[1], n=len(counts), counts=counts.astype(np.int64), sums=sums.astype(float),
     )
+
+
+def _check_group_frequencies(spec, groups, n, seed):
+    """One selection over n copies of each row of ``groups``: every arm's
+    frequency in each row group within 4 binomial SEs of propensity_batch."""
+    batch = _state(np.repeat(groups.counts, n, axis=0), np.repeat(groups.sums, n, axis=0))
+    chosen = select_batch(spec, batch, substream(seed)).reshape(groups.n, n)
+    for g, probs in enumerate(propensity_batch(spec, groups)):
+        for k, p in enumerate(probs):
+            se = math.sqrt(p * (1 - p) / n)
+            assert abs(np.mean(chosen[g] == k) - p) <= 4 * se, (g, k, np.mean(chosen[g] == k), p)
+
+
+def test_ts_two_arm_selection_law_on_mixed_rows():
+    # Distinct posteriors in one batch, each row's one-normal choice checked
+    # against its own closed form: a tie, small and large counts, a starved
+    # arm 2 (posterior sd 1 against 0.03), and a gap of 16 posterior sds.
+    groups = _state(
+        [[0, 0], [3, 1], [50, 50], [200, 5], [998, 0], [500, 500]],
+        [[0.0, 0.0], [2.4, 0.6], [30.0, 28.0], [120.0, 4.0], [499.0, 0.0], [500.0, 0.0]],
+    )
+    _check_group_frequencies(TsSpec(), groups, 20_000, seed=71)
+    _check_group_frequencies(TsSpec(0.5, 2.0, 0.5), groups, 20_000, seed=72)
+
+
+def test_ts_three_arm_selection_law():
+    # K != 2 keeps one normal per arm and the row argmax.
+    groups = _state([[0, 0, 0], [5, 2, 1], [998, 1, 1]], [[0.0, 0.0, 0.0], [3.0, 1.0, 0.2], [998.0, 0.8, 1.2]])
+    _check_group_frequencies(TsSpec(), groups, 20_000, seed=73)
+
+
+@pytest.mark.parametrize("epsilon", [0.05, 1.0])
+def test_eg_three_arm_selection_law(epsilon):
+    # One uniform per row: u < epsilon explores, and u / epsilon scaled to K
+    # arms must reach every arm, greedy or not.
+    groups = _state([[0, 0, 0], [2, 1, 1], [1, 3, 2]], [[0.0, 0.0, 0.0], [1.0, 0.9, 2.0], [0.5, 3.0, 1.0]])
+    _check_group_frequencies(EgSpec(epsilon), groups, 20_000, seed=74)
+
+
+def test_eg_without_exploration_plays_greedy_silently():
+    state = _state([[0, 0, 0], [2, 1, 1], [1, 3, 2], [4, 4, 4]], [[0.0] * 3, [1.0, 0.9, 2.0], [0.5, 3.0, 1.0], [2.0] * 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chosen = select_batch(EgSpec(0.0), state, substream(75))
+    assert chosen.tolist() == [0, 2, 1, 0]
 
 
 def _quad_propensity(pm, sd):
