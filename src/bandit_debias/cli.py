@@ -51,9 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True, choices=["etc", "ucb", "ts", "eg"])
     p.add_argument("--m", type=int, help="ETC exploration pulls per arm")
     p.add_argument("--epsilon", type=float, help="epsilon-greedy exploration rate")
-    p.add_argument("--prior-mean", type=float, default=0.0)
-    p.add_argument("--prior-variance", type=float, default=1.0)
-    p.add_argument("--likelihood-variance", type=float, default=1.0)
+    p.add_argument("--prior-mean", type=float)
+    p.add_argument("--prior-variance", type=float)
+    p.add_argument("--likelihood-variance", type=float)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--T", type=int, required=True)
     p.add_argument("--arms", required=True, help="JSON file: list of reward distributions")
@@ -91,25 +91,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _policy_from_args(args) -> policies.PolicySpec:
-    if args.policy == "etc":
-        if args.m is None:
-            raise ValueError("--m is required for the etc policy")
-        return policies.EtcSpec(args.m)
-    if args.policy == "ucb":
-        return policies.UcbSpec()
-    if args.policy == "ts":
-        return policies.TsSpec(args.prior_mean, args.prior_variance, args.likelihood_variance)
-    if args.epsilon is None:
-        raise ValueError("--epsilon is required for the eg policy")
-    return policies.EgSpec(args.epsilon)
+    """The --policy spec from the policy flags given, read as a policy record."""
+    flags = ("m", "epsilon", "prior_mean", "prior_variance", "likelihood_variance")
+    record = {"name": args.policy, **{f: getattr(args, f) for f in flags if getattr(args, f) is not None}}
+    return policies.read_field("policy", policies.spec_from_dict, record)
 
 
-def _load_arms(path: str) -> list:
+def _load_arms(path: str) -> tuple:
     with open(path) as f:
-        spec = json.load(f)
-    if not isinstance(spec, list):
-        raise ValueError("arms file must hold a JSON list of distributions")
-    return [dist.from_dict(a) for a in spec]
+        return policies.read_field("arms", policies.json_list(dist.from_dict), json.load(f))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -147,6 +137,8 @@ def _cmd_theory(args) -> int:
     if (args.m is None) != (args.T is None):
         raise ValueError("--m and --T go together: give both or neither")
     arms = _load_arms(args.arms)
+    if not 1 <= len(arms) <= 2:
+        raise ValueError(f"theory takes one or two reward laws, the arms file has {len(arms)}")
     mu2 = args.mu2 if args.mu2 is not None else (arms[1].mean() if len(arms) > 1 else None)
     if mu2 is None:
         raise ValueError("--mu2 is required when the arms file has a single distribution")
@@ -164,9 +156,7 @@ def _cmd_theory(args) -> int:
 def _cmd_plan(args) -> int:
     workers = _workers(args)
     with open(args.plan) as f:
-        raw = json.load(f)
-    raw["master_seed"] = args.seed
-    plan = ExperimentPlan.from_dict(raw)
+        plan = policies.read_field("plan", lambda d: ExperimentPlan.from_dict(d, args.seed), json.load(f))
     run_plan(plan, workers=workers, out_dir=args.out_dir)
     return 0
 
@@ -188,7 +178,7 @@ def dispatch(argv=None) -> int:
         return 1 if e.code else 0
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except _DATA_ERRORS as e:

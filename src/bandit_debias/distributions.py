@@ -11,11 +11,13 @@ single-owner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import logsumexp
+
+from .policies import json_float, json_list, json_optional, json_str, json_tag, read_record
 
 
 def _finite(what: str, *values) -> None:
@@ -25,8 +27,17 @@ def _finite(what: str, *values) -> None:
             raise ValueError(f"{what} must be finite, got {value}")
 
 
+class _Law:
+    def to_dict(self) -> dict:
+        """The tagged record that ``from_dict`` reads: the fields in order, under their record keys."""
+        kind = next(kind for kind, (law, _) in _RECORDS.items() if law is type(self))
+        values = [list(v) if isinstance(v, tuple) else v for v in (getattr(self, f.name) for f in fields(self))]
+        keys = (*_RECORDS[kind][1], "variance_proxy")
+        return {"type": kind, **{key: v for key, v in zip(keys, values) if v is not None}}
+
+
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(_Law):
     mu: float
     var: float
     proxy: Optional[float] = None  # sub-Gaussian variance proxy override
@@ -58,15 +69,9 @@ class Gaussian:
     def log_mgf_derivatives(self, h: float) -> tuple[float, float]:
         return self.mu + self.var * h, self.var
 
-    def to_dict(self) -> dict:
-        d = {"type": "gaussian", "mean": self.mu, "variance": self.var}
-        if self.proxy is not None:
-            d["variance_proxy"] = self.proxy
-        return d
-
 
 @dataclass(frozen=True)
-class Bernoulli:
+class Bernoulli(_Law):
     p: float
     proxy: Optional[float] = None
 
@@ -108,15 +113,9 @@ class Bernoulli:
         q = 1.0 / (1.0 + math.exp(-h) * (1.0 - self.p) / self.p)
         return q, q * (1.0 - q)
 
-    def to_dict(self) -> dict:
-        d = {"type": "bernoulli", "p": self.p}
-        if self.proxy is not None:
-            d["variance_proxy"] = self.proxy
-        return d
-
 
 @dataclass(frozen=True)
-class FiniteDiscrete:
+class FiniteDiscrete(_Law):
     support: tuple
     probs: tuple
     proxy: Optional[float] = None
@@ -176,25 +175,20 @@ class FiniteDiscrete:
         d2 = float(np.dot(w, x * x) - d1 * d1)
         return d1, max(d2, 0.0)
 
-    def to_dict(self) -> dict:
-        d = {"type": "discrete", "support": list(self.support), "probs": list(self.probs)}
-        if self.proxy is not None:
-            d["variance_proxy"] = self.proxy
-        return d
-
 
 RewardDistribution = Union[Gaussian, Bernoulli, FiniteDiscrete]
 
 
+_RECORDS = {
+    "gaussian": (Gaussian, {"mean": json_float, "variance": json_float}),
+    "bernoulli": (Bernoulli, {"p": json_float}),
+    "discrete": (FiniteDiscrete, {"support": json_list(json_float), "probs": json_list(json_float)}),
+}
+
+
 def from_dict(d: dict) -> RewardDistribution:
     """Parse the tagged-record form used by config files."""
-    kind = d.get("type")
-    proxy = d.get("variance_proxy")
-    if kind == "gaussian":
-        return Gaussian(float(d["mean"]), float(d["variance"]), proxy)
-    if kind == "bernoulli":
-        return Bernoulli(float(d["p"]), proxy)
-    if kind == "discrete":
-        return FiniteDiscrete(d["support"], d["probs"], proxy)
-    raise ValueError(f"unknown distribution type: {kind!r}")
-
+    law, params = json_tag(d, "type", _RECORDS)
+    parsers = {"type": json_str, **params, "variance_proxy": json_optional(json_float)}
+    record = read_record(d, parsers, {"variance_proxy": None})
+    return law(*(record[key] for key in params), d.get("variance_proxy"))  # as written: an int stays an int

@@ -19,7 +19,7 @@ import collections
 import concurrent.futures
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,6 +29,7 @@ from . import estimators as est
 from . import policies
 from .bootstrap import BootstrapSpec
 from .debias import debias
+from .policies import json_int, json_list, json_optional, json_str, read_dataclass, read_record
 from .simulator import BanditLog, atomic_write_text, json_floats, run_batch, summarize, validate_config
 from .simulator import run_experiment  # noqa: F401  (perfbench/tracing.py wraps harness.run_experiment)
 from .streams import TAG_HARNESS_DEBIAS, TAG_HARNESS_MSE, TAG_HARNESS_SIM, child_seed, substream
@@ -38,18 +39,20 @@ BLOCK = 50  # replications per block of work, whatever the worker count
 
 @dataclass(frozen=True)
 class Cell:
-    name: str
+    name: str  # a plain directory name: the cell's outputs go to <out_dir>/<name>
     policy: policies.PolicySpec
     arms: tuple
     K: int
     T: int
     replications: int
-    bootstrap: BootstrapSpec
+    bootstrap: BootstrapSpec = BootstrapSpec("mb", 1000)
     estimators: tuple = ("mean",)
     horizon_grid: tuple = ()
     mse_B: Optional[int] = None  # bootstrap size for truncated-horizon debiasing
 
     def __post_init__(self):
+        if self.name in ("", ".", "..") or set(self.name) & set("/\\\0"):
+            raise ValueError(f"cell name must be a plain directory name, got {self.name!r}")
         if len(self.arms) != self.K:
             raise ValueError(f"cell {self.name!r}: {self.K} arms expected")
         if self.replications < 1:
@@ -70,40 +73,30 @@ class Cell:
             raise ValueError(f"cell {self.name!r}: unknown estimator(s) {sorted(unknown)}")
 
 
+_CELL_FIELDS = {
+    "name": json_str, "policy": policies.spec_from_dict, "arms": json_list(dist.from_dict),
+    "K": json_int, "T": json_int, "replications": json_int,
+    "bootstrap": lambda record: read_dataclass(BootstrapSpec, record),
+    "estimators": json_list(json_str), "horizon_grid": json_list(json_int), "mse_B": json_optional(json_int),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     master_seed: int
     cells: tuple
 
+    def __post_init__(self):
+        names = [cell.name for cell in self.cells]
+        if len(set(names)) < len(names):
+            raise ValueError(f"cell names must be distinct, got {names}")
+
     @staticmethod
-    def from_dict(d: dict) -> "ExperimentPlan":
-        cells = []
-        known = {f.name for f in fields(Cell)}
-        for c in d["cells"]:
-            unknown = set(c) - known
-            if unknown:
-                raise ValueError(f"cell {c.get('name')!r}: unknown key(s) {sorted(unknown)}")
-            boot = c.get("bootstrap", {"kind": "mb", "B": 1000})
-            name = str(c["name"])
-
-            def integer(value, field: str) -> int:
-                return policies.json_int(value, f"cell {name!r}: {field}")
-
-            cells.append(
-                Cell(
-                    name=name,
-                    policy=policies.spec_from_dict(c["policy"]),
-                    arms=tuple(dist.from_dict(a) for a in c["arms"]),
-                    K=integer(c["K"], "K"),
-                    T=integer(c["T"], "T"),
-                    replications=integer(c["replications"], "replications"),
-                    bootstrap=BootstrapSpec(boot["kind"], integer(boot["B"], "B")),
-                    estimators=tuple(c.get("estimators", ["mean"])),
-                    horizon_grid=tuple(integer(h, "horizon_grid") for h in c.get("horizon_grid", [])),
-                    mse_B=None if c.get("mse_B") is None else integer(c["mse_B"], "mse_B"),
-                )
-            )
-        return ExperimentPlan(master_seed=policies.json_int(d["master_seed"], "master_seed"), cells=tuple(cells))
+    def from_dict(d: dict, master_seed: Optional[int] = None) -> "ExperimentPlan":
+        """A plan from its JSON record; a given ``master_seed`` replaces the record's, which may then be left out."""
+        parsers = {"master_seed": json_int, "cells": json_list(lambda cell: read_dataclass(Cell, cell, _CELL_FIELDS))}
+        plan = read_record(d, parsers, None if master_seed is None else {"master_seed": master_seed})
+        return ExperimentPlan(plan["master_seed"] if master_seed is None else master_seed, plan["cells"])
 
 
 @dataclass

@@ -30,11 +30,14 @@ rewards, so they must be pinned down):
   pm1 - pm0 > sqrt(pv0 + pv1) * z, the event of the two-draw argmax whose
   probability ``propensity_batch`` gives by ``ndtr``; other K draw K
   normals and take their ``_argmax_rows``.
+
+``read_record`` is the one reader of JSON records from outside the program:
+policy specs, and through it sidecars, plans and arms files.
 """
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -51,95 +54,141 @@ _TS_BREAKS = np.array([-12.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0, 12.0])
 _PROPENSITY_ROWS = 128
 
 
+class RecordError(ValueError):
+    """A fault in a JSON record from outside the program: ``problem``, as ``must
+    be an integer, got 2.7``, at ``path``, as ``policy.m`` or ``cells[0].K``."""
+
+    def __init__(self, problem: str, path: str = ""):
+        super().__init__(f"{path} {problem}" if path else problem)
+        self.problem, self.path = problem, path
+
+
+def read_field(step: str, parse, value):
+    """``parse(value)``, any error a RecordError under ``step``: a key, or ``[i]``."""
+    try:
+        return parse(value)
+    except RecordError as exc:
+        raise RecordError(exc.problem, step + ("" if exc.path[:1] in ("", "[") else ".") + exc.path) from None
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise RecordError(f"is invalid: {exc}", step) from None
+
+
+def read_record(record, parsers: dict, defaults: Optional[dict] = None) -> dict:
+    """The fields of a JSON object from outside the program, read by ``parsers``, one for
+    every allowed key; a key of ``defaults`` may be left out.  A non-object, a missing or
+    unknown key or a parser's error (a wrong JSON type, say) is a RecordError naming the field."""
+    if not isinstance(record, dict):
+        raise RecordError(f"must be a JSON object, got {type(record).__name__}")
+    out = dict(defaults or {})
+    for key, parse in parsers.items():
+        if key in record:
+            out[key] = read_field(key, parse, record[key])
+        elif key not in out:
+            raise RecordError("is missing", key)
+    unknown = sorted(set(record) - set(parsers))
+    if unknown:
+        raise RecordError("is not a known field", unknown[0])
+    return out
+
+
+def json_type(kind: str, accept, convert):
+    """A parser of a JSON value that ``accept`` takes (a bool never), as ``convert`` of it."""
+    def parse(value):
+        if accept(value) and not isinstance(value, bool):
+            return convert(value)
+        raise RecordError(f"must be {kind}, got {value!r}")
+    return parse
+
+
+# An integral float reads as an int; int() would truncate 2.7 to 2 and read true as 1.
+json_int = json_type("an integer", lambda v: isinstance(v, int) or isinstance(v, float) and v.is_integer(), int)
+json_float = json_type("a number", lambda v: isinstance(v, (int, float)), float)
+json_str = json_type("a string", lambda v: isinstance(v, str), str)
+
+
+def json_list(parse):
+    """A parser of a JSON list whose items ``parse`` reads, into a tuple."""
+    def read(value) -> tuple:
+        if not isinstance(value, list):
+            raise RecordError(f"must be a JSON list, got {value!r}")
+        return tuple(read_field(f"[{i}]", parse, item) for i, item in enumerate(value))
+    return read
+
+
+def json_optional(parse):
+    """A parser that also reads null, as None."""
+    return lambda value: None if value is None else parse(value)
+
+
+def json_tag(record, key: str, kinds: dict):
+    """The entry of ``kinds`` that a JSON object's ``key`` names."""
+    if not isinstance(record, dict) or key not in record:
+        read_record(record, {key: None})  # raises: not an object, or no such key
+    if not any(record[key] == kind for kind in kinds):  # ==, not a hash: any JSON value may be here
+        raise RecordError(f"must be one of {list(kinds)}, got {record[key]!r}", key)
+    return kinds[record[key]]
+
+
+def read_dataclass(cls, record, parsers: Optional[dict] = None):
+    """``cls`` from a JSON record of its fields, read by ``parsers`` (by default by
+    annotated type: int, float or str); a field with a default may be left out."""
+    parsers = parsers or {f.name: {"int": json_int, "float": json_float, "str": json_str}[f.type] for f in fields(cls)}
+    return cls(**read_record(record, parsers, {f.name: f.default for f in fields(cls) if f.default is not MISSING}))
+
+
+class _Spec:
+    def to_dict(self) -> dict:
+        """The JSON form: ``name``, then the dataclass fields in order."""
+        return {"name": self.name, **asdict(self)}
+
+
 @dataclass(frozen=True)
-class EtcSpec:
+class EtcSpec(_Spec):
+    name = "etc"
     m: int
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("ETC exploration block m must be >= 1")
 
-    name = "etc"
-
-    def to_dict(self) -> dict:
-        return {"name": "etc", "m": self.m}
-
 
 @dataclass(frozen=True)
-class UcbSpec:
+class UcbSpec(_Spec):
     name = "ucb"
 
-    def to_dict(self) -> dict:
-        return {"name": "ucb"}
-
 
 @dataclass(frozen=True)
-class TsSpec:
+class TsSpec(_Spec):
+    name = "ts"
     prior_mean: float = 0.0
     prior_variance: float = 1.0
     likelihood_variance: float = 1.0
 
     def __post_init__(self):
-        if self.prior_variance <= 0 or self.likelihood_variance <= 0:
-            raise ValueError("TS prior and likelihood variances must be > 0")
-
-    name = "ts"
-
-    def to_dict(self) -> dict:
-        return {
-            "name": "ts",
-            "prior_mean": self.prior_mean,
-            "prior_variance": self.prior_variance,
-            "likelihood_variance": self.likelihood_variance,
-        }
+        for name, low in (("prior_mean", -math.inf), ("prior_variance", 0.0), ("likelihood_variance", 0.0)):
+            if not low < getattr(self, name) < math.inf:
+                raise ValueError(f"TS {name} must be finite{' and > 0' if low == 0 else ''}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
-class EgSpec:
+class EgSpec(_Spec):
+    name = "eg"
     epsilon: float
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
-
-    name = "eg"
-
-    def to_dict(self) -> dict:
-        return {"name": "eg", "epsilon": self.epsilon}
+            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
 
 
 PolicySpec = Union[EtcSpec, UcbSpec, TsSpec, EgSpec]
 _DETERMINISTIC = (EtcSpec, UcbSpec)  # no internal randomization, so no propensities
-
-
-def json_int(value, name: str) -> int:
-    """An integer field of a JSON document: an int, or a float with an integral value.
-
-    ``int()`` would truncate 2.7 to 2 and read ``true`` as 1; a bool, a
-    non-integral number or a non-number is a ValueError naming the field.
-    """
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+_SPECS = {cls.name: cls for cls in (EtcSpec, UcbSpec, TsSpec, EgSpec)}
 
 
 def spec_from_dict(d: dict) -> PolicySpec:
-    name = d.get("name")
-    if name == "etc":
-        return EtcSpec(json_int(d["m"], "m"))
-    if name == "ucb":
-        return UcbSpec()
-    if name == "ts":
-        return TsSpec(
-            float(d.get("prior_mean", 0.0)),
-            float(d.get("prior_variance", 1.0)),
-            float(d.get("likelihood_variance", 1.0)),
-        )
-    if name == "eg":
-        return EgSpec(float(d["epsilon"]))
-    raise ValueError(f"unknown policy name: {name!r}")
+    """The policy spec that a JSON record names by ``name``; its other keys are the spec's fields."""
+    cls = json_tag(d, "name", _SPECS)
+    return read_dataclass(cls, {key: value for key, value in d.items() if key != "name"})
 
 
 @dataclass

@@ -34,7 +34,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -77,15 +77,8 @@ class BanditLog:
     def truncated(self, horizon: int) -> "BanditLog":
         if not 0 < horizon <= self.T:
             raise ValueError(f"horizon {horizon} outside (0, {self.T}]")
-        return BanditLog(
-            K=self.K,
-            T=horizon,
-            actions=self.actions[..., :horizon].copy(),
-            rewards=self.rewards[..., :horizon].copy(),
-            policy=self.policy,
-            seed=self.seed,
-            world=self.world,
-        )
+        cut = (..., slice(horizon))
+        return replace(self, T=horizon, actions=self.actions[cut].copy(), rewards=self.rewards[cut].copy())
 
 
 def _world_tag(tag) -> str:
@@ -431,37 +424,22 @@ def _column(rows: list, name: str, kind: type, dtype) -> np.ndarray:
         raise CorruptLog(f"unparsable {name!r} field: {exc}") from None
 
 
-def _sidecar_field(meta: dict, name: str, parse):
-    """A parsed sidecar field; a missing or unparsable one is a CorruptLog that names it."""
-    if name not in meta:
-        raise CorruptLog(f"sidecar has no {name!r} field")
-    try:
-        return parse(meta[name])
-    except KeyError as exc:  # a policy without a parameter its name needs
-        raise CorruptLog(f"invalid sidecar {name!r} field: no {exc} key") from None
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise CorruptLog(f"invalid sidecar {name!r} field: {exc}") from None
-
-
-def _positive_int(value, name: str) -> int:
-    n = policies.json_int(value, name)
-    if n < 1:
-        raise ValueError(f"must be >= 1, got {n}")
-    return n
+def _read_sidecar(meta) -> dict:
+    positive = policies.json_type("an integer >= 1", lambda v: policies.json_int(v) >= 1, policies.json_int)
+    parsers = {"K": positive, "T": positive, "policy": policies.spec_from_dict,
+               "seed": policies.json_optional(policies.json_int), "world": _world_tag}
+    return policies.read_record(meta, parsers, {"seed": None, "world": "real"})
 
 
 def load_log(csv_path: str, meta_path: str) -> BanditLog:
     with open(meta_path) as f:  # a missing sidecar stays an OSError
         try:
-            meta = json.load(f)
+            meta = policies.read_field("sidecar", _read_sidecar, json.load(f))
+        except policies.RecordError as exc:
+            raise CorruptLog(str(exc)) from None
         except ValueError as exc:
             raise CorruptLog(f"sidecar is not valid JSON: {exc}") from None
-    if not isinstance(meta, dict):
-        raise CorruptLog("sidecar must hold a JSON object")
-    K = _sidecar_field(meta, "K", lambda value: _positive_int(value, "K"))
-    T = _sidecar_field(meta, "T", lambda value: _positive_int(value, "T"))
-    policy = _sidecar_field(meta, "policy", policies.spec_from_dict)
-    world = _sidecar_field(meta, "world", _world_tag) if "world" in meta else "real"
+    K, T = meta["K"], meta["T"]
     with open(csv_path, newline="") as f:
         reader = csv.DictReader(f)
         rows = list(reader)
@@ -485,14 +463,6 @@ def load_log(csv_path: str, meta_path: str) -> BanditLog:
     nonfinite = np.flatnonzero(~np.isfinite(rewards))
     if nonfinite.size:
         raise CorruptLog(f"non-finite reward at round {nonfinite[0] + 1}")
-    log = BanditLog(
-        K=K,
-        T=T,
-        actions=actions,
-        rewards=rewards,
-        policy=policy,
-        seed=meta.get("seed"),
-        world=world,
-    )
+    log = BanditLog(actions=actions, rewards=rewards, **meta)
     check_policy(log)
     return log

@@ -102,6 +102,16 @@ def test_theory_needs_m_and_T_together(tmp_path, bern_arms, given):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("laws", [0, 3])
+def test_theory_takes_one_or_two_laws(tmp_path, capsys, laws):
+    arms = tmp_path / "arms.json"
+    arms.write_text(json.dumps([{"type": "bernoulli", "p": 0.3}] * laws))
+    out = tmp_path / "theory.json"
+    assert dispatch(["theory", "--arms", str(arms), "--mu2", "0.5", "--m", "10", "--T", "100", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: theory takes one or two reward laws, the arms file has {laws}\n"
+    assert not out.exists()
+
+
 def test_theory_out_of_range_is_exit_2(tmp_path, bern_arms):
     rc = dispatch(["theory", "--arms", bern_arms, "--mu2", "1.5",
                    "--out", str(tmp_path / "x.json")])
@@ -130,6 +140,32 @@ def test_bad_arms_file(tmp_path):
                    "--arms", str(tmp_path / "absent.json"), "--seed", "1",
                    "--out", str(tmp_path / "x.csv")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("policy, flags, message", [
+    ("ucb", ["--m", "3", "--epsilon", "0.5"], "policy.epsilon is not a known field"),
+    ("etc", ["--m", "3", "--prior-mean", "1"], "policy.prior_mean is not a known field"),
+    ("ts", ["--prior-variance", "nan"], "policy is invalid: TS prior_variance must be finite and > 0, got nan"),
+    ("ts", ["--likelihood-variance", "inf"],
+     "policy is invalid: TS likelihood_variance must be finite and > 0, got inf"),
+], ids=["ucb_with_m_and_epsilon", "etc_with_prior_mean", "ts_nan_prior_variance", "ts_inf_likelihood_variance"])
+def test_simulate_refuses_flags_the_policy_does_not_take(tmp_path, gauss_arms, capsys, policy, flags, message):
+    out = tmp_path / "x.csv"
+    rc = dispatch(["simulate", "--policy", policy, *flags, "--K", "2", "--T", "10",
+                   "--arms", gauss_arms, "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists() and not (tmp_path / "x.csv.meta.json").exists()
+
+
+def test_arms_file_typo_is_usage_error(tmp_path, capsys):
+    arms = tmp_path / "arms.json"
+    arms.write_text(json.dumps([{"type": "bernoulli", "p": 0.3}, {"type": "gaussian", "mean": 1.0, "varience": 2.0}]))
+    rc = dispatch(["simulate", "--policy", "ucb", "--K", "2", "--T", "10",
+                   "--arms", str(arms), "--seed", "1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: arms[1].variance is missing\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_simulate_nan_mean_is_usage_error(tmp_path, capsys):
@@ -202,27 +238,71 @@ def test_plan_rejects_bad_cells(tmp_path):
     # ETC needs m*K <= T at every horizon, checked before any cell runs: a
     # short grid point or a short second cell must not leave results behind.
     short_second = [base, {**base, "name": "short", "T": 8, "horizon_grid": []}]
-    plans = [[{**base, **extra}] for extra in (
+    plans = [{"cells": [{**base, **extra}]} for extra in (
         {"mse_B": "ten"}, {"mse_B": 0}, {"mse_b": 10}, {"estimators": ["mean", "ipww"]},
         {"horizon_grid": [5, 40]},
-    )] + [short_second]
-    for cells in plans:
+        # A typo'd key in every kind of record, and a non-finite TS parameter.
+        {"policy": {"name": "etc", "m": 5, "mm": 6}},
+        {"bootstrap": {"kind": "mb", "B": 5, "b": 6}},
+        {"arms": [{"type": "bernoulli", "p": 0.3, "q": 0.4}, {"type": "bernoulli", "p": 0.6}]},
+        {"arms": {"first": {"type": "bernoulli", "p": 0.3}, "second": {"type": "bernoulli", "p": 0.6}}},
+        {"policy": {"name": "ts", "prior_variance": float("inf")}},
+    )] + [{"cells": short_second}, {"cells": [base], "cels": []}]
+    for plan in plans:
         plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps({"cells": cells}))
+        plan_path.write_text(json.dumps(plan))
         rc = dispatch(["plan", "--plan", str(plan_path), "--seed", "1",
                        "--out-dir", str(tmp_path / "out")])
-        assert rc == 1, cells
+        assert rc == 1, plan
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("cells", {"name": "cell"}), ("arms", {"type": "bernoulli", "p": 0.3}), ("estimators", "ipw"),
+    ("horizon_grid", "40"),
+])
+def test_plan_list_fields_must_be_lists(tmp_path, capsys, field, value):
+    # A string would be read as its characters: "ipw" as the estimators i, p and w.
+    plan = json.loads(Path(_plan_file(tmp_path)).read_text())
+    if field == "cells":
+        plan["cells"] = value
+    else:
+        plan["cells"][0][field] = value
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    rc = dispatch(["plan", "--plan", str(plan_path), "--seed", "1", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    path = "plan.cells" if field == "cells" else f"plan.cells[0].{field}"
+    assert capsys.readouterr().err == f"error: {path} must be a JSON list, got {value!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("names", [
+    ["../escape"], ["ABSOLUTE"], ["a/b"], ["."], [".."], [""], ["ok", "ok"],
+], ids=["parent", "absolute", "separator", "dot", "dotdot", "empty", "repeated"])
+def test_plan_rejects_unsafe_or_repeated_cell_names(tmp_path, capsys, names):
+    # A cell's outputs go to <out-dir>/<name>: a name that leaves --out-dir, or two
+    # cells that share a directory, must stop the plan before any cell runs.
+    work = tmp_path / "work"
+    work.mkdir()
+    names = [str(tmp_path / "absolute") if n == "ABSOLUTE" else n for n in names]
+    cell = json.loads(Path(_plan_file(work)).read_text())["cells"][0]
+    (work / "plan.json").write_text(json.dumps({"cells": [{**cell, "name": n} for n in names]}))
+    rc = dispatch(["plan", "--plan", str(work / "plan.json"), "--seed", "1", "--out-dir", str(work / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: plan") and err.count("\n") == 1, err
+    assert [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")] == ["work", "work/plan.json"]
+
+
 @pytest.mark.parametrize("edit, message", [
-    ({"K": 2.7}, "cell 'cell': K must be an integer, got 2.7"),
-    ({"T": 40.5}, "cell 'cell': T must be an integer, got 40.5"),
-    ({"replications": True}, "cell 'cell': replications must be an integer, got True"),
-    ({"bootstrap": {"kind": "mb", "B": 5.5}}, "cell 'cell': B must be an integer, got 5.5"),
-    ({"mse_B": 10.5}, "cell 'cell': mse_B must be an integer, got 10.5"),
-    ({"horizon_grid": [20.5, 40]}, "cell 'cell': horizon_grid must be an integer, got 20.5"),
-    ({"policy": {"name": "etc", "m": 2.5}}, "m must be an integer, got 2.5"),
+    ({"K": 2.7}, "plan.cells[0].K must be an integer, got 2.7"),
+    ({"T": 40.5}, "plan.cells[0].T must be an integer, got 40.5"),
+    ({"replications": True}, "plan.cells[0].replications must be an integer, got True"),
+    ({"bootstrap": {"kind": "mb", "B": 5.5}}, "plan.cells[0].bootstrap.B must be an integer, got 5.5"),
+    ({"mse_B": 10.5}, "plan.cells[0].mse_B must be an integer, got 10.5"),
+    ({"horizon_grid": [20.5, 40]}, "plan.cells[0].horizon_grid[0] must be an integer, got 20.5"),
+    ({"policy": {"name": "etc", "m": 2.5}}, "plan.cells[0].policy.m must be an integer, got 2.5"),
 ], ids=["K", "T", "replications", "B", "mse_B", "horizon_grid", "m"])
 def test_plan_non_integer_field_is_usage_error(tmp_path, capsys, edit, message):
     # int() would truncate each of these and run the plan.
@@ -371,21 +451,36 @@ def _without(key):
     return lambda meta: json.dumps({k: v for k, v in meta.items() if k != key})
 
 
+def _policy_edit(**fields):
+    return lambda meta: json.dumps({**meta, "policy": {**meta["policy"], **fields}})
+
+
 @pytest.mark.parametrize("edit, field", [
-    (_without("policy"), "'policy'"),
-    (lambda meta: json.dumps({**meta, "K": "two"}), "'K'"),
+    (_without("policy"), "sidecar.policy is missing"),
+    (lambda meta: json.dumps({**meta, "K": "two"}), "sidecar.K must be an integer, got 'two'"),
     (lambda meta: json.dumps(meta)[:-10], "JSON"),
-    (lambda meta: json.dumps({**meta, "policy": {**meta["policy"], "prior_variance": -1}}), "'policy'"),
-    (lambda meta: json.dumps({**meta, "policy": {"name": "etc"}}), "'policy' field: no 'm' key"),
-    (lambda meta: json.dumps({**meta, "world": "foo"}), "'world' field: unknown world tag 'foo'"),
-    (lambda meta: json.dumps({**meta, "K": 0}), "'K' field: must be >= 1"),
-    (lambda meta: json.dumps({**meta, "T": 0}), "'T' field: must be >= 1"),
+    (_policy_edit(prior_variance=-1),
+     "sidecar.policy is invalid: TS prior_variance must be finite and > 0, got -1"),
+    (lambda meta: json.dumps({**meta, "policy": {"name": "etc"}}), "sidecar.policy.m is missing"),
+    (lambda meta: json.dumps({**meta, "world": "foo"}), "sidecar.world is invalid: unknown world tag 'foo'"),
+    (lambda meta: json.dumps({**meta, "K": 0}), "sidecar.K must be an integer >= 1, got 0"),
+    (lambda meta: json.dumps({**meta, "T": 0}), "sidecar.T must be an integer >= 1, got 0"),
     # int() would truncate these to K = 2, T = 1 and m = 2.
-    (lambda meta: json.dumps({**meta, "K": 2.7}), "'K' field: K must be an integer, got 2.7"),
-    (lambda meta: json.dumps({**meta, "T": True}), "'T' field: T must be an integer, got True"),
-    (lambda meta: json.dumps({**meta, "policy": {"name": "etc", "m": 2.5}}), "'policy' field: m must be an integer"),
+    (lambda meta: json.dumps({**meta, "K": 2.7}), "sidecar.K must be an integer, got 2.7"),
+    (lambda meta: json.dumps({**meta, "T": True}), "sidecar.T must be an integer, got True"),
+    (lambda meta: json.dumps({**meta, "policy": {"name": "etc", "m": 2.5}}),
+     "sidecar.policy.m must be an integer, got 2.5"),
+    # A typo'd key would replay the default prior; a non-finite TS parameter gives no report.
+    (_policy_edit(prior_men=5), "sidecar.policy.prior_men is not a known field"),
+    (lambda meta: json.dumps({**meta, "sed": 5}), "sidecar.sed is not a known field"),
+    (_policy_edit(prior_variance=float("nan")),
+     "sidecar.policy is invalid: TS prior_variance must be finite and > 0, got nan"),
+    (_policy_edit(likelihood_variance=float("inf")),
+     "sidecar.policy is invalid: TS likelihood_variance must be finite and > 0, got inf"),
+    (lambda meta: json.dumps({**meta, "policy": "ts"}), "sidecar.policy must be a JSON object, got str"),
 ], ids=["no_policy", "K_two", "truncated_json", "negative_prior_variance", "etc_without_m", "world_foo", "K_0", "T_0",
-        "K_2.7", "T_true", "m_2.5"])
+        "K_2.7", "T_true", "m_2.5", "policy_typo", "sidecar_typo", "nan_prior_variance", "inf_likelihood_variance",
+        "policy_string"])
 def test_debias_bad_sidecar_is_exit_2(tmp_path, gauss_arms, capsys, edit, field):
     log = _simulate(tmp_path, gauss_arms, policy="ts")
     meta = tmp_path / "log.csv.meta.json"
