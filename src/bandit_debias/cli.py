@@ -146,9 +146,8 @@ def _cmd_theory(args) -> int:
     if args.m is not None:
         payload["bias_asymptotic"] = theory.etc_bias_sharp_asymptotic(arms[0], mu2, args.m, args.T)
         if len(arms) > 1:
-            payload["bias_exact"] = {
-                f"arm{k}": theory.etc_bias_general(arms[:2], args.m, args.T, k) for k in (1, 2)
-            }
+            arm1, arm2 = theory.etc_bias_general(arms, args.m, args.T)
+            payload["bias_exact"] = {"arm1": arm1, "arm2": arm2}
     _write_json(args.out, payload)
     return 0
 

@@ -443,9 +443,15 @@ def load_log(csv_path: str, meta_path: str) -> BanditLog:
     with open(csv_path, newline="") as f:
         reader = csv.DictReader(f)
         rows = list(reader)
-    missing = sorted({"t", "arm", "reward"} - set(reader.fieldnames or ()))
+    header = reader.fieldnames or []
+    missing = sorted({"t", "arm", "reward"} - set(header))
     if missing:
         raise CorruptLog(f"missing column(s) {missing}")
+    if len(header) != 3:
+        raise CorruptLog(f"columns {header} are not exactly t, arm, reward")
+    long_row = next((i for i, row in enumerate(rows) if None in row), None)
+    if long_row is not None:
+        raise CorruptLog(f"data row {long_row + 1} has more than 3 fields")
     if len(rows) != T:
         raise CorruptLog(f"expected {T} rows, got {len(rows)}")
     t = _column(rows, "t", int, np.int64) - 1

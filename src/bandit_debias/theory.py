@@ -4,8 +4,10 @@ Contents:
 
 * the two-arm Gaussian closed form for the ETC bias and its log form g_k;
 * an exact evaluator of the general two-arm ETC bias identity
-  ((T-2m)/(T-m)) E[(mu_k - Xbar_k) 1{arm k committed}] by discrete
-  enumeration, or in closed form when arm k is Gaussian;
+  ((T-2m)/(T-m)) E[(mu_k - Xbar_k) 1{arm k committed}] for both arms at
+  once, by discrete enumeration, or in closed form when arm k is Gaussian;
+  a finite arm's m-sample mean law is one convolution power, taken by
+  binary powering in O(log m) direct convolutions;
 * the Legendre-Fenchel transform of the log-MGF and the exact-asymptotics
   constants for mean tail probabilities and tail expectations (lattice and
   non-lattice cases);
@@ -127,8 +129,12 @@ def _span(points: Sequence[Fraction], origin: Fraction) -> Fraction:
 def mean_pmf(d: RewardDistribution, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact distribution of the m-sample mean for a finite-support law.
 
-    Supports are mapped to a common rational lattice and the sum law is an
-    m-fold convolution on that lattice.  Returns (values, probabilities).
+    Supports are mapped to a common rational lattice and the sum law is the
+    m-th convolution power of the one-draw pmf on that lattice, taken by
+    binary powering: at most 2 floor(log2 m) direct convolutions.  Direct
+    (not FFT) convolution keeps each entry's rounding relative to itself,
+    so tails far below the largest entry keep their relative accuracy.
+    Returns (values, probabilities) with the zero-probability points dropped.
     """
     atoms = d.atoms()
     if atoms is None:
@@ -142,64 +148,88 @@ def mean_pmf(d: RewardDistribution, m: int) -> tuple[np.ndarray, np.ndarray]:
     width = max(indices)
     if (width * m + 1) > _ENUMERATION_CAP:
         raise EnumerationTooLarge(f"lattice of size {width * m + 1} exceeds cap {_ENUMERATION_CAP}")
-    base = np.zeros(width + 1)
-    base[indices] = probs
-    pmf = base
-    for _ in range(m - 1):
-        pmf = np.convolve(pmf, base)
+    power = np.zeros(width + 1)
+    power[indices] = probs
+    pmf = None
+    n = m
+    while True:
+        if n & 1:
+            pmf = power if pmf is None else np.convolve(pmf, power)
+        n >>= 1
+        if not n:
+            break
+        power = np.convolve(power, power)
     values = (float(fracs[0]) * m + np.arange(len(pmf)) * float(step)) / m
     keep = pmf > 0
     return values[keep], pmf[keep]
 
 
-def _mean_cdf(d: RewardDistribution, m: int, x: np.ndarray, strict: bool) -> np.ndarray:
-    """P(Xbar_m < x) (strict) or P(Xbar_m <= x), vectorized over x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if d.atoms() is None:
-        return ndtr((x - d.mean()) * math.sqrt(m / d.variance()))
-    values, probs = mean_pmf(d, m)
-    cum = np.concatenate([[0.0], np.cumsum(probs)])
+def _split_at(other: RewardDistribution, pmf, m: int, x: np.ndarray, ties_below: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(P(Ybar_m below x), P(Ybar_m above x)) of the other arm's mean, vectorized over x.
+
+    ``pmf`` is the other arm's mean pmf, or None for a Gaussian law.  Ties
+    Ybar_m = x count below when ``ties_below``, else above.  Each side is
+    summed on its own, so a side near 0 keeps its relative accuracy instead
+    of being 1 minus the other.
+    """
+    if pmf is None:
+        z = (x - other.mean()) * math.sqrt(m / other.variance())
+        return ndtr(z), ndtr(-z)
+    values, probs = pmf
+    below = np.concatenate([[0.0], np.cumsum(probs)])
+    above = np.concatenate([np.cumsum(probs[::-1])[::-1], [0.0]])
     tol = 1e-12
-    side_values = values + tol if strict else values - tol
-    idx = np.searchsorted(side_values, x, side="right")
-    return cum[idx]
+    idx = np.searchsorted(values - tol if ties_below else values + tol, x, side="right")
+    return below[idx], above[idx]
 
 
 def _std_normal_pdf(z):
     return np.exp(-0.5 * np.square(z)) / math.sqrt(2.0 * math.pi)
 
 
-def etc_bias_general(arms: Sequence[RewardDistribution], m: int, T: int, k: int) -> float:
-    """Exact ETC bias of arm k (two arms) by enumeration or in closed form.
+def _commit_expectation(arms, pmfs, m: int, k: int) -> float:
+    """E[(mu_k - Xbar_k) 1{arm k committed}] given each arm's mean pmf (None if Gaussian)."""
+    own, other = arms[k - 1], arms[2 - k]
+    own_pmf, other_pmf = pmfs[k - 1], pmfs[2 - k]
+    mu_own = own.mean()
+    if own_pmf is None:
+        sd = math.sqrt(own.variance() / m)
+        if other_pmf is None:
+            r = math.sqrt(sd * sd + other.variance() / m)
+            return -sd * sd / r * float(_std_normal_pdf((mu_own - other.mean()) / r))
+        values, probs = other_pmf
+        return -sd * float(np.dot(probs, _std_normal_pdf((values - mu_own) / sd)))
+    # Arm k commits when the other arm's mean is below Xbar_own = x; equality goes to arm 1.
+    values, probs = own_pmf
+    commit, lose = _split_at(other, other_pmf, m, values, ties_below=k == 1)
+    weighted = probs * (mu_own - values)
+    if float(np.dot(probs, commit)) > 0.5:
+        # sum p(x)(mu - x) = 0, so the commit sum is minus the losing-event sum;
+        # near-sure commitment would cancel the former down to rounding noise.
+        return -float(np.dot(weighted, lose))
+    return float(np.dot(weighted, commit))
 
-    The committed arm is the exploration-phase argmax with ties to arm 1,
-    so arm 1 commits on Xbar_1 >= Xbar_2 and arm 2 on Xbar_2 > Xbar_1.  A
+
+def etc_bias_general(arms: Sequence[RewardDistribution], m: int, T: int) -> tuple[float, float]:
+    """Exact ETC biases (arm 1, arm 2) of two arms by enumeration or in closed form.
+
+    Each finite arm's mean pmf is built once and serves both arms.  The
+    committed arm is the exploration-phase argmax with ties to arm 1, so
+    arm 1 commits on Xbar_1 >= Xbar_2 and arm 2 on Xbar_2 > Xbar_1.  A
     Gaussian own arm (sd s of its mean) ties with probability 0 and has
     E[(mu - Xbar) 1{Xbar >= v}] = -s phi((v - mu)/s): summed over the other
     arm's mean pmf, or, against a Gaussian other arm (sd s2), by Stein's
-    identity -s^2/r phi((mu - mu2)/r) with r = sqrt(s^2 + s2^2).
+    identity -s^2/r phi((mu - mu2)/r) with r = sqrt(s^2 + s2^2).  A finite
+    own arm that commits with probability above 1/2 sums over the losing
+    event instead, which has the same value and no cancellation.
     """
-    if len(arms) != 2 or k not in (1, 2):
-        raise ValueError("two arms required; k in {1, 2}")
+    if len(arms) != 2:
+        raise ValueError("two arms required")
     if m < 1 or T < 2 * m:
         raise ValueError("need m >= 1 and T >= 2m")
-    own = arms[k - 1]
-    other = arms[2 - k]
-    mu_own = own.mean()
-    if own.atoms() is None:
-        sd = math.sqrt(own.variance() / m)
-        if other.atoms() is None:
-            r = math.sqrt(sd * sd + other.variance() / m)
-            expectation = -sd * sd / r * float(_std_normal_pdf((mu_own - other.mean()) / r))
-        else:
-            values, probs = mean_pmf(other, m)
-            expectation = -sd * float(np.dot(probs, _std_normal_pdf((values - mu_own) / sd)))
-    else:
-        # P(arm k committed | Xbar_own = x); equality goes to arm 1.
-        values, probs = mean_pmf(own, m)
-        commit = _mean_cdf(other, m, values, strict=k == 2)
-        expectation = float(np.dot(probs * (mu_own - values), commit))
-    return (T - 2 * m) / (T - m) * expectation
+    pmfs = [None if d.atoms() is None else mean_pmf(d, m) for d in arms]
+    scale = (T - 2 * m) / (T - m)
+    return scale * _commit_expectation(arms, pmfs, m, 1), scale * _commit_expectation(arms, pmfs, m, 2)
 
 
 def exact_mean_tail(d: RewardDistribution, mu2: float, m: int) -> tuple[float, float]:

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,21 @@ def test_theory_takes_one_or_two_laws(tmp_path, capsys, laws):
     assert dispatch(["theory", "--arms", str(arms), "--mu2", "0.5", "--m", "10", "--T", "100", "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: theory takes one or two reward laws, the arms file has {laws}\n"
     assert not out.exists()
+
+
+def test_theory_near_sure_commitment_is_exact(tmp_path):
+    """Bernoulli(0.3) vs Bernoulli(0.52) at m = 1000, T = 4m: both biases
+    match 150-digit references, not rounding noise, with no warning."""
+    arms = tmp_path / "arms.json"
+    arms.write_text(json.dumps([{"type": "bernoulli", "p": 0.3}, {"type": "bernoulli", "p": 0.52}]))
+    out = tmp_path / "theory.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = dispatch(["theory", "--arms", str(arms), "--m", "1000", "--T", "4000", "--out", str(out)])
+    assert rc == 0
+    exact = json.loads(out.read_text())["bias_exact"]
+    assert exact["arm1"] == pytest.approx(-1.62063859836051e-25, rel=1e-9)
+    assert exact["arm2"] == pytest.approx(-1.76719400376051e-25, rel=1e-9)
 
 
 def test_theory_out_of_range_is_exit_2(tmp_path, bern_arms):
@@ -421,6 +437,29 @@ def _short_row(lines):
 ], ids=["arm_7", "arm_0", "reward_abc", "t_x", "no_arm_column", "short_row"])
 def test_debias_malformed_row_is_exit_2(tmp_path, gauss_arms, edit):
     assert _corrupt_log(tmp_path, gauss_arms, edit) == 2
+
+
+def _extra_column(lines):
+    lines[0] += ",note"
+    lines[2] += ",junk,more"
+
+
+def _extra_field(lines):
+    lines[7] += ",junk"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_extra_column, "CorruptLog: columns ['t', 'arm', 'reward', 'note'] are not exactly t, arm, reward\n"),
+    (_extra_field, "CorruptLog: data row 7 has more than 3 fields\n"),
+], ids=["extra_column", "extra_field"])
+def test_extra_csv_fields_are_exit_2(tmp_path, gauss_arms, capsys, edit, message):
+    assert _corrupt_log(tmp_path, gauss_arms, edit) == 2
+    assert capsys.readouterr().err == message
+    log = str(tmp_path / "log.csv")
+    rc = dispatch(["evaluate", "--log", log, "--meta", log + ".meta.json", "--out", str(tmp_path / "e.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "e.json").exists()
 
 
 def _plan_file(tmp_path):

@@ -4,8 +4,9 @@ Valid log CSVs, sidecars, arms files and plans are mutated one field at a
 time: a field is dropped, retyped to another JSON type, made NaN, or given
 an unknown sibling key (an extra item, in a list), or the file is truncated.
 Every command that reads the file must then either exit 0 and write strict
-JSON, or exit 1 or 2 with one stderr line and no file written.  No exception
-may escape ``dispatch`` and no warning may fire.
+JSON, or exit 1 or 2 with one stderr line and no file written; a log CSV
+with a field or a row too many must exit 2.  No exception may escape
+``dispatch`` and no warning may fire.
 """
 import contextlib
 import io
@@ -142,13 +143,14 @@ def _files(root: Path) -> dict:
     return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-def _check(argv: list, work: Path) -> None:
+def _check(argv: list, work: Path, expect=None) -> None:
     before = _files(work)
     err = io.StringIO()
     with contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = dispatch(argv)
     written = {p: b for p, b in _files(work).items() if before.get(p) != b}
+    assert expect in (None, rc), (rc, argv)
     if rc == 0:
         for p, content in written.items():
             if p.suffix == ".json":
@@ -185,6 +187,8 @@ def _check(argv: list, work: Path) -> None:
 @example(site=("arms", (0, "mean")), mutation="retype", choice=0, cut=0)
 @example(site=("arms", (0,)), mutation="retype", choice=0, cut=0)
 @example(site=("sidecar:ts", ("policy", "prior_mean")), mutation="nan", choice=0, cut=0)
+# A log row with one field too many, which load_log once read as a valid log.
+@example(site=("log:eg", (3,)), mutation="unknown", choice=0, cut=0)
 def test_mutated_inputs_keep_the_cli_contract(site, mutation, choice, cut):
     target, path = site
     with tempfile.TemporaryDirectory() as d:
@@ -196,5 +200,6 @@ def test_mutated_inputs_keep_the_cli_contract(site, mutation, choice, cut):
         (work / "log.csv.meta.json").write_text(json.dumps(LOGS[name][1]))
         (work / TARGETS[target][0]).write_text(_mutate(target, path, mutation, choice, cut))
         (work / "out").mkdir()
+        expect = 2 if target.startswith("log:") and mutation == "unknown" else None
         for argv in _commands(target, work):
-            _check(argv, work)
+            _check(argv, work, expect)

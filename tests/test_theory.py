@@ -82,6 +82,46 @@ class TestExactEnumeration:
         assert np.dot(values, probs) == pytest.approx(d.mean(), rel=1e-12)
         assert values[0] == pytest.approx(0.1) and values[-1] == pytest.approx(0.7)
 
+    def test_mean_pmf_long_binomial(self):
+        values, probs = th.mean_pmf(B3, 4000)
+        counts = np.rint(values * 4000).astype(int)
+        reference = scipy.stats.binom.pmf(counts, 4000, 0.3)
+        resolved = reference > 1e-250
+        assert resolved.sum() > 1800
+        np.testing.assert_allclose(probs[resolved], reference[resolved], rtol=1e-11)
+
+    def test_mean_pmf_long_lattice_keeps_mass_and_mean(self):
+        d = FiniteDiscrete([0.0, 0.25, 0.5, 0.75, 1.0], [0.1, 0.3, 0.2, 0.15, 0.25])
+        values, probs = th.mean_pmf(d, 4000)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.dot(values, probs) == pytest.approx(d.mean(), rel=1e-12)
+
+    def test_mean_pmf_matches_sequential_convolution(self):
+        d = FiniteDiscrete([0.0, 0.25, 0.5, 0.75, 1.0], [0.1, 0.3, 0.2, 0.15, 0.25])
+        base = np.array(d.probs)
+        reference = base
+        for _ in range(299):
+            reference = np.convolve(reference, base)
+        values, probs = th.mean_pmf(d, 300)
+        np.testing.assert_allclose(values, np.arange(len(reference)) / 1200)
+        resolved = reference > 1e-250
+        np.testing.assert_allclose(probs[resolved], reference[resolved], rtol=1e-12)
+
+    def test_mean_pmf_convolves_log_m_times(self, monkeypatch):
+        calls = []
+        convolve = np.convolve
+        monkeypatch.setattr(np, "convolve", lambda a, b: calls.append(1) or convolve(a, b))
+        th.mean_pmf(B3, 4000)
+        assert len(calls) <= 2 * math.floor(math.log2(4000))
+
+    def test_general_builds_each_pmf_once(self, monkeypatch):
+        calls = []
+        mean_pmf = th.mean_pmf
+        monkeypatch.setattr(th, "mean_pmf", lambda d, m: calls.append(d) or mean_pmf(d, m))
+        arms = [B3, Bernoulli(0.6)]
+        th.etc_bias_general(arms, 10, 100)
+        assert calls == arms
+
     def test_mean_pmf_cap(self):
         # a 5e6 + 1 point lattice is one past the cap; raised before convolving
         with pytest.raises(EnumerationTooLarge):
@@ -107,7 +147,7 @@ class TestExactEnumeration:
                   EtcGaussianParams(1.0, 1.0, 0.3, 3.0, 40, 160), EtcGaussianParams(0.0, 2.0, 1.0, 1.0, 1, 5)):
             arms = [Gaussian(p.mu1, p.var1), Gaussian(p.mu2, p.var2)]
             for k in (1, 2):
-                assert th.etc_bias_general(arms, p.m, p.T, k) == pytest.approx(
+                assert th.etc_bias_general(arms, p.m, p.T)[k - 1] == pytest.approx(
                     th.etc_bias_gaussian(p, k), rel=1e-12, abs=1e-300)
 
     def test_gaussian_against_finite_arm_is_exact(self):
@@ -120,28 +160,40 @@ class TestExactEnumeration:
         identity = (T - 2 * m) / (T - m) * np.dot(probs, -s * scipy.stats.norm.pdf((values - 1.0) / s))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bias = th.etc_bias_general([own, other], m, T, 1)
+            bias = th.etc_bias_general([own, other], m, T)[0]
         assert bias == pytest.approx(identity, rel=1e-12)
 
     def test_bernoulli_pair_frozen(self):
         arms = [B3, Bernoulli(0.6)]
-        assert th.etc_bias_general(arms, 10, 100, 1) == pytest.approx(
+        assert th.etc_bias_general(arms, 10, 100)[0] == pytest.approx(
             -0.018787962827561525, rel=1e-12)
-        assert th.etc_bias_general(arms, 10, 100, 2) == pytest.approx(
+        assert th.etc_bias_general(arms, 10, 100)[1] == pytest.approx(
             -0.020322338530936554, rel=1e-12)
+
+    def test_near_sure_commitment_has_no_cancellation(self):
+        """Bernoulli(0.3) vs Bernoulli(0.52) at T = 4m: arm 2 almost surely
+        commits, and summing over its commit event left rounding noise
+        (-1.2e-17 and -2.0e-18).  References: 150-digit mpmath sums."""
+        arms = [B3, Bernoulli(0.52)]
+        for m, (ref1, ref2) in {1000: (-1.62063859836051e-25, -1.76719400376051e-25),
+                                4000: (-8.50744363670801e-93, -9.27540895850472e-93)}.items():
+            b1, b2 = th.etc_bias_general(arms, m, 4 * m)
+            assert b1 < 0 and b2 < 0
+            assert b1 == pytest.approx(ref1, rel=1e-9)
+            assert b2 == pytest.approx(ref2, rel=1e-9)
 
     def test_general_bias_negative_and_zero_cases(self):
         arms = [B3, Bernoulli(0.6)]
-        assert th.etc_bias_general(arms, 10, 20, 1) == 0.0
+        assert th.etc_bias_general(arms, 10, 20)[0] == 0.0
         for k in (1, 2):
-            assert th.etc_bias_general(arms, 5, 50, k) < 0
+            assert th.etc_bias_general(arms, 5, 50)[k - 1] < 0
 
     def test_tie_convention_splits_between_arms(self):
         # identical arms: arm 1 wins ties, so its commit set is larger and its
         # bias magnitude differs from arm 2's unless the law is continuous
         arms = [Bernoulli(0.3), Bernoulli(0.3)]
-        b1 = th.etc_bias_general(arms, 4, 20, 1)
-        b2 = th.etc_bias_general(arms, 4, 20, 2)
+        b1 = th.etc_bias_general(arms, 4, 20)[0]
+        b2 = th.etc_bias_general(arms, 4, 20)[1]
         assert b1 < 0 and b2 < 0
         assert b1 != b2  # the atom mass on exact ties goes to arm 1 only
 
@@ -227,7 +279,7 @@ class TestTailAsymptotics:
 
     def test_sharp_asymptotic_vs_exact(self):
         asym = th.etc_bias_sharp_asymptotic(B3, 0.6, 50, 200)
-        exact = th.etc_bias_general([B3, Gaussian(0.6, 0.0)], 50, 200, 1)
+        exact = th.etc_bias_general([B3, Gaussian(0.6, 0.0)], 50, 200)[0]
         assert asym == pytest.approx(-2.1794081867182396e-06, rel=1e-12)
         assert exact == pytest.approx(-2.16793698194857e-06, rel=1e-10)
         assert abs(asym - exact) / abs(exact) < 0.01
