@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -139,6 +140,8 @@ def _cmd_theory(args) -> int:
     arms = _load_arms(args.arms)
     if not 1 <= len(arms) <= 2:
         raise ValueError(f"theory takes one or two reward laws, the arms file has {len(arms)}")
+    if args.mu2 is not None and not math.isfinite(args.mu2):
+        raise ValueError(f"--mu2 must be finite, got {args.mu2}")
     mu2 = args.mu2 if args.mu2 is not None else (arms[1].mean() if len(arms) > 1 else None)
     if mu2 is None:
         raise ValueError("--mu2 is required when the arms file has a single distribution")

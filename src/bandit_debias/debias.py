@@ -22,14 +22,13 @@ per-round policy step.  Every other policy replays round by round.
 """
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bootstrap import BootstrapSpec, build_world
 from .simulator import BanditLog, json_floats, run_batch, summarize
-from .streams import TAG_REPLAY_CHUNK, substream
+from .streams import TAG_REPLAY_CHUNK, substream, task_map
 
 CHUNK = 4096
 
@@ -107,11 +106,8 @@ def debias(logs: BanditLog, spec: BootstrapSpec, seed: int, workers: int = 1) ->
         (lo, min(lo + CHUNK, rows), spec.B, raw, logs.T, logs.policy, world, int(seed), i)
         for i, lo in enumerate(range(0, rows, CHUNK))
     ]
-    if workers > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replay_chunk, tasks))
-    else:
-        results = [_replay_chunk(t) for t in tasks]
+    with task_map(_replay_chunk, tasks, workers) as chunks:
+        results = list(chunks)
 
     sum_means = np.zeros_like(raw)
     sum_dev2 = np.zeros_like(raw)

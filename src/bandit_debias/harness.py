@@ -16,7 +16,6 @@ undefined bootstrap bias) are labelled and counted per cell, not fatal.
 from __future__ import annotations
 
 import collections
-import concurrent.futures
 import json
 import os
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from .debias import debias
 from .policies import json_int, json_list, json_optional, json_str, read_dataclass, read_record
 from .simulator import BanditLog, atomic_write_text, json_floats, run_batch, summarize, validate_config
 from .simulator import run_experiment  # noqa: F401  (perfbench/tracing.py wraps harness.run_experiment)
-from .streams import TAG_HARNESS_DEBIAS, TAG_HARNESS_MSE, TAG_HARNESS_SIM, child_seed, substream
+from .streams import TAG_HARNESS_DEBIAS, TAG_HARNESS_MSE, TAG_HARNESS_SIM, child_seed, substream, task_map
 
 BLOCK = 50  # replications per block of work, whatever the worker count
 
@@ -239,17 +238,16 @@ _run_replication = _run_block
 def run_plan(plan: ExperimentPlan, workers: int = 1, out_dir: Optional[str] = None) -> list[CellResult]:
     """Execute every cell; optionally persist summary.json / replications.csv / mse.csv.
 
-    With workers > 1 one process pool runs the blocks of every cell.
+    With workers > 1 one process pool, of at most one process per block,
+    runs the blocks of every cell.
     """
     tasks = [
         (cell, plan.master_seed, cell_index, block)
         for cell_index, cell in enumerate(plan.cells)
         for block in range(_block_count(cell))
     ]
-    if workers > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return _collect(plan, pool.map(_run_block, tasks), out_dir)
-    return _collect(plan, map(_run_block, tasks), out_dir)
+    with task_map(_run_block, tasks, workers) as blocks:
+        return _collect(plan, blocks, out_dir)
 
 
 def _collect(plan: ExperimentPlan, blocks, out_dir: Optional[str]) -> list[CellResult]:

@@ -199,43 +199,56 @@ class BatchPolicyState:
     advanced in lockstep, an (n, 1) column for the rows of a
     ``prefix_state``, which sit at different rounds.  Either broadcasts
     against the (n, K) counts.
+
+    ``counts`` are float64, exact below 2**53 pulls, so a round's divisions
+    by them convert nothing; a state built with int64 counts selects the
+    same arms.
     """
 
     K: int
     n: int
     t: Union[int, np.ndarray] = 1
-    counts: np.ndarray = field(default=None)  # (n, K) int64, C-contiguous
+    counts: np.ndarray = field(default=None)  # (n, K) float64, C-contiguous
     sums: np.ndarray = field(default=None)    # (n, K), C-contiguous
 
     def __post_init__(self):
         if self.counts is None:
-            self.counts = np.zeros((self.n, self.K), dtype=np.int64)
+            self.counts = np.zeros((self.n, self.K))
             self.sums = np.zeros((self.n, self.K))
+        # Flat index of each row's arm 0 in the row-major arrays: indexing
+        # them flat costs a third of indexing by (row, arm) pairs.
+        self._row_starts = np.arange(0, self.n * self.K, self.K)
 
     def means(self) -> np.ndarray:
         """Empirical means, 0 for unpulled arms (whose sums are exactly 0)."""
         return self.sums / np.maximum(self.counts, 1)
 
     def update(self, arms: np.ndarray, rewards: np.ndarray) -> None:
-        # Flat indices into the row-major arrays: a third of the cost of
-        # indexing them by (row, arm) pairs.
-        cells = np.arange(0, self.n * self.K, self.K) + arms
+        cells = self._row_starts + arms
         self.counts.reshape(-1)[cells] += 1
         self.sums.reshape(-1)[cells] += rewards
         self.t += 1
 
 
 def select_batch(spec: PolicySpec, state: BatchPolicyState, rng: np.random.Generator) -> np.ndarray:
-    """Arm choices (n,) for the current round; reads ``state`` only, draws from rng in a fixed order."""
+    """Arm choices (n,) for the current round; reads ``state`` only, draws from rng in a fixed order.
+
+    UCB scores a state whose counts are all positive as ``sums / counts +
+    sqrt(log t / counts)`` directly; only a state with an unpulled arm, in
+    any row, pays for masking that arm's score to +inf.  The guard is the
+    counts, not ``t``: a hand-built or prefix state may leave an arm
+    unpulled past round K.
+    """
     n, K = state.n, state.K
     if isinstance(spec, EtcSpec):
         return _argmax_rows(np.where(state.counts == spec.m, state.means(), np.inf))
     if isinstance(spec, UcbSpec):
-        unpulled = state.counts == 0
+        counts = state.counts
+        if counts.all():
+            return _argmax_rows(state.sums / counts + np.sqrt(np.log(state.t) / counts))
         with np.errstate(divide="ignore", invalid="ignore"):
-            bonus = np.sqrt(np.log(state.t) / state.counts)
-        scores = np.where(unpulled, np.inf, state.means() + bonus)
-        return _argmax_rows(scores)
+            bonus = np.sqrt(np.log(state.t) / counts)
+        return _argmax_rows(np.where(counts == 0, np.inf, state.means() + bonus))
     if isinstance(spec, TsSpec):
         pm, pv = _ts_posterior(spec, state)
         if K == 2:
@@ -247,10 +260,10 @@ def select_batch(spec: PolicySpec, state: BatchPolicyState, rng: np.random.Gener
     if isinstance(spec, EgSpec):
         arms = _argmax_rows(state.means())
         u = rng.random(n)
-        explore = u < spec.epsilon
+        explore = np.flatnonzero(u < spec.epsilon)
         # Given u < epsilon, u / epsilon is uniform on [0, 1); a product that
         # rounds up to K is clipped.
-        arms[explore] = np.minimum((u[explore] / spec.epsilon * K).astype(np.int64), K - 1)
+        arms[explore] = np.minimum((u.take(explore) / spec.epsilon * K).astype(np.int64), K - 1)
         return arms
     raise TypeError(f"unknown policy spec {spec!r}")
 
@@ -313,7 +326,7 @@ def prefix_state(actions: np.ndarray, rewards: np.ndarray, K: int) -> BatchPolic
         K=K,
         n=n * T,
         t=np.tile(np.arange(1, T + 1), n)[:, None],
-        counts=strict_past(onehot.astype(np.int64)),
+        counts=strict_past(onehot.astype(np.float64)),
         sums=strict_past(r),
     )
 
@@ -332,9 +345,15 @@ def propensity(spec: PolicySpec, actions: np.ndarray, rewards: np.ndarray, K: in
 
 
 def _ts_posterior(spec: TsSpec, state: BatchPolicyState) -> tuple[np.ndarray, np.ndarray]:
-    prec = 1.0 / spec.prior_variance + state.counts / spec.likelihood_variance
-    pv = 1.0 / prec
-    pm = pv * (spec.prior_mean / spec.prior_variance + state.sums / spec.likelihood_variance)
+    """Posterior means and variances (n, K): pv = 1 / (1 / prior_variance +
+    counts / lv), pm = pv * (prior_mean / prior_variance + sums / lv), each
+    step computed in place."""
+    pv = state.counts / spec.likelihood_variance
+    pv += 1.0 / spec.prior_variance
+    np.divide(1.0, pv, out=pv)
+    pm = state.sums / spec.likelihood_variance
+    pm += spec.prior_mean / spec.prior_variance
+    pm *= pv
     return pm, pv
 
 

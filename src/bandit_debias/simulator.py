@@ -153,6 +153,11 @@ class LawWorld:
                 tails[c, len(support) - 1] = 1.0
         self.top_down = top_down.reshape(shape + (width,))
         self.tails = tails.reshape(shape + (width,))
+        # The tables by flat cell, and which kinds of arm exist, fixed here
+        # so that a round's draw only gathers.
+        self._mu, self._sd, self._finite = self.mu.ravel(), self.sd.ravel(), self.finite.ravel()
+        self._top_down, self._tails = top_down, tails
+        self._any_normal, self._any_finite = not self._finite.all(), self._finite.any()
 
     def __len__(self) -> int:
         return self.laws.shape[-1]
@@ -163,11 +168,14 @@ class LawWorld:
     def draw(self, cells: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One reward per row from the law of its flat cell (log * K + arm)."""
         rewards = None
-        if not self.finite.all():
-            rewards = self.mu.reshape(-1)[cells] + self.sd.reshape(-1)[cells] * rng.standard_normal(len(cells))
-        if self.finite.any():
-            drawn = self._lookup(cells, self.tails.reshape(-1, self.tails.shape[-1])[cells], rng.random(len(cells)))
-            rewards = drawn if rewards is None else np.where(self.finite.reshape(-1)[cells], drawn, rewards)
+        if self._any_normal:
+            # mean + sd * z, in place.
+            rewards = rng.standard_normal(len(cells))
+            rewards *= self._sd.take(cells)
+            rewards += self._mu.take(cells)
+        if self._any_finite:
+            drawn = self._lookup(cells, self._tails[cells], rng.random(len(cells)))
+            rewards = drawn if rewards is None else np.where(self._finite.take(cells), drawn, rewards)
         return rewards
 
     def draw_sum(self, cells: np.ndarray, j: int, rng: np.random.Generator) -> np.ndarray:
@@ -178,19 +186,19 @@ class LawWorld:
         in blocks of rounds.
         """
         sums = None
-        if not self.finite.all():
+        if self._any_normal:
             z = rng.standard_normal(len(cells))
-            sums = j * self.mu.reshape(-1)[cells] + math.sqrt(j) * self.sd.reshape(-1)[cells] * z
-        if self.finite.any():
-            tails = self.tails.reshape(-1, self.tails.shape[-1])[cells]
+            sums = j * self._mu[cells] + math.sqrt(j) * self._sd[cells] * z
+        if self._any_finite:
+            tails = self._tails[cells]
             drawn = _sum_draws(len(cells), j, rng, lambda u: self._lookup(cells, tails, u))
-            sums = drawn if sums is None else np.where(self.finite.reshape(-1)[cells], drawn, sums)
+            sums = drawn if sums is None else np.where(self._finite[cells], drawn, sums)
         return sums
 
     def _lookup(self, cells: np.ndarray, tails: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Atoms drawn by uniforms u (..., n) from the rows' cells; ``tails`` is gathered per row."""
         atom = (u[..., None] >= tails).sum(axis=-1)
-        return self.top_down.reshape(-1, self.top_down.shape[-1])[cells, atom]
+        return self._top_down[cells, atom]
 
 
 class ResampleWorld:
@@ -214,6 +222,8 @@ class ResampleWorld:
             raise ValueError(f"arm {np.argmin(counts) % K + 1} has no rewards to resample")
         self.counts = counts.reshape(shape)
         self.offsets = (np.cumsum(counts) - counts).reshape(shape)
+        # By flat cell, for the draws; float counts scale u with no conversion.
+        self._offsets, self._counts = self.offsets.ravel(), counts.astype(np.float64)
 
     def __len__(self) -> int:
         return self.counts.shape[-1]
@@ -228,13 +238,12 @@ class ResampleWorld:
         """One resampled reward per row from its flat cell (log * K + arm)."""
         u = rng.random(len(cells))
         # u < 1, so the rounded product stays below the count.
-        counts = self.counts.reshape(-1)[cells]
-        return self.values[self.offsets.reshape(-1)[cells] + (u * counts).astype(np.int64)]
+        u *= self._counts.take(cells)
+        return self.values.take(self._offsets.take(cells) + u.astype(np.int64))
 
     def draw_sum(self, cells: np.ndarray, j: int, rng: np.random.Generator) -> np.ndarray:
         """Per row, the sum of j resampled rewards from its flat cell, drawn in blocks of rounds."""
-        offsets = self.offsets.reshape(-1)[cells]
-        counts = self.counts.reshape(-1)[cells]
+        offsets, counts = self._offsets[cells], self._counts[cells]
         return _sum_draws(len(cells), j, rng, lambda u: self.values[offsets + (u * counts).astype(np.int64)])
 
 
@@ -280,12 +289,12 @@ def run_batch(
     rewards = np.empty((n, T)) if record_logs else None
     for t0 in range(T):
         chosen = policies.select_batch(policy, state, rng)
-        r = world.draw(base + chosen, rng)
+        r = world.draw(chosen if row_log is None else base + chosen, rng)
         state.update(chosen, r)
         if record_logs:
             actions[:, t0] = chosen
             rewards[:, t0] = r
-    return BatchOutcome(counts=state.counts, sums=state.sums, actions=actions, rewards=rewards)
+    return BatchOutcome(counts=state.counts.astype(np.int64), sums=state.sums, actions=actions, rewards=rewards)
 
 
 def _run_etc(n: int, K: int, T: int, m: int, world: World, base: np.ndarray, rng: np.random.Generator) -> BatchOutcome:

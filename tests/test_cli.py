@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import warnings
 from pathlib import Path
@@ -132,6 +133,14 @@ def test_theory_out_of_range_is_exit_2(tmp_path, bern_arms):
     rc = dispatch(["theory", "--arms", bern_arms, "--mu2", "1.5",
                    "--out", str(tmp_path / "x.json")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("mu2", ["nan", "inf", "-inf"])
+def test_theory_nonfinite_mu2_is_usage_error(tmp_path, capsys, bern_arms, mu2):
+    out = tmp_path / "x.json"
+    assert dispatch(["theory", "--arms", bern_arms, f"--mu2={mu2}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --mu2 must be finite, got {float(mu2)}\n"
+    assert not out.exists()
 
 
 def test_missing_seed_is_usage_error(tmp_path, gauss_arms):
@@ -538,3 +547,58 @@ def test_debias_missing_sidecar_is_usage_error(tmp_path, gauss_arms, capsys):
                    "--out", str(tmp_path / "r.json")])
     assert rc == 1
     assert "No such file" in capsys.readouterr().err
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Sizes of the process pools started, by a stand-in that runs their tasks in this process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("B,pool", [("9000", [3]), ("1000", [])], ids=["three_chunks", "one_chunk"])
+def test_debias_pool_is_sized_by_its_chunks(tmp_path, gauss_arms, monkeypatch, pool_sizes, source, B, pool):
+    log = _simulate(tmp_path, gauss_arms, extra=["--m", "10"])
+    argv = ["debias", "--log", log, "--meta", log + ".meta.json", "--B", B, "--seed", "7"]
+    rc = dispatch([*argv, "--out", str(tmp_path / "ref.json")])  # one worker: no pool
+    if source == "flag":
+        rc += dispatch([*argv, "--workers", "5000", "--out", str(tmp_path / "r.json")])
+    else:
+        monkeypatch.setenv("BANDIT_DEBIAS_WORKERS", "5000")
+        rc += dispatch([*argv, "--out", str(tmp_path / "r.json")])
+    assert rc == 0
+    assert pool_sizes == pool
+    assert (tmp_path / "r.json").read_text() == (tmp_path / "ref.json").read_text()
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_plan_pool_is_sized_by_its_blocks(tmp_path, monkeypatch, pool_sizes, source):
+    cell = {"policy": {"name": "etc", "m": 2}, "arms": [{"type": "bernoulli", "p": 0.3}] * 2,
+            "K": 2, "T": 10, "bootstrap": {"kind": "mb", "B": 5}}
+    plan_path = tmp_path / "plan.json"  # 2 + 1 blocks of 50 replications
+    plan_path.write_text(json.dumps({"cells": [{**cell, "name": "a", "replications": 60},
+                                               {**cell, "name": "b", "replications": 10}]}))
+    argv = ["plan", "--plan", str(plan_path), "--seed", "3", "--out-dir", str(tmp_path / "out")]
+    if source == "flag":
+        argv += ["--workers", "5000"]
+    else:
+        monkeypatch.setenv("BANDIT_DEBIAS_WORKERS", "5000")
+    assert dispatch(argv) == 0
+    assert pool_sizes == [3]
+    assert (tmp_path / "out" / "b" / "summary.json").exists()

@@ -86,6 +86,42 @@ def test_ucb_forced_round_robin():
         pull(state, arm, 5.0)
 
 
+def test_ucb_plays_an_unpulled_arm_past_round_K():
+    # t is an int above K, yet row 0 never pulled arm 0: the unpulled arm
+    # still goes first, with no divide-by-zero warning (warnings fail the suite).
+    state = _state([[0, 8], [3, 5]], [[0.0, 80.0], [3.0, 0.0]])
+    state.t = 9
+    assert select_batch(UcbSpec(), state, substream(0)).tolist() == [0, 0]
+
+
+@st.composite
+def lockstep_ucb_states(draw):
+    """(counts, sums, t) of lockstep rows at round t, zero counts and exact ties included."""
+    K = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 6))
+    counts = np.array(draw(st.lists(st.integers(0, 12), min_size=n * K, max_size=n * K))).reshape(n, K)
+    counts[:, 0] += counts.sum(axis=1).max() - counts.sum(axis=1)  # every row at the same round
+    # Means on a coarse lattice: equal counts and means tie exactly.
+    means = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n * K, max_size=n * K)))
+    return counts, counts * means.reshape(n, K), int(counts[0].sum()) + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(lockstep_ucb_states())
+def test_ucb_unmasked_score_matches_masked_path(case):
+    """A lockstep state, int t, takes the unmasked score when every count is
+    positive.  The masked path scores the same rows with t as a column, as
+    a prefix state does, plus one row with an unpulled arm that forces the mask."""
+    counts, sums, t = case
+    n, K = counts.shape
+    arms = select_batch(UcbSpec(), BatchPolicyState(K, n, t, counts.astype(float), sums), substream(0))
+    hand_built = select_batch(UcbSpec(), BatchPolicyState(K, n, t, counts.copy(), sums), substream(0))
+    masked = BatchPolicyState(K, n + 1, np.full((n + 1, 1), t),
+                              np.vstack([counts, np.zeros(K)]), np.vstack([sums, np.zeros(K)]))
+    assert np.array_equal(arms, select_batch(UcbSpec(), masked, substream(0))[:n])
+    assert np.array_equal(arms, hand_built)  # int64 counts select the same arms
+
+
 def test_update_counts_and_running_mean():
     state = play([(0, 1.0), (0, 3.0)])
     assert state.counts[0, 0] == 2
