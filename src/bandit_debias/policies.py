@@ -224,9 +224,11 @@ class BatchPolicyState:
         return self.sums / np.maximum(self.counts, 1)
 
     def update(self, arms: np.ndarray, rewards: np.ndarray) -> None:
+        # ufunc.at adds in place, with no gather and scatter copies; each
+        # row's cell is its own, so every cell takes at most one addition.
         cells = self._row_starts + arms
-        self.counts.reshape(-1)[cells] += 1
-        self.sums.reshape(-1)[cells] += rewards
+        np.add.at(self.counts.reshape(-1), cells, 1.0)
+        np.add.at(self.sums.reshape(-1), cells, rewards)
         self.t += 1
 
 
@@ -260,7 +262,7 @@ def select_batch(spec: PolicySpec, state: BatchPolicyState, rng: np.random.Gener
     if isinstance(spec, EgSpec):
         arms = _argmax_rows(state.means())
         u = rng.random(n)
-        explore = np.flatnonzero(u < spec.epsilon)
+        explore = (u < spec.epsilon).nonzero()[0]
         # Given u < epsilon, u / epsilon is uniform on [0, 1); a product that
         # rounds up to K is clipped.
         arms[explore] = np.minimum((u.take(explore) / spec.epsilon * K).astype(np.int64), K - 1)

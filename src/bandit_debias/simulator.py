@@ -105,7 +105,7 @@ class ArmSummary:
 class BatchOutcome:
     """Sufficient statistics of n lockstep experiments (plus optional logs)."""
 
-    counts: np.ndarray  # (n, K)
+    counts: np.ndarray  # (n, K) int64
     sums: np.ndarray
     actions: Optional[np.ndarray] = None  # (n, T)
     rewards: Optional[np.ndarray] = None  # (n, T)
