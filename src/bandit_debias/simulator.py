@@ -118,8 +118,9 @@ class LawWorld:
     """Per-arm reward laws tabulated for one vectorized draw per round.
 
     ``laws`` holds K laws, or a (W, K) array of them for a stack of logs;
-    every table has the same leading shape, and ``world[k]`` is arm k's law
-    (the first log's, in a stack).
+    ``mu``, ``sd`` and ``finite`` have the same shape, the atom tables
+    ``top_down`` and ``tails`` have a row per flat cell, and ``world[k]`` is
+    arm k's law (the first log's, in a stack).
 
     An arm with a law of positive variance and finite ``atoms()`` is finite:
     it draws one uniform u per row and takes the top atom whose upper tail
@@ -143,20 +144,17 @@ class LawWorld:
         width = max((len(a[0]) for a in atoms if a is not None), default=0)
         # Row c: cell c's atoms from the top down and their cumulative upper
         # tail masses, the last forced to 1; padding tails never reach u < 1.
-        top_down = np.zeros((len(flat), width))
-        tails = np.full((len(flat), width), 2.0)
+        self.top_down = np.zeros((len(flat), width))
+        self.tails = np.full((len(flat), width), 2.0)
         for c, a in enumerate(atoms):
             if a is not None:
                 support, probs = a
-                top_down[c, : len(support)] = support[::-1]
-                tails[c, : len(support)] = np.cumsum(probs[::-1])
-                tails[c, len(support) - 1] = 1.0
-        self.top_down = top_down.reshape(shape + (width,))
-        self.tails = tails.reshape(shape + (width,))
-        # The tables by flat cell, and which kinds of arm exist, fixed here
-        # so that a round's draw only gathers.
+                self.top_down[c, : len(support)] = support[::-1]
+                self.tails[c, : len(support)] = np.cumsum(probs[::-1])
+                self.tails[c, len(support) - 1] = 1.0
+        # Flat views, and which kinds of arm exist, fixed here so that a
+        # round's draw only gathers.
         self._mu, self._sd, self._finite = self.mu.ravel(), self.sd.ravel(), self.finite.ravel()
-        self._top_down, self._tails = top_down, tails
         self._any_normal, self._any_finite = not self._finite.all(), self._finite.any()
 
     def __len__(self) -> int:
@@ -174,7 +172,7 @@ class LawWorld:
             rewards *= self._sd.take(cells)
             rewards += self._mu.take(cells)
         if self._any_finite:
-            drawn = self._lookup(cells, self._tails[cells], rng.random(len(cells)))
+            drawn = self._lookup(cells, self.tails[cells], rng.random(len(cells)))
             rewards = drawn if rewards is None else np.where(self._finite.take(cells), drawn, rewards)
         return rewards
 
@@ -190,7 +188,7 @@ class LawWorld:
             z = rng.standard_normal(len(cells))
             sums = j * self._mu[cells] + math.sqrt(j) * self._sd[cells] * z
         if self._any_finite:
-            tails = self._tails[cells]
+            tails = self.tails[cells]
             drawn = _sum_draws(len(cells), j, rng, lambda u: self._lookup(cells, tails, u))
             sums = drawn if sums is None else np.where(self._finite[cells], drawn, sums)
         return sums
@@ -198,7 +196,7 @@ class LawWorld:
     def _lookup(self, cells: np.ndarray, tails: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Atoms drawn by uniforms u (..., n) from the rows' cells; ``tails`` is gathered per row."""
         atom = (u[..., None] >= tails).sum(axis=-1)
-        return self._top_down[cells, atom]
+        return self.top_down[cells, atom]
 
 
 class ResampleWorld:
