@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .policies import json_float, json_list, json_optional, json_str, json_tag, read_record
 
@@ -162,11 +161,15 @@ class FiniteDiscrete(_Law):
     def log_mgf(self, h: float) -> float:
         if h == 0.0:
             return 0.0
+        from scipy.special import logsumexp  # here, not at the top: the CLI starts without scipy
+
         x = np.asarray(self.support)
         logp = np.log(np.maximum(self.probs, 1e-300))
         return float(logsumexp(h * x + logp))
 
     def log_mgf_derivatives(self, h: float) -> tuple[float, float]:
+        from scipy.special import logsumexp  # here, not at the top: the CLI starts without scipy
+
         x = np.asarray(self.support)
         logw = h * x + np.log(np.maximum(self.probs, 1e-300))
         logw -= logsumexp(logw)

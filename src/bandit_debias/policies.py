@@ -41,7 +41,6 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from .streams import substream  # noqa: F401  (perfbench/tracing.py wraps policies.substream)
 
@@ -303,6 +302,8 @@ def propensity_batch(spec: PolicySpec, state: BatchPolicyState) -> Optional[np.n
         pm, pv = _ts_posterior(spec, state)
         if state.K != 2:
             return _ts_quadrature(pm, np.sqrt(pv))
+        from scipy.special import ndtr  # here, not at the top: the CLI starts without scipy
+
         gap = (pm[:, 0] - pm[:, 1]) / np.sqrt(pv[:, 0] + pv[:, 1])
         p1 = ndtr(gap)
         return np.stack([p1, 1.0 - p1], axis=1)
@@ -364,6 +365,8 @@ def _ts_quadrature(pm: np.ndarray, sd: np.ndarray) -> np.ndarray:
 
     Integrates phi_k(x) prod_{j != k} Phi((x - pm_j) / sd_j), the product in log space.
     """
+    from scipy.special import log_ndtr  # here, not at the top: the CLI starts without scipy
+
     edges = np.sort((pm[:, :, None] + sd[:, :, None] * _TS_BREAKS).reshape(len(pm), 1, -1), axis=2)
     half = np.diff(edges, axis=2)[..., None] / 2  # (n, 1, pieces, 1)
     z = (edges[..., :-1, None] + half * (1 + np.r_[-_GL_T, _GL_T]) - pm[:, :, None, None]) / sd[:, :, None, None]

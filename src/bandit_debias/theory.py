@@ -31,8 +31,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import optimize
-from scipy.special import ndtr
 
 from .distributions import Gaussian, RewardDistribution
 from .simulator import run_batch  # noqa: F401  (perfbench/tracing.py wraps theory.run_batch)
@@ -173,6 +171,8 @@ def _split_at(other: RewardDistribution, pmf, m: int, x: np.ndarray, ties_below:
     of being 1 minus the other.
     """
     if pmf is None:
+        from scipy.special import ndtr  # here, not at the top: the CLI starts without scipy
+
         z = (x - other.mean()) * math.sqrt(m / other.variance())
         return ndtr(z), ndtr(-z)
     values, probs = pmf
@@ -281,7 +281,9 @@ def legendre_fenchel(d: RewardDistribution, x: float) -> tuple[float, float]:
             b *= 2.0
     else:
         raise ArithmeticError("failed to bracket the tilt")
-    zeta = optimize.brentq(slope_gap, a, b, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    from scipy.optimize import brentq  # here, not at the top: the CLI starts without scipy
+
+    zeta = brentq(slope_gap, a, b, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     # Newton polish against the residual tolerance.
     for _ in range(50):
         d1, d2 = d.log_mgf_derivatives(zeta)

@@ -135,6 +135,18 @@ def test_theory_out_of_range_is_exit_2(tmp_path, bern_arms):
     assert rc == 2
 
 
+def test_theory_outside_the_support_hull_writes_nothing(tmp_path, capsys):
+    """Arm 2's mean 0.5 lies outside arm 1's support hull, so the profile is
+    undefined; the defined bias_exact is not written either: all or nothing."""
+    arms = tmp_path / "arms.json"
+    arms.write_text(json.dumps([{"type": "discrete", "support": [0.1, 0.3333333333], "probs": [0.5, 0.5]},
+                                {"type": "bernoulli", "p": 0.5}]))
+    out = tmp_path / "theory.json"
+    assert dispatch(["theory", "--arms", str(arms), "--m", "10", "--T", "40", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("OutOfRange: threshold 0.5 outside the attainable slope range")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mu2", ["nan", "inf", "-inf"])
 def test_theory_nonfinite_mu2_is_usage_error(tmp_path, capsys, bern_arms, mu2):
     out = tmp_path / "x.json"
@@ -553,10 +565,17 @@ def test_debias_missing_sidecar_is_usage_error(tmp_path, gauss_arms, capsys):
 def pool_sizes(monkeypatch):
     """Sizes of the process pools started, by a stand-in that runs their tasks in this process."""
     sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool(sizes.append))
+    return sizes
+
+
+def recording_pool(on_start):
+    """A ProcessPoolExecutor stand-in that runs its tasks in this process
+    and calls on_start(max_workers) as each pool is built."""
 
     class RecordingPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            on_start(max_workers)
 
         def __enter__(self):
             return self
@@ -567,8 +586,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return sizes
+    return RecordingPool
 
 
 @pytest.mark.parametrize("source", ["flag", "env"])

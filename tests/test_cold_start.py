@@ -1,0 +1,80 @@
+"""The package loads scipy only where it calls it.
+
+scipy.special and scipy.optimize take about 0.7 s to import, more than a
+whole ``debias`` replay at T = 1000, B = 1000, and only ``theory``, TS
+propensities and the Bahadur-Rao profile call them.  This test session has
+long since imported scipy, so each check runs in a fresh interpreter.
+"""
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# The last line of a snippet: print the names of the scipy modules loaded.
+_REPORT = "import json, sys; print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+
+
+def _run(snippet: str) -> list:
+    """Run a snippet in a fresh interpreter with src and tests importable; the JSON of its last stdout line."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(snippet)], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", ["bandit_debias", "bandit_debias.cli"])
+def test_import_loads_no_scipy(module):
+    assert _run(f"import {module}\n{_REPORT}") == []
+
+
+def test_simulate_and_debias_load_no_scipy(tmp_path):
+    arms, log = tmp_path / "arms.json", tmp_path / "log.csv"
+    arms.write_text(json.dumps([{"type": "gaussian", "mean": 1.0, "variance": 1.0},
+                                {"type": "bernoulli", "p": 0.3}]))
+    loaded = _run(f"""
+        from bandit_debias.cli import dispatch
+        assert dispatch(["simulate", "--policy", "ucb", "--K", "2", "--T", "100", "--arms", {str(arms)!r},
+                         "--seed", "5", "--out", {str(log)!r}]) == 0
+        for kind in ("mb", "efron"):
+            assert dispatch(["debias", "--log", {str(log)!r}, "--meta", {str(log) + ".meta.json"!r},
+                             "--bootstrap", kind, "--B", "200", "--seed", "7",
+                             "--out", {str(tmp_path / "report.json")!r}]) == 0
+        {_REPORT}
+    """)
+    assert loaded == []
+
+
+def _plan_pools(tmp_path, estimators: list) -> dict:
+    """Run ``plan --workers 2`` on a TS cell (two blocks, so one pool) in a fresh interpreter,
+    with pools run in-process; whether scipy.special was loaded as each pool was built."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"cells": [{
+        "name": "a", "policy": {"name": "ts"}, "arms": [{"type": "bernoulli", "p": 0.3}, {"type": "bernoulli", "p": 0.6}],
+        "K": 2, "T": 10, "replications": 60, "bootstrap": {"kind": "mb", "B": 5}, "estimators": estimators,
+    }]}))
+    return _run(f"""
+        import concurrent.futures, json, sys
+        from test_cli import recording_pool
+
+        built = []
+        concurrent.futures.ProcessPoolExecutor = recording_pool(lambda size: built.append("scipy.special" in sys.modules))
+        from bandit_debias.cli import dispatch
+        rc = dispatch(["plan", "--plan", {str(plan)!r}, "--seed", "3", "--workers", "2",
+                       "--out-dir", {str(tmp_path / "out")!r}])
+        print(json.dumps({{"rc": rc, "built": built, "scipy": any(m.split(".")[0] == "scipy" for m in sys.modules)}}))
+    """)
+
+
+def test_weighted_plan_imports_scipy_before_the_pool_forks(tmp_path):
+    """A TS propensity calls scipy.special: imported in the parent, the forked workers inherit it."""
+    assert _plan_pools(tmp_path, ["mean", "ipw"]) == {"rc": 0, "built": [True], "scipy": True}
+
+
+def test_mean_only_plan_loads_no_scipy(tmp_path):
+    assert _plan_pools(tmp_path, ["mean"]) == {"rc": 0, "built": [False], "scipy": False}

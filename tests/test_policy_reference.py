@@ -1,8 +1,10 @@
-"""An independent reference for UCB's and greedy's choices.
+"""An independent reference for the choices of ETC, UCB and greedy.
 
 A plain per-experiment loop, written from the rules the ``policies``
 docstring states and sharing no code with ``select_batch``:
 
+* ETC: m pulls of each arm in turn, lowest arm first, then commit to the
+  best mean of those pulls;
 * UCB: an unpulled arm first (the lowest), then the largest
   mean + sqrt(log t / n_k);
 * epsilon-greedy with epsilon = 0: the largest mean, 0 for an unpulled arm;
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandit_debias.policies import EgSpec, UcbSpec
+from bandit_debias.policies import EgSpec, EtcSpec, UcbSpec
 from bandit_debias.simulator import BanditLog, LawWorld, PolicyMismatch, check_policy, run_batch
 from bandit_debias.streams import substream
 
@@ -44,7 +46,11 @@ def reference_arms(spec, actions, rewards, K: int) -> list:
     actions and rewards as its history."""
     counts, sums, played = [0] * K, [0.0] * K, []
     for t, (action, reward) in enumerate(zip(actions, rewards), start=1):
-        if isinstance(spec, UcbSpec):
+        if isinstance(spec, EtcSpec):
+            if t == spec.m * K + 1:  # every arm has had its m pulls: commit for good
+                committed = max(range(K), key=lambda k: sums[k] / spec.m)
+            arm = (t - 1) // spec.m if t <= spec.m * K else committed
+        elif isinstance(spec, UcbSpec):
             unpulled = [k for k in range(K) if counts[k] == 0]
             log_t = float(np.log(t))  # numpy's log, as the policy takes it
             arm = unpulled[0] if unpulled else max(range(K), key=lambda k: sums[k] / counts[k] + math.sqrt(log_t / counts[k]))
@@ -70,9 +76,19 @@ def reward_tables(draw):
     return np.array(draw(st.lists(value, min_size=n * T * K, max_size=n * T * K))).reshape(n, T, K)
 
 
+@st.composite
+def cases(draw):
+    """A policy the reference covers and an (n, T, K) reward table; ETC's m*K fits in T."""
+    table = draw(reward_tables())
+    _, T, K = table.shape
+    etc = [st.integers(1, T // K).map(EtcSpec)] if T >= K else []
+    return draw(st.one_of(st.sampled_from([UcbSpec(), EgSpec(0.0)]), *etc)), table
+
+
 @settings(max_examples=150, deadline=None)
-@given(spec=st.sampled_from([UcbSpec(), EgSpec(0.0)]), table=reward_tables())
-def test_reference_replays_the_logged_arms(spec, table):
+@given(case=cases())
+def test_reference_replays_the_logged_arms(case):
+    spec, table = case
     n, T, K = table.shape
     out = run_batch(n, K, T, spec, ScriptedWorld(table), substream(1), record_logs=True)
     assert np.array_equal(out.rewards, np.take_along_axis(table, out.actions[..., None], axis=2)[..., 0])
@@ -81,8 +97,9 @@ def test_reference_replays_the_logged_arms(spec, table):
 
 
 @settings(max_examples=100, deadline=None)
-@given(spec=st.sampled_from([UcbSpec(), EgSpec(0.0)]), table=reward_tables(), data=st.data())
-def test_check_policy_rejects_a_flipped_log_where_the_reference_does(spec, table, data):
+@given(case=cases(), data=st.data())
+def test_check_policy_rejects_a_flipped_log_where_the_reference_does(case, data):
+    spec, table = case
     n, T, K = table.shape
     out = run_batch(1, K, T, spec, ScriptedWorld(table[:1]), substream(1), record_logs=True)
     actions, rewards = out.actions[0].copy(), out.rewards[0]
