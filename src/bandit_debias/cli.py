@@ -34,11 +34,15 @@ _DATA_ERRORS = (
 
 
 def _workers(args) -> int:
-    """--workers, else BANDIT_DEBIAS_WORKERS, else 1; below 1 is a usage error."""
+    """--workers, else BANDIT_DEBIAS_WORKERS, else 1; a non-integer or below 1 is a usage error."""
     if args.workers is not None:
         workers, source = args.workers, "--workers"
     else:
-        workers, source = int(os.environ.get("BANDIT_DEBIAS_WORKERS", "1")), "BANDIT_DEBIAS_WORKERS"
+        source, raw = "BANDIT_DEBIAS_WORKERS", os.environ.get("BANDIT_DEBIAS_WORKERS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ValueError(f"{source} must be an integer, got {raw!r}") from None
     if workers < 1:
         raise ValueError(f"{source} must be >= 1, got {workers}")
     return workers
@@ -127,6 +131,8 @@ def _cmd_debias(args) -> int:
 def _cmd_evaluate(args) -> int:
     log = load_log(args.log, args.meta)
     names = tuple(n.strip() for n in args.estimators.split(",") if n.strip())
+    if not names:
+        raise ValueError(f"--estimators names no estimator: {args.estimators!r}")
     unknown = set(names) - set(est.NAMES)
     if unknown:
         raise ValueError(f"unknown estimator(s): {sorted(unknown)}")

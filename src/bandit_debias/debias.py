@@ -18,7 +18,8 @@ contributing replays is reported as ``b_effective``.
 Replays are unlogged ``run_batch`` calls, so ETC replays take the
 simulator's sufficient-statistic path: per-arm exploration sums from the
 world's ``draw_sum``, the commit, and one committed-block sum, with no
-per-round policy step.  Every other policy replays round by round.
+per-round policy step; the centred squares that path also draws go unused
+here.  Every other policy replays round by round.
 """
 from __future__ import annotations
 

@@ -21,11 +21,13 @@ takes the round's i-th draw, whichever arm it chose, so every row's reward
 is an independent draw from its arm's law.
 
 An explore-then-commit batch whose logs are not kept never steps round by
-round.  Its outcome is a function of per-arm sums: K exploration sums of m
-draws, the commit to their argmax, and the committed block's sum of T - mK
-draws, each taken from the world's ``draw_sum``.  Logged runs (``simulate``
-and the harness's real experiments) keep the round loop, so their logs do
-not depend on this shortcut.
+round.  Its outcome is a function of per-arm sufficient statistics: K
+exploration sums of m draws, the commit to their argmax, and the committed
+block's sum of T - mK draws, each with its centred sum of squares from the
+world's ``draw_sum``.  It is the package's one ETC sampler, for bootstrap
+replays and ``theory``'s Monte Carlo checks alike.  Logged runs
+(``simulate`` and the harness's real experiments) keep the round loop, so
+their logs do not depend on this shortcut.
 """
 from __future__ import annotations
 
@@ -44,8 +46,8 @@ from . import policies
 from .policies import BatchPolicyState, PolicySpec
 from .streams import substream
 
-# Cells (rows x rounds) per block that draw_sum draws at once: a block's
-# arrays stay near 128 KiB, in cache, whatever the batch width.
+# Cells (rows x rounds) per block that ResampleWorld.draw_sum draws at once:
+# a block's arrays stay near 128 KiB, in cache, whatever the batch width.
 _SUM_CELLS = 4096 * 4
 
 
@@ -109,6 +111,7 @@ class BatchOutcome:
     sums: np.ndarray
     actions: Optional[np.ndarray] = None  # (n, T)
     rewards: Optional[np.ndarray] = None  # (n, T)
+    squares: Optional[np.ndarray] = None  # (n, K) centred sums of squares, unlogged ETC batches only
 
     def means(self) -> np.ndarray:
         return np.where(self.counts > 0, self.sums / np.maximum(self.counts, 1), np.nan)
@@ -119,8 +122,8 @@ class LawWorld:
 
     ``laws`` holds K laws, or a (W, K) array of them for a stack of logs;
     ``mu``, ``sd`` and ``finite`` have the same shape, the atom tables
-    ``top_down`` and ``tails`` have a row per flat cell, and ``world[k]`` is
-    arm k's law (the first log's, in a stack).
+    ``top_down``, ``probs`` and ``tails`` have a row per flat cell, and
+    ``world[k]`` is arm k's law (the first log's, in a stack).
 
     An arm with a law of positive variance and finite ``atoms()`` is finite:
     it draws one uniform u per row and takes the top atom whose upper tail
@@ -130,7 +133,8 @@ class LawWorld:
     is its mean.  Row i takes the round's i-th normal and i-th uniform.
     Normals are drawn only when a normal arm exists and uniforms only when a
     finite arm exists, normals first.  A lookup compares u with each of the
-    arm's atoms, which suits laws with a handful of atoms.
+    arm's atoms, which suits laws with a handful of atoms.  ``draw_sum``
+    draws a finite arm's j draws as one multinomial vector of atom counts.
     """
 
     def __init__(self, laws: Union[Sequence[dist.RewardDistribution], np.ndarray]):
@@ -142,16 +146,22 @@ class LawWorld:
         atoms = [d.atoms() if d.variance() > 0 else None for d in flat]
         self.finite = np.array([a is not None for a in atoms]).reshape(shape)
         width = max((len(a[0]) for a in atoms if a is not None), default=0)
-        # Row c: cell c's atoms from the top down and their cumulative upper
-        # tail masses, the last forced to 1; padding tails never reach u < 1.
+        # Row c: cell c's atoms from the top down, their probabilities and
+        # their cumulative upper tail masses, the last forced to 1.  Padding
+        # goes first, so that its tails (0) count for every u and a
+        # multinomial's remainder falls to the lowest atom, not to padding.
         self.top_down = np.zeros((len(flat), width))
+        self.probs = np.zeros((len(flat), width))
         self.tails = np.full((len(flat), width), 2.0)
         for c, a in enumerate(atoms):
             if a is not None:
                 support, probs = a
-                self.top_down[c, : len(support)] = support[::-1]
-                self.tails[c, : len(support)] = np.cumsum(probs[::-1])
-                self.tails[c, len(support) - 1] = 1.0
+                pad = width - len(support)
+                self.top_down[c, pad:] = support[::-1]
+                self.probs[c, pad:] = probs[::-1]
+                self.tails[c, :pad] = 0.0
+                self.tails[c, pad:] = np.cumsum(probs[::-1])
+                self.tails[c, -1] = 1.0
         # Flat views, and which kinds of arm exist, fixed here so that a
         # round's draw only gathers.
         self._mu, self._sd, self._finite = self.mu.ravel(), self.sd.ravel(), self.finite.ravel()
@@ -176,22 +186,28 @@ class LawWorld:
             rewards = drawn if rewards is None else np.where(self._finite.take(cells), drawn, rewards)
         return rewards
 
-    def draw_sum(self, cells: np.ndarray, j: int, rng: np.random.Generator) -> np.ndarray:
-        """Per row, the sum of j i.i.d. draws from the law of its flat cell.
+    def draw_sum(self, cells: np.ndarray, j: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the sum of j i.i.d. draws from the law of its flat cell and their centred sum of squares.
 
         A normal cell's sum is j * mean + sqrt(j) * sd * z, one normal per
-        row; a finite cell's is the sum of j inverse-survival lookups, drawn
-        in blocks of rounds.
+        row, and its squares an independent sd^2 * chi^2(j - 1), zero at
+        j = 1.  A finite cell draws one multinomial vector of atom counts
+        per row, which gives both.  Normal-cell draws come first.
         """
-        sums = None
+        sums = squares = None
         if self._any_normal:
-            z = rng.standard_normal(len(cells))
-            sums = j * self._mu[cells] + math.sqrt(j) * self._sd[cells] * z
+            n, sd = len(cells), self._sd[cells]
+            sums = j * self._mu[cells] + math.sqrt(j) * sd * rng.standard_normal(n)
+            squares = sd * sd * rng.chisquare(j - 1, n) if j > 1 else np.zeros(n)
         if self._any_finite:
-            tails = self.tails[cells]
-            drawn = _sum_draws(len(cells), j, rng, lambda u: self._lookup(cells, tails, u))
-            sums = drawn if sums is None else np.where(self._finite[cells], drawn, sums)
-        return sums
+            counts, atoms = rng.multinomial(j, self.probs[cells]), self.top_down[cells]
+            drawn = (counts * atoms).sum(axis=1)
+            spread = (counts * np.square(atoms - drawn[:, None] / j)).sum(axis=1)
+            if sums is not None:
+                finite = self._finite[cells]
+                drawn, spread = np.where(finite, drawn, sums), np.where(finite, spread, squares)
+            sums, squares = drawn, spread
+        return sums, squares
 
     def _lookup(self, cells: np.ndarray, tails: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Atoms drawn by uniforms u (..., n) from the rows' cells; ``tails`` is gathered per row."""
@@ -208,13 +224,15 @@ class ResampleWorld:
     ``offsets[w, k]`` and has ``counts[w, k] >= 1`` entries (``offsets``
     and ``counts`` are (K,) for one log).  Row i's draw is the round's i-th
     uniform, scaled to an index into its cell's slice: a resample with
-    replacement.
+    replacement.  Each value's squared deviation about its cell's mean is
+    kept beside it for ``draw_sum``'s squares.
     """
 
     def __init__(self, actions: np.ndarray, rewards: np.ndarray, K: int):
         shape = np.shape(actions)[:-1] + (K,)
         cells = _log_cells(actions, K)
-        self.values = np.asarray(rewards).ravel()[np.argsort(cells, kind="stable")]
+        order = np.argsort(cells, kind="stable")
+        self.values = np.asarray(rewards).ravel()[order]
         counts = np.bincount(cells, minlength=math.prod(shape))
         if not counts.all():
             raise ValueError(f"arm {np.argmin(counts) % K + 1} has no rewards to resample")
@@ -222,6 +240,9 @@ class ResampleWorld:
         self.offsets = (np.cumsum(counts) - counts).reshape(shape)
         # By flat cell, for the draws; float counts scale u with no conversion.
         self._offsets, self._counts = self.offsets.ravel(), counts.astype(np.float64)
+        grouped = cells[order]
+        self._means = np.bincount(grouped, weights=self.values) / counts
+        self._deviations = np.square(self.values - self._means[grouped])
 
     def __len__(self) -> int:
         return self.counts.shape[-1]
@@ -239,19 +260,22 @@ class ResampleWorld:
         u *= self._counts.take(cells)
         return self.values.take(self._offsets.take(cells) + u.astype(np.int64))
 
-    def draw_sum(self, cells: np.ndarray, j: int, rng: np.random.Generator) -> np.ndarray:
-        """Per row, the sum of j resampled rewards from its flat cell, drawn in blocks of rounds."""
+    def draw_sum(self, cells: np.ndarray, j: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the sum S of j resampled rewards from its flat cell and their centred sum of squares.
+
+        Rounds are drawn in blocks.  The squares sum the draws' squared
+        deviations about the cell's mean c and move them to the row's own
+        mean: D - (S - j c)^2 / j.
+        """
+        n = len(cells)
         offsets, counts = self._offsets[cells], self._counts[cells]
-        return _sum_draws(len(cells), j, rng, lambda u: self.values[offsets + (u * counts).astype(np.int64)])
-
-
-def _sum_draws(n: int, j: int, rng: np.random.Generator, draw_block) -> np.ndarray:
-    """Sums of j draws for n rows; ``draw_block`` maps (rounds, n) uniforms to rewards."""
-    rounds = max(1, _SUM_CELLS // n)
-    sums = np.zeros(n)
-    for done in range(0, j, rounds):
-        sums += draw_block(rng.random((min(rounds, j - done), n))).sum(axis=0)
-    return sums
+        rounds = max(1, _SUM_CELLS // n)
+        sums, spread = np.zeros(n), np.zeros(n)
+        for done in range(0, j, rounds):
+            picks = offsets + (rng.random((min(rounds, j - done), n)) * counts).astype(np.int64)
+            sums += self.values[picks].sum(axis=0)
+            spread += self._deviations[picks].sum(axis=0)
+        return sums, spread - np.square(sums - j * self._means[cells]) / j
 
 
 World = Union[LawWorld, ResampleWorld]
@@ -298,18 +322,23 @@ def run_batch(
 def _run_etc(n: int, K: int, T: int, m: int, world: World, base: np.ndarray, rng: np.random.Generator) -> BatchOutcome:
     """Sufficient statistics of n ETC runs: each arm's exploration sum of m
     draws, the commit to the argmax of their means (ties to the lowest arm,
-    as at round mK + 1 of the round loop), and one committed-block sum."""
-    sums = np.empty((n, K))
+    as at round mK + 1 of the round loop), and one committed-block sum.
+    The committed arm's centred squares pool both parts' with the gap
+    between their means."""
+    sums, squares = np.empty((n, K)), np.empty((n, K))
     for k in range(K):
-        sums[:, k] = world.draw_sum(base + k, m, rng)
+        sums[:, k], squares[:, k] = world.draw_sum(base + k, m, rng)
     counts = np.full((n, K), m, dtype=np.int64)
     rest = T - m * K
     if rest:
         committed = policies._argmax_rows(sums / m)
         rows = np.arange(n)
-        sums[rows, committed] += world.draw_sum(base + committed, rest, rng)
+        block, block_squares = world.draw_sum(base + committed, rest, rng)
+        gap = sums[rows, committed] / m - block / rest
+        squares[rows, committed] += block_squares + m * rest / (m + rest) * gap * gap
+        sums[rows, committed] += block
         counts[rows, committed] += rest
-    return BatchOutcome(counts=counts, sums=sums)
+    return BatchOutcome(counts=counts, sums=sums, squares=squares)
 
 
 def validate_config(K: int, T: int, policy: PolicySpec, world) -> None:

@@ -20,8 +20,9 @@ The oracles do not switch on a law's class: ``atoms()`` says whether a law has
 finite support (enumeration, lattice constants) or not (Gaussian closed
 forms, non-lattice constants), and ``mean()``/``variance()`` give the rest.
 Every lattice span is one rational GCD, ``_span``.  The Monte Carlo checks
-run at horizon T = 4m and draw each ETC experiment's sufficient statistics
-directly (``_etc_two_arm_summaries``), with no loop over rounds.
+run at horizon T = 4m through the simulator's unlogged ETC path
+(``run_batch`` with an ``EtcSpec``), which draws each experiment's
+per-arm sums and centred squares with no loop over rounds.
 """
 from __future__ import annotations
 
@@ -33,7 +34,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .distributions import Gaussian, RewardDistribution
-from .simulator import run_batch  # noqa: F401  (perfbench/tracing.py wraps theory.run_batch)
+from .policies import EtcSpec
+from .simulator import run_batch
 from .streams import TAG_THEORY, substream
 
 _RATIONAL_DENOMINATOR_CAP = 10**6
@@ -84,16 +86,16 @@ def etc_bias_gaussian(p: EtcGaussianParams, k: int) -> float:
     )
 
 
-def g_value(mu1: float, mu2: float, var1: float, var2: float, m: int, T: int, k: int) -> float:
-    """log of the absolute two-arm Gaussian ETC bias at arbitrary arguments."""
+def g_value(mu1, mu2, var1, var2, m: int, T: int, k: int):
+    """log of the absolute two-arm Gaussian ETC bias at arbitrary arguments, elementwise over arrays."""
     var_k = var1 if k == 1 else var2
     pooled = var1 + var2
     if T == 2 * m:
         raise LogOfZero("bias is exactly zero at T = 2m")
     return (
         math.log((T - 2 * m) / (T - m))
-        + math.log(var_k)
-        - 0.5 * math.log(2.0 * math.pi * pooled * m)
+        + np.log(var_k)
+        - 0.5 * np.log(2.0 * math.pi * pooled * m)
         - m * (mu1 - mu2) ** 2 / (2.0 * pooled)
     )
 
@@ -396,55 +398,6 @@ def etc_bias_sharp_asymptotic(d: RewardDistribution, mu2: float, m: int, T: int)
 # --- Monte Carlo convergence experiments -----------------------------------
 
 
-def _sample_stats(d: RewardDistribution, n: int, R: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Sums and centred sums of squares of R samples of n draws from d.
-
-    A continuous (Gaussian) law gives a normal sum and an independent
-    variance * chi^2(n - 1); a finite law gives multinomial atom counts.
-    """
-    atoms = d.atoms()
-    if atoms is None:
-        sums = n * d.mean() + math.sqrt(n * d.variance()) * rng.standard_normal(R)
-        return sums, (d.variance() * rng.chisquare(n - 1, R) if n > 1 else np.zeros(R))
-    support, probs = atoms
-    counts = rng.multinomial(n, probs, size=R)
-    sums = counts @ support
-    mean = sums / max(n, 1)
-    return sums, (counts * np.square(support - mean[:, None])).sum(axis=1)
-
-
-def _etc_two_arm_summaries(
-    arms: Sequence[RewardDistribution],
-    m: int,
-    T: int,
-    replications: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(means, MLE variances) of shape (R, 2) of R two-arm ETC experiments.
-
-    Draws each arm's exploration statistics, commits to the arm with the
-    larger exploration sum (ties to arm 1) and adds the committed block of
-    T - 2m pulls, whose statistics are drawn for both arms and kept for the
-    committed one.  Equal in law to running ETC round by round.
-    """
-    R, block = replications, T - 2 * m
-    explore = [_sample_stats(d, m, R, rng) for d in arms]
-    committed = np.where(explore[1][0] > explore[0][0], 1, 0)
-    means, variances = np.empty((R, 2)), np.empty((R, 2))
-    for k, d in enumerate(arms):
-        sums, squares = explore[k]
-        block_sums, block_squares = _sample_stats(d, block, R, rng)
-        won = committed == k
-        n = np.where(won, m + block, m)
-        total = sums + np.where(won, block_sums, 0.0)
-        # Pooled centred squares: within both parts plus the gap between their means.
-        gap = sums / m - block_sums / max(block, 1)
-        pooled = squares + np.where(won, block_squares + m * block / (m + block) * gap * gap, 0.0)
-        means[:, k] = total / n
-        variances[:, k] = pooled / n
-    return means, variances
-
-
 def log_bias_ratio_experiment(
     p: EtcGaussianParams,
     m_grid: Sequence[int],
@@ -454,24 +407,20 @@ def log_bias_ratio_experiment(
     """Empirical distribution of g_k(hat)/g_k(true) per exploration length.
 
     For each m, runs R two-arm Gaussian ETC experiments at horizon T = 4m
-    and evaluates the log-bias ratio at the sampled summaries.  Degenerate
-    sample variances are excluded and counted.
+    and evaluates the log-bias ratio at the sampled means and MLE variances.
+    Degenerate sample variances are excluded and counted.
     """
+    arms = [Gaussian(p.mu1, p.var1), Gaussian(p.mu2, p.var2)]
     results: dict[int, dict] = {}
     for i, m in enumerate(m_grid):
         T = 4 * m
-        rng = substream(seed, TAG_THEORY, i)
-        arms = [Gaussian(p.mu1, p.var1), Gaussian(p.mu2, p.var2)]
-        means, variances = _etc_two_arm_summaries(arms, m, T, replications, rng)
-        ok = (variances[:, 0] > 0) & (variances[:, 1] > 0)
-        ratios = np.full((replications, 2), np.nan)
-        for k in (1, 2):
-            g_true = g_value(p.mu1, p.mu2, p.var1, p.var2, m, T, k)
-            for r in np.flatnonzero(ok):
-                ratios[r, k - 1] = (
-                    g_value(means[r, 0], means[r, 1], variances[r, 0], variances[r, 1], m, T, k) / g_true
-                )
-        valid = ratios[ok]
+        out = run_batch(replications, 2, T, EtcSpec(m), arms, substream(seed, TAG_THEORY, i))
+        means, variances = out.means(), out.squares / out.counts
+        ok = (variances > 0).all(axis=1)
+        plugin = (*means[ok].T, *variances[ok].T)
+        valid = np.column_stack([
+            g_value(*plugin, m, T, k) / g_value(p.mu1, p.mu2, p.var1, p.var2, m, T, k) for k in (1, 2)
+        ])
         results[m] = {
             "ratios": valid,
             "excluded": int(replications - ok.sum()),
@@ -492,18 +441,18 @@ def bootstrap_rate_ratio_check(
 
     Arm one follows d; arm two is deterministic at mu2; the horizon is 4m.
     The bootstrap-world rate is (muhat_1 - mu2)^2 / (2 sighat_1^2) from
-    simulated summaries; the real-world rate is the Legendre-Fenchel value.
+    simulated ETC runs; the real-world rate is the Legendre-Fenchel value.
     """
     if d.variance() == 0:
         raise OutOfRange("arm-one law must be non-degenerate")
     rate, _ = legendre_fenchel(d, mu2)
     bound = d.variance_proxy() / d.variance()
     per_m: dict[int, dict] = {}
+    arms = [d, Gaussian(mu2, 0.0)]
     for i, m in enumerate(m_grid):
         T = 4 * m
-        rng = substream(seed, TAG_THEORY, 1000 + i)
-        arms = [d, Gaussian(mu2, 0.0)]
-        means, variances = _etc_two_arm_summaries(arms, m, T, replications, rng)
+        out = run_batch(replications, 2, T, EtcSpec(m), arms, substream(seed, TAG_THEORY, 1000 + i))
+        means, variances = out.means(), out.squares / out.counts
         ok = variances[:, 0] > 0
         boot_rate = (means[ok, 0] - mu2) ** 2 / (2.0 * variances[ok, 0])
         ratios = boot_rate / rate

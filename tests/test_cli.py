@@ -87,6 +87,16 @@ def test_evaluate_unknown_estimator(tmp_path, bern_arms):
     assert rc == 1
 
 
+@pytest.mark.parametrize("names", [",", "", " , "])
+def test_evaluate_no_estimator_is_usage_error(tmp_path, bern_arms, capsys, names):
+    log = _simulate(tmp_path, bern_arms, policy="ts")
+    rc = dispatch(["evaluate", "--log", log, "--meta", log + ".meta.json",
+                   "--estimators", names, "--out", str(tmp_path / "x.json")])
+    assert rc == 1
+    assert "names no estimator" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_theory_command(tmp_path, bern_arms):
     out = str(tmp_path / "theory.json")
     rc = dispatch(["theory", "--arms", bern_arms, "--m", "10", "--T", "100", "--out", out])
@@ -504,6 +514,18 @@ def test_workers_below_one_is_usage_error(tmp_path, gauss_arms, monkeypatch, wor
         monkeypatch.setenv("BANDIT_DEBIAS_WORKERS", workers)
         assert dispatch(argv) == 1, argv[0]
         monkeypatch.delenv("BANDIT_DEBIAS_WORKERS")
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "out").exists()
+
+
+def test_non_integer_workers_env_names_the_variable(tmp_path, gauss_arms, monkeypatch, capsys):
+    log = _simulate(tmp_path, gauss_arms, extra=["--m", "10"])
+    debias_args = ["debias", "--log", log, "--meta", log + ".meta.json", "--B", "10", "--seed", "7",
+                   "--out", str(tmp_path / "r.json")]
+    plan_args = ["plan", "--plan", _plan_file(tmp_path), "--seed", "1", "--out-dir", str(tmp_path / "out")]
+    monkeypatch.setenv("BANDIT_DEBIAS_WORKERS", "two")
+    for argv in (debias_args, plan_args):
+        assert dispatch(argv) == 1, argv[0]
+        assert "BANDIT_DEBIAS_WORKERS must be an integer, got 'two'" in capsys.readouterr().err, argv[0]
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "out").exists()
 
 

@@ -298,9 +298,9 @@ GOLDEN_PLAN_SHA256 = {
     "eg/summary.json": "aa48d23ad31cf5e4e841f8223c7fcf0d8eaf629d9aed53fef8dbd99545ff2fb3",
     "eg/replications.csv": "988a863e24758b8463a2138ce1320f221583aa726fd31602bfdd7c05497eec90",
     "eg/mse.csv": "2e69953a93305dd663decce9d0bfae7ca44f260179911117fda4accf126f07bb",
-    "etc/summary.json": "dbc4b9ca0a7808daa7a63ea3f55fdb2aaaeefafecd97e552a6fb99727138441e",
-    "etc/replications.csv": "42e3acffc6ddef83a4ac360496afda7b3600d06ba1ef6af0b2e4e7a7756d12fc",
-    "etc/mse.csv": "a9acde42604d34cc8ef8a9cd9773033fe14165949f8e74cb7d3233184a725968",
+    "etc/summary.json": "8cab38d6e8b04ad88edfda88219c7b9ed62f583b47f233ecbc10f61c5391e732",
+    "etc/replications.csv": "6bfe03a566dc3ca22f2cbd0b98a6e49c3d3af3df6bbc5dece7db60b7b4e38cfe",
+    "etc/mse.csv": "07a65567a6adbb7c2721b46cb7ec901e6a78a598bb210795f62d12307ce3b88e",
 }
 
 

@@ -238,6 +238,7 @@ def test_mixed_law_world_moments():
 # --- the unlogged ETC path: per-arm sums in place of the round loop ---------
 
 ZERO_ONE = (np.arange(40) % 5 < 2).astype(float)  # 0/1 rewards: exploration means tie often
+LATTICE = FiniteDiscrete((0.0, 0.25, 0.5, 0.75, 1.0), (0.1, 0.2, 0.3, 0.25, 0.15))
 ETC_CASES = {
     "mb": (2, 40, 5, LawWorld([Gaussian(1.0, 1.0), Gaussian(1.3, 2.0)]), None),
     "bernoulli": (2, 40, 5, LawWorld([Bernoulli(0.4), Bernoulli(0.5)]), None),
@@ -247,18 +248,28 @@ ETC_CASES = {
                 np.arange(3000) % 2),
     "k3-mixed": (3, 36, 4, LawWorld(MIXED_LAWS), None),
     "explore-only": (2, 10, 5, LawWorld([Gaussian(1.0, 1.0), Gaussian(1.3, 2.0)]), None),
+    "criterion-8": (2, 40, 5, LawWorld([Bernoulli(0.3), Gaussian(0.6, 0.0)]), None),
+    "lattice": (2, 40, 5, LawWorld([LATTICE, Bernoulli(0.55)]), None),
 }
 
 
 @pytest.mark.parametrize("case", list(ETC_CASES))
 def test_etc_sums_match_round_loop_in_law(case):
     # record_logs=True forces the round loop; both paths must give the same
-    # per-arm means and commit frequencies (within 4 SE) and ETC's exact counts.
+    # first two moments of the per-arm means and MLE variances, the same
+    # commit frequencies (within 4 SE) and ETC's exact counts.
     K, T, m, world, row_log = ETC_CASES[case]
     n, rest = 3000, T - m * K
     fast = run_batch(n, K, T, EtcSpec(m), world, substream(21), row_log=row_log)
     loop = run_batch(n, K, T, EtcSpec(m), world, substream(22), record_logs=True, row_log=row_log)
-    assert fast.actions is None
+    assert fast.actions is None and loop.squares is None
+    # The logged rewards' MLE variances, shifted by each arm's first reward
+    # in the row so that a constant arm's is exactly 0, as on the fast side.
+    pulled = loop.actions[:, :, None] == np.arange(K)
+    first = loop.rewards[np.arange(n)[:, None], np.argmax(pulled, axis=1)]
+    shifted = np.where(pulled, loop.rewards[:, :, None] - first[:, None], 0.0)
+    shifted_mean = shifted.sum(axis=1) / loop.counts
+    variances = (fast.squares / fast.counts, (shifted**2).sum(axis=1) / loop.counts - shifted_mean**2)
     groups = np.zeros(n, dtype=np.int64) if row_log is None else row_log
     for out in (fast, loop):
         committed = np.argmax(out.counts, axis=1)
@@ -267,14 +278,17 @@ def test_etc_sums_match_round_loop_in_law(case):
             expect[np.arange(n), committed] += rest
         assert np.array_equal(out.counts, expect)
     for g in np.unique(groups):
-        a, b = fast.means()[groups == g], loop.means()[groups == g]
-        se = np.sqrt(a.var(axis=0) / len(a) + b.var(axis=0) / len(b))
-        assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 4 * se), (g, a.mean(axis=0), b.mean(axis=0))
+        for stat, (a, b) in (("mean", (fast.means(), loop.means())), ("variance", variances)):
+            for power in (1, 2):
+                x, y = a[groups == g] ** power, b[groups == g] ** power
+                se = np.sqrt(x.var(axis=0) / len(x) + y.var(axis=0) / len(y))
+                assert np.all(np.abs(x.mean(axis=0) - y.mean(axis=0)) <= 4 * se), (g, stat, power, x.mean(0), y.mean(0))
         if rest:
-            fa = np.bincount(np.argmax(fast.counts[groups == g], axis=1), minlength=K) / len(a)
-            fb = np.bincount(np.argmax(loop.counts[groups == g], axis=1), minlength=K) / len(b)
+            size = np.count_nonzero(groups == g)
+            fa = np.bincount(np.argmax(fast.counts[groups == g], axis=1), minlength=K) / size
+            fb = np.bincount(np.argmax(loop.counts[groups == g], axis=1), minlength=K) / size
             p = (fa + fb) / 2
-            assert np.all(np.abs(fa - fb) <= 4 * np.sqrt(p * (1 - p) * (1 / len(a) + 1 / len(b)))), (g, fa, fb)
+            assert np.all(np.abs(fa - fb) <= 4 * np.sqrt(p * (1 - p) * 2 / size)), (g, fa, fb)
 
 
 def test_unlogged_etc_batches_skip_the_policy_step(monkeypatch):
@@ -294,13 +308,16 @@ def test_unlogged_etc_batches_skip_the_policy_step(monkeypatch):
 
 @pytest.mark.parametrize("name", ["gaussian", "bernoulli", "mixed", "resample"])
 def test_draw_sum_moments(name):
-    # 64 draws per row take several blocks of rounds at this width.
+    # 64 draws per row take several blocks of rounds of a resample world at
+    # this width.  A resample cell's law is its observed rewards, so its
+    # variance is their MLE variance.
     world, j, n = _world(name), 64, 2000
     for k in range(3):
         law = world[k]
-        sums = world.draw_sum(np.full(n, k), j, substream(7, k))
+        sums, squares = world.draw_sum(np.full(n, k), j, substream(7, k))
         mu, var = law.mean(), law.variance()
         assert abs(sums.mean() - j * mu) <= 4 * np.sqrt(j * var / n), k
+        assert abs(squares.mean() - (j - 1) * var) <= 4 * squares.std() / np.sqrt(n), k
         if var > 0:
             assert abs(sums.var() / (j * var) - 1) < 4 * np.sqrt(2 / n), k
 

@@ -8,9 +8,6 @@ import scipy.stats
 
 from bandit_debias.distributions import Bernoulli, FiniteDiscrete, Gaussian
 from bandit_debias import theory as th
-from bandit_debias.policies import EtcSpec
-from bandit_debias.simulator import run_batch
-from bandit_debias.streams import substream
 from bandit_debias.theory import (
     EnumerationTooLarge,
     EtcGaussianParams,
@@ -311,24 +308,6 @@ class TestMonteCarloConvergence:
         assert med < res["bound"]
         assert not res["bound_violated_at_largest_m"]
         assert 1.0 < med < 1.19  # sub-Gaussian slack is real but below the proxy bound
-
-    @pytest.mark.parametrize("arms", [[Gaussian(1.0, 1.0), Gaussian(1.3, 0.5)], [B3, Bernoulli(0.45)]],
-                             ids=["gaussian", "bernoulli"])
-    def test_summaries_match_round_by_round_etc(self, arms):
-        """Sufficient-statistic ETC against run_batch logs: the first two
-        moments of each arm's mean and MLE variance agree within 4 SE."""
-        m, T, R = 5, 40, 4000
-        fast = th._etc_two_arm_summaries(arms, m, T, R, substream(31))
-        out = run_batch(R, 2, T, EtcSpec(m), arms, substream(32), record_logs=True)
-        pulled = out.actions[:, :, None] == np.arange(2)
-        n = pulled.sum(axis=1)
-        mean = np.where(pulled, out.rewards[:, :, None], 0.0).sum(axis=1) / n
-        var = np.where(pulled, out.rewards[:, :, None] ** 2, 0.0).sum(axis=1) / n - mean**2
-        for a, b in zip(fast, (mean, var)):
-            for power in (1, 2):
-                x, y = a**power, b**power
-                se = np.sqrt((x.var(axis=0) + y.var(axis=0)) / R)
-                assert np.all(np.abs(x.mean(axis=0) - y.mean(axis=0)) < 4 * se), (power, x.mean(0), y.mean(0))
 
     def test_rate_ratio_rejects_degenerate(self):
         with pytest.raises(OutOfRange):
