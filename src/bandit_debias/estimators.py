@@ -13,8 +13,8 @@ the history and unbiasedness is preserved under adaptive collection.
 
 Propensities and plug-in means come from the logs' prefix states
 (``policies.prefix_state``), so they use only the history and match what the
-policy saw at run time.  Each estimator has one kernel over stacked logs;
-the per-log functions wrap it.
+policy saw at run time.  One pass over stacked logs, ``weighted_estimates``,
+computes both at every horizon; ``plan`` and ``evaluate`` share it.
 """
 from __future__ import annotations
 
@@ -48,61 +48,70 @@ def plugin_mean_trace(log: BanditLog) -> np.ndarray:
     return policies.prefix_state(log.actions[None, :], log.rewards[None, :], log.K).means()
 
 
-def division_hazards(actions: np.ndarray, props: np.ndarray) -> np.ndarray:
-    """Mask (n,) of stacked logs with a zero propensity on some chosen arm."""
-    return (np.take_along_axis(props, actions[:, :, None], axis=2) == 0.0).any(axis=(1, 2))
+def weighted_estimates(actions: np.ndarray, rewards: np.ndarray, props: np.ndarray, names, horizons) -> tuple:
+    """IPW/AIPW of stacked logs (n, T) with propensities (n, T, K) at each horizon h.
 
-
-def _chosen_propensities(actions: np.ndarray, props: np.ndarray) -> np.ndarray:
-    """e_t(a_t) per log and round, (n, T); raises DivisionHazard on a zero."""
-    chosen_p = np.take_along_axis(props, actions[:, :, None], axis=2)[:, :, 0]
-    bad = np.argwhere(chosen_p == 0.0)
-    if bad.size:
-        i, t = bad[0]
-        raise DivisionHazard(int(t), int(actions[i, t]))
-    return chosen_p
-
-
-def ipw_batch(actions: np.ndarray, rewards: np.ndarray, props: np.ndarray) -> np.ndarray:
-    """IPW estimates per arm of stacked logs (n, T) with props (n, T, K); returns (n, K)."""
-    T, K = props.shape[1:]
-    chosen_p = _chosen_propensities(actions, props)
-    contrib = (rewards / chosen_p)[:, :, None] * (actions[:, :, None] == np.arange(K))
-    return contrib.sum(axis=1) / T
-
-
-def aipw_batch(actions: np.ndarray, rewards: np.ndarray, props: np.ndarray) -> np.ndarray:
-    """AIPW estimates per arm of stacked logs, plug-in means from the strict past; (n, K)."""
+    Returns each log's first round with a zero chosen-arm propensity (-1 if none) and
+    {name: {h: (n, K)}} for the estimators ``names``, NaN on the logs with such a round.
+    The per-round terms are built once; horizon h sums the first h rounds and divides by h.
+    """
     n, T, K = props.shape
-    chosen_p = _chosen_propensities(actions, props)
-    mhat = policies.prefix_state(actions, rewards, K).means().reshape(n, T, K)
+    chosen_p = np.take_along_axis(props, actions[:, :, None], axis=2)[:, :, 0]
+    zero = chosen_p == 0.0
+    first_zero = np.where(zero.any(axis=1), zero.argmax(axis=1), -1)
+    good = np.flatnonzero(first_zero < 0)
+    actions, rewards, chosen_p = actions[good], rewards[good], chosen_p[good]
     onehot = actions[:, :, None] == np.arange(K)
-    correction = onehot * ((rewards - np.where(onehot, mhat, 0.0).sum(axis=2)) / chosen_p)[:, :, None]
-    return (mhat + correction).sum(axis=1) / T
+    terms = {}
+    if "ipw" in names:
+        terms["ipw"] = (rewards / chosen_p)[:, :, None] * onehot
+    if "aipw" in names:
+        mhat = policies.prefix_state(actions, rewards, K).means().reshape(len(good), T, K)
+        correction = onehot * ((rewards - np.where(onehot, mhat, 0.0).sum(axis=2)) / chosen_p)[:, :, None]
+        terms["aipw"] = mhat + correction
+    tables = {name: {h: np.full((n, K), np.nan) for h in horizons} for name in terms}
+    for name, x in terms.items():
+        for h, table in tables[name].items():
+            table[good] = x[:, :h].sum(axis=1) / h
+    return first_zero, tables
+
+
+def _log_estimates(log: BanditLog, propensities: np.ndarray, names) -> dict:
+    """{name: (K,)} of one log at its horizon; raises DivisionHazard at its first zero chosen-arm propensity."""
+    first_zero, tables = weighted_estimates(
+        log.actions[None, :], log.rewards[None, :], np.asarray(propensities)[None], names, (log.T,)
+    )
+    t = int(first_zero[0])
+    if t >= 0:
+        raise DivisionHazard(t, int(log.actions[t]))
+    return {name: table[log.T][0] for name, table in tables.items()}
 
 
 def ipw_estimate(log: BanditLog, propensities: np.ndarray) -> np.ndarray:
-    return ipw_batch(log.actions[None, :], log.rewards[None, :], np.asarray(propensities)[None])[0]
+    return _log_estimates(log, propensities, ("ipw",))["ipw"]
 
 
 def aipw_estimate(log: BanditLog, propensities: np.ndarray) -> np.ndarray:
-    return aipw_batch(log.actions[None, :], log.rewards[None, :], np.asarray(propensities)[None])[0]
+    return _log_estimates(log, propensities, ("aipw",))["aipw"]
 
 
 def evaluate(log: BanditLog, estimators=NAMES) -> dict:
-    """Estimate set for one log; IPW/AIPW keys present iff propensities exist."""
-    out: dict = {}
-    if "mean" in estimators:
-        out["mean"] = json_floats(summarize(log).means)  # null for an unpulled arm
-    needs_props = {"ipw", "aipw"} & set(estimators)
-    if needs_props:
-        props = propensity_trace(log)
-        if props is None:
-            out["propensities_defined"] = False
-        else:
-            out["propensities_defined"] = True
-            if "ipw" in estimators:
-                out["ipw"] = ipw_estimate(log, props).tolist()
-            if "aipw" in estimators:
-                out["aipw"] = aipw_estimate(log, props).tolist()
+    """Estimate set for one log; IPW/AIPW keys present iff propensities exist.
+
+    Raises DivisionHazard for a zero propensity on a chosen arm, and
+    OverflowError, naming the arm, when finite rewards overflow an estimate.
+    """
+    weighted = [name for name in ("ipw", "aipw") if name in estimators]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails below, with no warning
+        summary = summarize(log)
+        props = propensity_trace(log) if weighted else None
+        estimates = {} if props is None else _log_estimates(log, props, weighted)
+    out: dict = {"mean": json_floats(summary.means)} if "mean" in estimators else {}  # null for an unpulled arm
+    if weighted:
+        out["propensities_defined"] = props is not None
+    out.update((name, v.tolist()) for name, v in estimates.items())
+    for v in ([summary.means] if "mean" in out else []) + list(estimates.values()):
+        overflow = np.flatnonzero((summary.counts > 0) & ~np.isfinite(v))
+        if overflow.size:
+            raise OverflowError(f"arm {overflow[0] + 1} has a non-finite estimate; its rewards are too large")
     return out

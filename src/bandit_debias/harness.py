@@ -5,13 +5,14 @@ estimator set) and optionally a horizon grid for MSE-versus-time curves.
 Replications run in fixed blocks of ``BLOCK`` (50).  A block's real
 experiments run as one lockstep batch, the bootstrap replays of all its logs
 as one ``debias`` call on their stack per horizon, and its IPW/AIPW
-estimates come from one propensity call.  Streams are keyed (master seed,
-cell index, block index), plus the horizon index for truncated-horizon
-replays.  The block size never depends on the worker count, so a rerun is
-bit-identical at any worker count.  Results stay per-replication columns
-from the replay to the writer: a cell concatenates its blocks' columns and
-derives its summaries from them.  Per-replication failures (for example an
-undefined bootstrap bias) are labelled and counted per cell, not fatal.
+estimates at every horizon from one propensity call and one pass over the
+logs.  Streams are keyed (master seed, cell index, block index), plus the
+horizon index for truncated-horizon replays.  The block size never depends
+on the worker count, so a rerun is bit-identical at any worker count.
+Results stay per-replication columns from the replay to the writer: a cell
+concatenates its blocks' columns and derives its summaries from them.
+Per-replication failures (for example an undefined bootstrap bias) are
+labelled and counted per cell, not fatal.
 """
 from __future__ import annotations
 
@@ -213,13 +214,9 @@ def _run_block(args) -> tuple:
     props = policies.propensity(cell.policy, sim.actions, sim.rewards, K) if weighted else None
     if props is not None:
         # A zero chosen-arm propensity fails its replication, not the block.
-        hazard = est.division_hazards(sim.actions, props)
-        good = np.flatnonzero(~hazard)
-        for name, kernel in (("ipw", est.ipw_batch), ("aipw", est.aipw_batch)):
-            if name in weighted:
-                estimates[name] = {h: np.full((n, K), np.nan) for h in {T, *cell.horizon_grid}}
-                for h, table in estimates[name].items():
-                    table[good] = kernel(sim.actions[good, :h], sim.rewards[good, :h], props[good, :h])
+        first_zero, tables = est.weighted_estimates(sim.actions, sim.rewards, props, weighted, {T, *cell.horizon_grid})
+        hazard = first_zero >= 0
+        estimates.update(tables)
     for column in (raw, bias, *estimates[kind].values()):  # a DivisionHazard row is NaN throughout
         column[hazard] = np.nan
     # A log with an unpulled arm has no bootstrap world, but the log itself
@@ -246,7 +243,8 @@ def run_plan(plan: ExperimentPlan, workers: int = 1, out_dir: Optional[str] = No
         for cell_index, cell in enumerate(plan.cells)
         for block in range(_block_count(cell))
     ]
-    if workers > 1 and any({"ipw", "aipw"} & set(cell.estimators) for cell in plan.cells):
+    if workers > 1 and any(isinstance(cell.policy, policies.TsSpec) and {"ipw", "aipw"} & set(cell.estimators)
+                           for cell in plan.cells):
         import scipy.special  # noqa: F401  (TS propensities call it: import once here, not in every forked worker)
     with task_map(_run_block, tasks, workers) as blocks:
         return _collect(plan, blocks, out_dir)

@@ -41,16 +41,6 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def stream_key(seed: int, *path: int) -> tuple[int, ...]:
-    """Identity of the stream (seed, path) would produce.
-
-    Used by stream-accounting tests: two streams are disjoint iff their keys
-    differ.
-    """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return tuple(int(w) for w in ss.generate_state(4))
-
-
 def child_seed(seed: int, *path: int) -> int:
     """A 64-bit seed derived from (seed, path), for APIs that take plain seeds."""
     state = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path)).generate_state(2)

@@ -416,6 +416,20 @@ def test_overflowing_rewards_are_a_data_error(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("reward, T, arm", [(1.7e308, 40, 1), (1e307, 10, 2)])
+def test_evaluate_stops_when_finite_rewards_overflow_an_estimate(tmp_path, capsys, reward, T, arm):
+    # 1.7e308: both arms' sums overflow.  1e307: the sums are finite, but arm
+    # 2's propensity is 0.1 in every round, so its IPW weights overflow.
+    log = tmp_path / "big.csv"
+    log.write_text("t,arm,reward\n" + "".join(f"{t},{(t - 1) % 2 + 1},{reward!r}\n" for t in range(1, T + 1)))
+    meta = tmp_path / "big.csv.meta.json"
+    meta.write_text(json.dumps({"K": 2, "T": T, "policy": {"name": "eg", "epsilon": 0.2}}))
+    out = tmp_path / "e.json"
+    assert dispatch(["evaluate", "--log", str(log), "--meta", str(meta), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"OverflowError: arm {arm} has a non-finite estimate")
+    assert not out.exists()
+
+
 def _relabel_first_rounds(lines):
     for i in range(1, 11):  # swap arms 1 and 2 in rounds 1..10
         t, arm, reward = lines[i].split(",")

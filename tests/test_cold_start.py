@@ -50,12 +50,12 @@ def test_simulate_and_debias_load_no_scipy(tmp_path):
     assert loaded == []
 
 
-def _plan_pools(tmp_path, estimators: list) -> dict:
-    """Run ``plan --workers 2`` on a TS cell (two blocks, so one pool) in a fresh interpreter,
+def _plan_pools(tmp_path, policy: dict, estimators: list) -> dict:
+    """Run ``plan --workers 2`` on a cell of ``policy`` (two blocks, so one pool) in a fresh interpreter,
     with pools run in-process; whether scipy.special was loaded as each pool was built."""
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"cells": [{
-        "name": "a", "policy": {"name": "ts"}, "arms": [{"type": "bernoulli", "p": 0.3}, {"type": "bernoulli", "p": 0.6}],
+        "name": "a", "policy": policy, "arms": [{"type": "bernoulli", "p": 0.3}, {"type": "bernoulli", "p": 0.6}],
         "K": 2, "T": 10, "replications": 60, "bootstrap": {"kind": "mb", "B": 5}, "estimators": estimators,
     }]}))
     return _run(f"""
@@ -73,8 +73,14 @@ def _plan_pools(tmp_path, estimators: list) -> dict:
 
 def test_weighted_plan_imports_scipy_before_the_pool_forks(tmp_path):
     """A TS propensity calls scipy.special: imported in the parent, the forked workers inherit it."""
-    assert _plan_pools(tmp_path, ["mean", "ipw"]) == {"rc": 0, "built": [True], "scipy": True}
+    assert _plan_pools(tmp_path, {"name": "ts"}, ["mean", "ipw"]) == {"rc": 0, "built": [True], "scipy": True}
 
 
 def test_mean_only_plan_loads_no_scipy(tmp_path):
-    assert _plan_pools(tmp_path, ["mean"]) == {"rc": 0, "built": [False], "scipy": False}
+    assert _plan_pools(tmp_path, {"name": "ts"}, ["mean"]) == {"rc": 0, "built": [False], "scipy": False}
+
+
+def test_eg_weighted_plan_loads_no_scipy(tmp_path):
+    """EG propensities need no scipy, so neither the parent nor a worker imports it."""
+    policy = {"name": "eg", "epsilon": 0.1}
+    assert _plan_pools(tmp_path, policy, ["mean", "ipw", "aipw"]) == {"rc": 0, "built": [False], "scipy": False}

@@ -4,13 +4,12 @@ import pytest
 from bandit_debias.distributions import Bernoulli, Gaussian
 from bandit_debias.estimators import (
     DivisionHazard,
-    aipw_batch,
     aipw_estimate,
     evaluate,
-    ipw_batch,
     ipw_estimate,
     plugin_mean_trace,
     propensity_trace,
+    weighted_estimates,
 )
 from bandit_debias.policies import EgSpec, EtcSpec, TsSpec, UcbSpec, propensity
 from bandit_debias.simulator import BanditLog, run_batch, run_experiment, summarize
@@ -47,7 +46,9 @@ def test_plugin_means_use_strict_past():
 def _mc_estimates(policy, arms, T, R, seed):
     out = run_batch(R, len(arms), T, policy, arms, substream(seed), record_logs=True)
     props = propensity(policy, out.actions, out.rewards, len(arms))
-    return ipw_batch(out.actions, out.rewards, props), aipw_batch(out.actions, out.rewards, props)
+    first_zero, tables = weighted_estimates(out.actions, out.rewards, props, ("ipw", "aipw"), (T,))
+    assert np.all(first_zero == -1)
+    return tables["ipw"][T], tables["aipw"][T]
 
 
 def test_eg_full_exploration_unbiased():
@@ -102,6 +103,24 @@ def test_zero_propensity_raises():
     assert exc.value.t == 7
     with pytest.raises(DivisionHazard):
         aipw_estimate(log, props)
+
+
+@pytest.mark.parametrize("policy", [EgSpec(0.2), TsSpec()])
+def test_each_horizon_matches_the_truncated_log(policy):
+    # A stack of 5 logs; log 3 meets a zero propensity at round 9.
+    K, T, horizons = 3, 24, (3, 8, 9, 24)
+    out = run_batch(5, K, T, policy, [Gaussian(1, 1), Bernoulli(0.4), Gaussian(0.5, 2)], substream(8), record_logs=True)
+    props = propensity(policy, out.actions, out.rewards, K)
+    props[3, 8, out.actions[3, 8]] = 0.0
+    first_zero, tables = weighted_estimates(out.actions, out.rewards, props, ("ipw", "aipw"), horizons)
+    assert first_zero.tolist() == [-1, -1, -1, 8, -1]
+    for h in horizons:
+        for name, estimate in (("ipw", ipw_estimate), ("aipw", aipw_estimate)):
+            assert np.isnan(tables[name][h][3]).all()  # NaN even before the zero
+            for i in (0, 1, 2, 4):
+                log = BanditLog(K, h, out.actions[i, :h], out.rewards[i, :h], policy)
+                assert np.array_equal(tables[name][h][i], estimate(log, props[i, :h]))
+    assert set(weighted_estimates(out.actions, out.rewards, props, ("aipw",), (T,))[1]) == {"aipw"}
 
 
 def test_small_ts_propensity_is_not_rounded_to_zero():

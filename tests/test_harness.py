@@ -326,3 +326,44 @@ def test_plan_outputs_golden(tmp_path, monkeypatch):
     assert eg.error_counts["DivisionHazard"] == 1 and eg.error_counts["ZeroCountArm"] > 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_PLAN_SHA256}
     assert digests == GOLDEN_PLAN_SHA256
+
+
+# Cells for the weighted-table digests: TS at K = 2 and 4 and EG, each with a
+# horizon before log 1's forced zero propensity (round 6) and some after it.
+WEIGHTED_CELLS = {
+    "ts-k2": Cell(name="ts-k2", policy=TsSpec(), arms=(Bernoulli(0.3), Bernoulli(0.6)), K=2, T=30,
+                  replications=12, bootstrap=BootstrapSpec("mb", 5), estimators=("ipw", "aipw"),
+                  horizon_grid=(2, 7, 20), mse_B=5),
+    "ts-k4": Cell(name="ts-k4", policy=TsSpec(0.5, 2.0, 0.5), K=4, T=20, replications=12,
+                  arms=(Gaussian(1.0, 1.0), Bernoulli(0.6), Gaussian(0.5, 2.0), Bernoulli(0.2)),
+                  bootstrap=BootstrapSpec("mb", 5), estimators=("ipw", "aipw"), horizon_grid=(4, 11), mse_B=5),
+    "eg": Cell(name="eg", policy=EgSpec(0.1), arms=(Gaussian(1.0, 1.0), Gaussian(1.5, 1.0), Bernoulli(0.5)),
+               K=3, T=30, replications=12, bootstrap=BootstrapSpec("mb", 5), estimators=("mean", "ipw", "aipw"),
+               horizon_grid=(3, 15), mse_B=5),
+}
+# sha256 over the ipw, then the aipw, tables' bytes, horizon by horizon in
+# increasing order; recorded before IPW and AIPW became one pass per block.
+GOLDEN_WEIGHTED_SHA256 = {
+    "ts-k2": "d485a8be195f03be68c62278ffaa6b94766f1683c36cf528b8a0050f7737487a",
+    "ts-k4": "5b54b2251c93111717fa70e6c34f9f61c951bcb096251a3820a4fceea3b8dd97",
+    "eg": "f752aaef27ca0d24752f5f8c7690e1852f5a2ade20abebc116ced0b1da42c407",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTED_CELLS))
+def test_weighted_tables_golden(name, monkeypatch):
+    real = harness.policies.propensity
+
+    def zero_for_log_1(spec, actions, rewards, K):
+        props = real(spec, actions, rewards, K)
+        props[1, 5, actions[1, 5]] = 0.0
+        return props
+
+    monkeypatch.setattr(harness.policies, "propensity", zero_for_log_1)
+    (res,) = run_plan(ExperimentPlan(master_seed=21, cells=(WEIGHTED_CELLS[name],)))
+    assert res.errors[1] == "DivisionHazard" and res.error_counts["DivisionHazard"] == 1
+    digest = hashlib.sha256()
+    for estimator in ("ipw", "aipw"):
+        for h in sorted(res.estimates[estimator]):
+            digest.update(res.estimates[estimator][h].tobytes())
+    assert digest.hexdigest() == GOLDEN_WEIGHTED_SHA256[name]

@@ -21,7 +21,7 @@ from bandit_debias.simulator import (
     save_log,
     summarize,
 )
-from bandit_debias.streams import stream_key, substream
+from bandit_debias.streams import substream
 
 
 DEGENERATE = [Gaussian(1.0, 0.0), Gaussian(1.5, 0.0)]
@@ -93,10 +93,12 @@ def test_run_experiment_deterministic():
 
 
 def test_neighbor_seeds_use_disjoint_streams():
-    # stream identity accounting, not statistics
-    assert stream_key(5) != stream_key(6)
-    assert stream_key(5, 1) != stream_key(5, 2)
-    assert stream_key(5, 1, 0) != stream_key(6, 1, 0)
+    def first_draws(seed, *path):
+        return substream(seed, *path).integers(0, 2**63, size=4)
+
+    assert not np.array_equal(first_draws(5), first_draws(6))
+    assert not np.array_equal(first_draws(5, 1), first_draws(5, 2))
+    assert not np.array_equal(first_draws(5, 1, 0), first_draws(6, 1, 0))
 
 
 @pytest.mark.parametrize("policy", [EtcSpec(5), UcbSpec(), TsSpec(), EgSpec(0.1)])

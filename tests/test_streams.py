@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from bandit_debias.streams import child_seed, stream_key, substream
+from bandit_debias.streams import child_seed, substream
 
 
 def test_substream_reproducible():
@@ -16,17 +16,13 @@ def test_paths_give_distinct_streams():
         assert not np.array_equal(base, substream(7, *path).standard_normal(16))
 
 
-def test_stream_key_distinguishes_nested_paths():
-    keys = {
-        stream_key(3),
-        stream_key(3, 0),
-        stream_key(3, 1),
-        stream_key(3, 0, 0),
-        stream_key(3, 0, 1),
-        stream_key(4),
-        stream_key(4, 0),
+def test_nested_paths_give_distinct_seed_states():
+    # Two streams are disjoint iff their keyed SeedSequences differ.
+    paths = [(3,), (3, 0), (3, 1), (3, 0, 0), (3, 0, 1), (4,), (4, 0)]
+    states = {
+        tuple(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(4)) for seed, *key in paths
     }
-    assert len(keys) == 7
+    assert len(states) == 7
 
 
 @settings(max_examples=100, deadline=None)
