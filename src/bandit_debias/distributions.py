@@ -3,8 +3,11 @@
 Three families are supported: Gaussian, Bernoulli and finite discrete.  All
 are sub-Gaussian, so the cumulant machinery used by the large-deviation
 oracles is finite everywhere.  ``atoms()`` gives a law's finite support as
-``(support, probs)`` arrays, or None for a continuous Gaussian; the theory
-oracles read lattice facts from it rather than from the law's class.
+``(support, probs)`` arrays, or None for a continuous Gaussian; the support
+is the atoms of positive probability only, and the theory oracles read
+lattice facts from it rather than from the law's class.  Each law gives its
+cumulants in its own centred coordinate, ``centred_log_mgf``, so that a law
+far from the origin loses no digits to its offset.
 Instances are immutable and safe to share across workers; generators are
 single-owner.
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -26,7 +30,24 @@ def _finite(what: str, *values) -> None:
             raise ValueError(f"{what} must be finite, got {value}")
 
 
+def _positive(support: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms of positive probability: a zero-probability point is not support."""
+    keep = probs > 0
+    return support[keep], probs[keep]
+
+
 class _Law:
+    """Each law defines ``centred_log_mgf(h)``: eta_c(h) = log E[exp(h (X - mean))] and its first two derivatives."""
+
+    def log_mgf(self, h: float) -> float:
+        """log E[exp(h X)]."""
+        return 0.0 if h == 0.0 else self.mean() * h + self.centred_log_mgf(h)[0]
+
+    def log_mgf_derivatives(self, h: float) -> tuple[float, float]:
+        """The first two derivatives of ``log_mgf`` at h: the tilted law's mean and variance."""
+        _, d1, d2 = self.centred_log_mgf(h)
+        return self.mean() + d1, d2
+
     def to_dict(self) -> dict:
         """The tagged record that ``from_dict`` reads: the fields in order, under their record keys."""
         kind = next(kind for kind, (law, _) in _RECORDS.items() if law is type(self))
@@ -62,11 +83,8 @@ class Gaussian(_Law):
     def sample(self, rng: np.random.Generator, size=None):
         return rng.normal(self.mu, math.sqrt(self.var), size)
 
-    def log_mgf(self, h: float) -> float:
-        return self.mu * h + 0.5 * self.var * h * h
-
-    def log_mgf_derivatives(self, h: float) -> tuple[float, float]:
-        return self.mu + self.var * h, self.var
+    def centred_log_mgf(self, h: float) -> tuple[float, float, float]:
+        return 0.5 * self.var * h * h, self.var * h, self.var
 
 
 @dataclass(frozen=True)
@@ -90,27 +108,25 @@ class Bernoulli(_Law):
         return 0.25 if self.proxy is None else self.proxy
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array([0.0, 1.0]), np.array([1.0 - self.p, self.p])
+        return _positive(np.array([0.0, 1.0]), np.array([1.0 - self.p, self.p]))
 
     def sample(self, rng: np.random.Generator, size=None):
         if size is None:
             return float(rng.random() < self.p)
         return (rng.random(size) < self.p).astype(np.float64)
 
-    def log_mgf(self, h: float) -> float:
-        if h == 0.0 or self.p == 0.0:
-            return 0.0
-        if self.p == 1.0:
-            return h
-        # log(1-p + p*e^h), evaluated with a max shift for large |h|.
-        return float(np.logaddexp(math.log1p(-self.p), math.log(self.p) + h))
-
-    def log_mgf_derivatives(self, h: float) -> tuple[float, float]:
-        if self.p in (0.0, 1.0):
-            return self.p, 0.0
-        # Tilted Bernoulli success probability.
-        q = 1.0 / (1.0 + math.exp(-h) * (1.0 - self.p) / self.p)
-        return q, q * (1.0 - q)
+    def centred_log_mgf(self, h: float) -> tuple[float, float, float]:
+        p = self.p
+        if p in (0.0, 1.0):
+            return 0.0, 0.0, 0.0
+        # t is the tilted law's log-odds: q = 1/(1 + e^-t), and
+        # log(1-p + p e^h) = log(1-p) + log(1 + e^t), each side of t = 0
+        # written so that no exponential overflows.
+        t = h + math.log(p) - math.log1p(-p)
+        e = math.exp(-abs(t))
+        q = 1.0 / (1.0 + e) if t >= 0 else e / (1.0 + e)
+        eta = math.log1p(-p) + max(t, 0.0) + math.log1p(e) - p * h
+        return eta, q - p, q * (1.0 - q)
 
 
 @dataclass(frozen=True)
@@ -145,38 +161,40 @@ class FiniteDiscrete(_Law):
     def variance_proxy(self) -> float:
         if self.proxy is not None:
             return self.proxy
-        return (self.support[-1] - self.support[0]) ** 2 / 4.0
+        support = self.atoms()[0]
+        return (support[-1] - support[0]) ** 2 / 4.0
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array(self.support), np.array(self.probs)
+        return _positive(np.array(self.support), np.array(self.probs))
 
     def sample(self, rng: np.random.Generator, size=None):
-        cum = np.cumsum(self.probs)
+        support, probs = self.atoms()
+        cum = np.cumsum(probs)
         cum[-1] = 1.0
         u = rng.random(size if size is not None else 1)
         idx = np.searchsorted(cum, u, side="right")
-        out = np.asarray(self.support)[np.minimum(idx, len(self.support) - 1)]
+        out = support[np.minimum(idx, len(support) - 1)]
         return float(out[0]) if size is None else out
 
-    def log_mgf(self, h: float) -> float:
-        if h == 0.0:
-            return 0.0
-        from scipy.special import logsumexp  # here, not at the top: the CLI starts without scipy
+    @cached_property
+    def _centred(self) -> tuple[np.ndarray, np.ndarray]:
+        """The atoms less the mean, and their log probabilities."""
+        support, probs = self.atoms()
+        return support - self.mean(), np.log(probs)
 
-        x = np.asarray(self.support)
-        logp = np.log(np.maximum(self.probs, 1e-300))
-        return float(logsumexp(h * x + logp))
-
-    def log_mgf_derivatives(self, h: float) -> tuple[float, float]:
-        from scipy.special import logsumexp  # here, not at the top: the CLI starts without scipy
-
-        x = np.asarray(self.support)
-        logw = h * x + np.log(np.maximum(self.probs, 1e-300))
-        logw -= logsumexp(logw)
-        w = np.exp(logw)
-        d1 = float(np.dot(w, x))
-        d2 = float(np.dot(w, x * x) - d1 * d1)
-        return d1, max(d2, 0.0)
+    def centred_log_mgf(self, h: float) -> tuple[float, float, float]:
+        x, logp = self._centred
+        # The tilted log-weights, shifted by the largest so that no exp overflows.
+        a = h * x + logp
+        top = a.argmax()
+        w = np.exp(a - a[top])
+        total = w.sum()
+        w /= total
+        # Deviations from that heaviest atom: under a steep tilt the tilted
+        # mean sits next to it, and x - mean would cancel.
+        u = x - x[top]
+        shift = float(np.dot(w, u))
+        return float(a[top] + math.log(total)), float(x[top]) + shift, float(np.dot(w, np.square(u - shift)))
 
 
 RewardDistribution = Union[Gaussian, Bernoulli, FiniteDiscrete]

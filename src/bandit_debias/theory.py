@@ -259,43 +259,53 @@ def _mgf_derivative_range(d: RewardDistribution) -> tuple[float, float]:
 def legendre_fenchel(d: RewardDistribution, x: float) -> tuple[float, float]:
     """Rate Lambda*(x) and tilt zeta with eta'(zeta) = x.
 
-    Solved by bracket expansion plus a safeguarded root find; the residual
-    |eta'(zeta) - x| is driven below _SLOPE_TOL.
+    Worked in the law's centred coordinate y = x - mean, where the rate is
+    zeta y - eta_c(zeta) for the centred log-MGF eta_c, so that a law far
+    from the origin loses no digits to its offset.  The tilt has y's sign:
+    doubling from 0 brackets it, and Newton's method runs inside the
+    bracket (eta_c' is increasing and eta_c'' >= 0).  A Newton step that
+    would leave the bracket, or that is not half the step before it,
+    becomes a bisection, unless |eta_c'(zeta) - y| <= _SLOPE_TOL already:
+    then rounding has stalled Newton's method and the solve stops.  It
+    also stops when the bracket has no float left inside it.
     """
     lo, hi = _mgf_derivative_range(d)
     if not lo < x < hi:
         if x == d.mean() and d.variance() == 0:
             return 0.0, 0.0
         raise OutOfRange(f"threshold {x} outside the attainable slope range ({lo}, {hi})")
-    if x == d.mean():
+    y = x - d.mean()
+    if y == 0.0:
         return 0.0, 0.0
-
-    def slope_gap(h: float) -> float:
-        return d.log_mgf_derivatives(h)[0] - x
-
-    a, b = -1.0, 1.0
+    # Bracket: eta_c'(near) - y has the sign of -y, eta_c'(far) - y that of y.
+    near, far = 0.0, math.copysign(1.0, y)
     for _ in range(200):
-        if slope_gap(a) < 0 < slope_gap(b):
+        if (d.centred_log_mgf(far)[1] - y) * y > 0:
             break
-        if slope_gap(a) >= 0:
-            a *= 2.0
-        if slope_gap(b) <= 0:
-            b *= 2.0
+        near, far = far, 2.0 * far
     else:
         raise ArithmeticError("failed to bracket the tilt")
-    from scipy.optimize import brentq  # here, not at the top: the CLI starts without scipy
-
-    zeta = brentq(slope_gap, a, b, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    # Newton polish against the residual tolerance.
-    for _ in range(50):
-        d1, d2 = d.log_mgf_derivatives(zeta)
-        if abs(d1 - x) <= _SLOPE_TOL:
-            break
-        if d2 <= 0:
-            break
-        zeta -= (d1 - x) / d2
-    rate = zeta * x - d.log_mgf(zeta)
-    return rate, zeta
+    below, above = min(near, far), max(near, far)
+    zeta, last_step = near, math.inf
+    for _ in range(200):
+        eta, d1, d2 = d.centred_log_mgf(zeta)
+        gap = d1 - y
+        if gap < 0:
+            below = zeta
+        else:
+            above = zeta
+        nxt = zeta - gap / d2 if d2 > 0 else math.nan
+        newton = below < nxt < above and 2.0 * abs(nxt - zeta) <= last_step
+        if not newton:
+            if abs(gap) <= _SLOPE_TOL:
+                break  # within tolerance, and rounding now stalls Newton
+            nxt = 0.5 * (below + above)
+            if not below < nxt < above:
+                break  # no float left inside the bracket
+        last_step, zeta = abs(nxt - zeta), nxt
+    else:
+        raise ArithmeticError("the tilt did not converge")
+    return zeta * y - eta, zeta
 
 
 @dataclass

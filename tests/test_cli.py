@@ -157,6 +157,17 @@ def test_theory_outside_the_support_hull_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_theory_zero_probability_atom_is_not_support(tmp_path, capsys):
+    """Arm 1's atom at 1 has probability 0, so its hull is [0, 0.5] and 0.8 is out of range."""
+    arms = tmp_path / "arms.json"
+    arms.write_text(json.dumps([{"type": "discrete", "support": [0, 0.5, 1], "probs": [0.5, 0.5, 0]},
+                                {"type": "bernoulli", "p": 0.8}]))
+    out = tmp_path / "theory.json"
+    assert dispatch(["theory", "--arms", str(arms), "--m", "10", "--T", "40", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("OutOfRange: threshold 0.8 outside the attainable slope range (0.0, 0.5)")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mu2", ["nan", "inf", "-inf"])
 def test_theory_nonfinite_mu2_is_usage_error(tmp_path, capsys, bern_arms, mu2):
     out = tmp_path / "x.json"

@@ -1,10 +1,13 @@
 """The package loads scipy only where it calls it.
 
-scipy.special and scipy.optimize take about 0.7 s to import, more than a
-whole ``debias`` replay at T = 1000, B = 1000, and only ``theory``, TS
-propensities and the Bahadur-Rao profile call them.  This test session has
-long since imported scipy, so each check runs in a fresh interpreter.
+scipy.special takes about 0.6 s and 60 MiB to import, more than a whole
+``debias`` replay at T = 1000, B = 1000.  Only Thompson-sampling
+propensities and ``theory`` with a Gaussian arm against a finite arm call
+it; every other path, the rest of ``theory`` included, runs on numpy alone.
+This test session has long since imported scipy, so each check runs in a
+fresh interpreter, and an ``ast`` scan pins the few call sites.
 """
+import ast
 import json
 import os
 import subprocess
@@ -84,3 +87,58 @@ def test_eg_weighted_plan_loads_no_scipy(tmp_path):
     """EG propensities need no scipy, so neither the parent nor a worker imports it."""
     policy = {"name": "eg", "epsilon": 0.1}
     assert _plan_pools(tmp_path, policy, ["mean", "ipw", "aipw"]) == {"rc": 0, "built": [False], "scipy": False}
+
+
+def test_theory_loads_no_scipy(tmp_path):
+    """The oracles on Bernoulli, lattice and Gaussian pairs and the criterion-7 and -8 Monte Carlo checks."""
+    pairs = {
+        "bernoulli": [{"type": "bernoulli", "p": 0.3}, {"type": "bernoulli", "p": 0.55}],
+        "lattice": [{"type": "discrete", "support": [0, 0.25, 0.5, 0.75, 1], "probs": [0.3, 0.2, 0.2, 0.2, 0.1]},
+                    {"type": "discrete", "support": [0, 0.25, 0.5, 0.75, 1], "probs": [0.1, 0.2, 0.2, 0.2, 0.3]}],
+        "gaussian": [{"type": "gaussian", "mean": 1.0, "variance": 1.0},
+                     {"type": "gaussian", "mean": 1.5, "variance": 0.8}],
+    }
+    for family, arms in pairs.items():
+        (tmp_path / f"{family}.json").write_text(json.dumps(arms))
+    loaded = _run(f"""
+        from bandit_debias import theory
+        from bandit_debias.cli import dispatch
+        from bandit_debias.distributions import Bernoulli, Gaussian
+        for family in {sorted(pairs)!r}:
+            assert dispatch(["theory", "--arms", {str(tmp_path)!r} + f"/{{family}}.json", "--m", "100", "--T", "400",
+                             "--out", {str(tmp_path)!r} + f"/{{family}}.out.json"]) == 0
+        theory.log_bias_ratio_experiment(theory.EtcGaussianParams(1.0, 1.5, 1.0, 1.0, 10, 100), [10, 50], 50, seed=1)
+        theory.bootstrap_rate_ratio_check(Gaussian(1.0, 1.0), 1.5, [50], 50, seed=2)
+        theory.bootstrap_rate_ratio_check(Bernoulli(0.3), 0.6, [50], 50, seed=3)
+        {_REPORT}
+    """)
+    assert loaded == []
+
+
+# Every function in src/ that imports scipy, as module.function.
+SCIPY_CALL_SITES = {"policies.propensity_batch", "policies._ts_quadrature", "harness.run_plan", "theory._split_at"}
+
+
+def test_scipy_is_imported_only_inside_the_allowed_functions():
+    sites, top_level = set(), []
+    for path in sorted((ROOT / "src" / "bandit_debias").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    owner.setdefault(inner, node.name)  # ast.walk is breadth-first: the outermost function wins
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                if node in owner:
+                    sites.add(f"{path.stem}.{owner[node]}")
+                else:
+                    top_level.append(f"{path.name}:{node.lineno}")
+    assert top_level == []
+    assert sites == SCIPY_CALL_SITES

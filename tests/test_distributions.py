@@ -136,6 +136,42 @@ def test_atoms_match_law(d):
         assert np.dot(support, probs) == pytest.approx(d.mean(), rel=1e-12)
 
 
+def test_zero_probability_atoms_are_not_support():
+    d = FiniteDiscrete((-1.0, 0.0, 0.5, 1.0, 3.0), (0.0, 0.5, 0.0, 0.5, 0.0))
+    support, probs = d.atoms()
+    assert support.tolist() == [0.0, 1.0] and probs.tolist() == [0.5, 0.5]
+    assert d.variance_proxy() == 0.25
+    assert Bernoulli(0.0).atoms()[0].tolist() == [0.0]
+    assert Bernoulli(1.0).atoms()[0].tolist() == [1.0]
+    assert set(d.sample(substream(3), 1000)) == {0.0, 1.0}
+
+
+def test_zero_probability_atom_carries_no_tilt_weight():
+    # log(1/2 + e^{h/2}/2): the phantom atom at 1 would dominate a large tilt.
+    d = FiniteDiscrete((0.0, 0.5, 1.0), (0.5, 0.5, 0.0))
+    for h in (2.0, 50.0, 1000.0):
+        assert d.log_mgf(h) == pytest.approx(h / 2 + math.log(0.5) + math.log1p(math.exp(-h / 2)), rel=1e-14)
+        d1, d2 = d.log_mgf_derivatives(h)
+        e = math.exp(-h / 2)
+        q, low = 1.0 / (1.0 + e), e / (1.0 + e)  # tilted masses on 0.5 and on 0
+        assert d1 == pytest.approx(0.5 * q, rel=1e-14)
+        assert d2 == pytest.approx(0.25 * q * low, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("c", [0.0, 1e6, 1e8, -1e8])
+def test_finite_cumulants_are_shift_invariant(c):
+    """E[x^2] - E[x]^2 would cancel to 0 at a large offset; the centred form keeps the tilted variance."""
+    d, ref = FiniteDiscrete((c, c + 1.0), (0.7, 0.3)), Bernoulli(0.3)
+    offset = (d.mean() - c) - 0.3  # the float mean's own rounding shifts the centred atoms by -offset
+    for h in (-3.0, 0.0, math.log(3.5), 4.0):
+        eta, d1, d2 = d.centred_log_mgf(h)
+        ref_eta, ref_d1, ref_d2 = ref.centred_log_mgf(h)
+        assert eta == pytest.approx(ref_eta - h * offset, rel=1e-12, abs=1e-15)
+        assert d1 == pytest.approx(ref_d1 - offset, rel=1e-12, abs=1e-15)
+        assert d2 == pytest.approx(ref_d2, rel=1e-12)
+    assert d.log_mgf_derivatives(math.log(3.5))[1] == pytest.approx(0.24, rel=1e-12)
+
+
 def test_finite_discrete_validation():
     with pytest.raises(ValueError):
         FiniteDiscrete((1.0, 0.0), (0.5, 0.5))  # not increasing

@@ -223,6 +223,18 @@ def test_zero_variance_finite_law_draws_its_value(law):
         assert np.all(drawn[chosen == 1] == value)
 
 
+def test_zero_probability_atoms_are_never_drawn():
+    """A law draws as its positive-probability atoms alone, per round and as ETC sums."""
+    phantom = [FiniteDiscrete((-1.0, 0.0, 0.5, 1.0, 2.0), (0.0, 0.3, 0.0, 0.7, 0.0)), Gaussian(0.5, 1.0)]
+    plain = [FiniteDiscrete((0.0, 1.0), (0.3, 0.7)), Gaussian(0.5, 1.0)]
+    cells = substream(1).integers(0, 2, size=4000)
+    a, b = LawWorld(phantom), LawWorld(plain)
+    assert np.array_equal(a.draw(cells, substream(2)), b.draw(cells, substream(2)))
+    for j in (1, 7, 200):
+        for x, y in zip(a.draw_sum(cells, j, substream(3)), b.draw_sum(cells, j, substream(3))):
+            assert np.array_equal(x, y)
+
+
 def test_mixed_law_world_moments():
     """Continuous, Bernoulli and finite arms in one run: per-arm moments within 4 SE."""
     laws = MIXED_LAWS

@@ -195,9 +195,19 @@ class TestExactEnumeration:
         assert b1 != b2  # the atom mass on exact ties goes to arm 1 only
 
 
+def _solve(d, x):
+    """legendre_fenchel, with its slope residual checked in the law's centred coordinate."""
+    rate, zeta = th.legendre_fenchel(d, x)
+    assert abs(d.centred_log_mgf(zeta)[1] - (x - d.mean())) <= th._SLOPE_TOL
+    return rate, zeta
+
+
+FIVE = FiniteDiscrete((0.0, 0.25, 0.5, 0.75, 1.0), (0.1, 0.2, 0.3, 0.25, 0.15))
+
+
 class TestLegendreFenchel:
     def test_bernoulli_frozen(self):
-        rate, zeta = th.legendre_fenchel(B3, 0.6)
+        rate, zeta = _solve(B3, 0.6)
         assert zeta == pytest.approx(math.log(3.5), rel=1e-12)
         assert rate == pytest.approx(0.19204199316179815, rel=1e-12)
 
@@ -205,15 +215,37 @@ class TestLegendreFenchel:
         # for Bernoulli the rate equals KL(Ber(x) || Ber(p))
         x, p = 0.6, 0.3
         kl = x * math.log(x / p) + (1 - x) * math.log((1 - x) / (1 - p))
-        rate, _ = th.legendre_fenchel(B3, x)
+        rate, _ = _solve(B3, x)
         assert rate == pytest.approx(kl, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [1e-9, 1 - 1e-9])
+    def test_bernoulli_near_the_hull_edges(self, x):
+        p = 0.3
+        kl = x * math.log(x / p) + (1 - x) * math.log((1 - x) / (1 - p))
+        rate, zeta = _solve(B3, x)
+        assert rate == pytest.approx(kl, rel=1e-12)
+        # The slope's rounding (1e-16) moves the tilt by that over eta'' = x(1 - x).
+        assert zeta == pytest.approx(math.log(x / (1 - x) * (1 - p) / p), abs=1e-15 / (x * (1 - x)))
 
     def test_gaussian_quadratic_rate(self):
         d = Gaussian(1.0, 2.0)
         for x in (1.5, 2.0, -1.0):
-            rate, zeta = th.legendre_fenchel(d, x)
+            rate, zeta = _solve(d, x)
             assert rate == pytest.approx((x - 1.0) ** 2 / 4.0, rel=1e-10)
             assert zeta == pytest.approx((x - 1.0) / 2.0, rel=1e-10)
+
+    def test_gaussian_far_from_the_origin(self):
+        assert _solve(Gaussian(1e8, 4.0), 1e8 + 2.0) == (0.5, 0.5)
+
+    @pytest.mark.parametrize("x", [1 - 1e-9, 1 - 1e-6, 0.99, 0.3, 1e-6])
+    def test_five_atom_law_is_the_supremum(self, x):
+        """Near the top atom the rate climbs to -log P(X = 1); everywhere it dominates h x - eta(h)."""
+        rate, zeta = _solve(FIVE, x)
+        assert rate == pytest.approx(zeta * x - FIVE.log_mgf(zeta), rel=1e-12)
+        for h in np.linspace(zeta - 5.0, zeta + 5.0, 41):
+            assert h * x - FIVE.log_mgf(h) <= rate + 1e-12 * max(1.0, abs(h))
+        if x > 0.99:
+            assert -math.log(0.15) - 1e-4 < rate < -math.log(0.15)
 
     def test_rate_zero_at_mean(self):
         assert th.legendre_fenchel(B3, 0.3) == (0.0, 0.0)
@@ -224,9 +256,28 @@ class TestLegendreFenchel:
         with pytest.raises(OutOfRange):
             th.legendre_fenchel(B3, -0.1)
 
+    def test_zero_probability_atom_is_out_of_range(self):
+        with pytest.raises(OutOfRange, match=r"\(0.0, 0.5\)"):
+            th.legendre_fenchel(FiniteDiscrete([0, 0.5, 1], [0.5, 0.5, 0]), 0.8)
+
+    @pytest.mark.parametrize("c", [0.0, 1.0, 1e6, 1e8, -1e8])
+    def test_finite_law_far_from_the_origin(self, c):
+        """The two-atom law {c, c + 1} is Bernoulli(0.3) moved by c: the same profile at the
+        threshold's own offset, and at 0.6 up to the rounding of c + 0.6."""
+        x = c + 0.6
+        prof = th.bahadur_rao_constants(FiniteDiscrete([c, c + 1], [0.7, 0.3]), x)
+        _solve(prof.distribution, x)
+        ref = th.bahadur_rao_constants(B3, x - c)
+        for name in ("rate", "zeta", "eta_second", "c0"):
+            assert getattr(prof, name) == pytest.approx(getattr(ref, name), rel=1e-12), name
+        tol = 5e-8 if abs(c) > 1e6 else 5e-10
+        assert prof.rate == pytest.approx(0.19204199316179815, rel=tol)
+        assert prof.eta_second == pytest.approx(0.24, rel=tol)
+        assert prof.c_star == pytest.approx(0.3 / (1.0 - 1.0 / 3.5), rel=tol)  # c0 |mean - threshold|
+
     def test_rate_convex_increasing_above_mean(self):
         xs = np.linspace(0.35, 0.9, 12)
-        rates = [th.legendre_fenchel(B3, float(x))[0] for x in xs]
+        rates = [_solve(B3, float(x))[0] for x in xs]
         assert all(b > a for a, b in zip(rates, rates[1:]))
         diffs = np.diff(rates)
         assert np.all(np.diff(diffs) > 0)
@@ -243,6 +294,14 @@ class TestTailAsymptotics:
         assert prof.threshold_span == pytest.approx(0.2)
         assert prof.c0 == pytest.approx(1.0 / (1.0 - math.exp(-prof.zeta)), rel=1e-12)
         assert prof.caveat is True  # 0.6 is not an atom of the 1-lattice
+
+    def test_zero_probability_atom_is_not_on_the_lattice(self):
+        """Support {0, 1}: span 1 and c0 = 1/(1 - e^-zeta) = 1.5 at zeta = log 3, not the phantom 0.5-lattice."""
+        prof = th.bahadur_rao_constants(FiniteDiscrete([0, 0.5, 1], [0.5, 0, 0.5]), 0.75)
+        assert prof.zeta == pytest.approx(math.log(3.0), rel=1e-12)
+        assert prof.span == 1.0 and prof.threshold_span == 0.25
+        assert prof.c0 == pytest.approx(1.5, rel=1e-12)
+        assert prof.caveat is True
 
     def test_gaussian_profile_continuous(self):
         prof = th.bahadur_rao_constants(Gaussian(1.0, 1.0), 1.5)
