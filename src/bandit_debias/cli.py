@@ -1,9 +1,9 @@
 """Command-line interface: simulate / debias / evaluate / theory / plan.
 
-Exit codes: 0 success, 1 usage or validation error, 2 data or numeric
-error.  Every command that consumes randomness requires an explicit
-``--seed``; there is no wall-clock fallback.  Output files are written
-atomically (temp file plus rename).
+Exit codes: 0 success, 1 usage or validation error (a request too large
+for memory among them), 2 data or numeric error.  Every command that
+consumes randomness requires an explicit ``--seed``; there is no wall-clock
+fallback.  Output files are written atomically (temp file plus rename).
 """
 from __future__ import annotations
 
@@ -188,6 +188,9 @@ def dispatch(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"error: the {args.command} request is too large for memory: {e}", file=sys.stderr)
         return 1
     except _DATA_ERRORS as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)

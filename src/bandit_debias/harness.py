@@ -243,9 +243,6 @@ def run_plan(plan: ExperimentPlan, workers: int = 1, out_dir: Optional[str] = No
         for cell_index, cell in enumerate(plan.cells)
         for block in range(_block_count(cell))
     ]
-    if workers > 1 and any(isinstance(cell.policy, policies.TsSpec) and {"ipw", "aipw"} & set(cell.estimators)
-                           for cell in plan.cells):
-        import scipy.special  # noqa: F401  (TS propensities call it: import once here, not in every forked worker)
     with task_map(_run_block, tasks, workers) as blocks:
         return _collect(plan, blocks, out_dir)
 

@@ -8,8 +8,9 @@ array ops per round.
 
 Every propensity is a pure function of its row's counts and sums, computed by
 ``propensity_batch``; ``propensity`` applies it to the prefix states of
-stacked logs in fixed blocks of ``_PROPENSITY_ROWS`` rows, which bounds the
-working set.  TS with K != 2 uses an exact quadrature (``_ts_quadrature``).
+stacked logs in fixed blocks of rows, which bounds the working set.  TS with
+K != 2 uses an exact quadrature (``_ts_quadrature``).  The normal CDF that TS
+needs, ``ndtr`` and ``log_ndtr``, runs on numpy alone.
 
 Conventions fixed here (ties have positive probability for Bernoulli
 rewards, so they must be pinned down):
@@ -47,10 +48,46 @@ from .streams import substream  # noqa: F401  (perfbench/tracing.py wraps polici
 # _ts_quadrature: 8-node Gauss-Legendre (nodes +-t, weights w) per piece, breaking at pm + c * sd.
 _GL_T = np.array([0.1834346424956498, 0.5255324099163290, 0.7966664774136267, 0.9602898564975362])
 _GL_W = np.array([0.3626837833783620, 0.3137066458778873, 0.2223810344533745, 0.1012285362903763])
+_GL_STEPS, _GL_WEIGHTS = 1 + np.r_[-_GL_T, _GL_T], np.r_[_GL_W, _GL_W]  # all 8, the steps on [0, 2]
 _TS_BREAKS = np.array([-12.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0, 12.0])
-# Prefix-state rows per propensity_batch call: the TS quadrature holds two
-# rows x K x 8(9K - 1) arrays, 2.3 MiB per block at K=4.
-_PROPENSITY_ROWS = 128
+# Prefix-state rows per propensity_batch call for EG and two-arm TS.  Their
+# arrays are a few (rows, K), so the fixed cost of each block's numpy calls,
+# not memory, sets the size.
+_PROPENSITY_ROWS = 2048
+# Elements per (rows, K, 9K - 1, 8) array of the TS quadrature in one block.
+# 2**15 float64 is 256 KiB (29 rows at K=4): few enough that a block's live
+# arrays stay in cache, many enough that its ~100 numpy calls cost little.
+_QUADRATURE_ELEMENTS = 2**15
+
+# The normal CDF, numpy only: W. J. Cody's rational Chebyshev forms (Math.
+# Comp. 1969) as arranged in ACM TOMS 715 and R's pnorm_both.  For |x| <=
+# 0.674, Phi(x) = 0.5 + x A(x^2) / B(x^2); beyond, the upper tail Q(y) is
+# exp(-y^2 / 2) C(y) / D(y) up to sqrt(32), and exp(-y^2 / 2) (1/sqrt(2 pi) -
+# u P(u) / Q(u)) / y with u = 1 / y^2 past it.  Each table pairs the
+# numerator's and the denominator's coefficients, leading first; every
+# denominator is monic.
+def _coefficient_pairs(num: tuple, den: tuple) -> np.ndarray:
+    """(degree + 1, 2, 1) rows of (numerator, denominator) coefficients, for ``_ratio``."""
+    return np.array([num, (1.0,) + den]).T[:, :, None]
+
+
+_CDF_AB = _coefficient_pairs(
+    (0.065682337918207449113, 2.2352520354606839287, 161.02823106855587881, 1067.6894854603709582,
+     18154.981253343561249),
+    (47.20258190468824187, 976.09855173777669322, 10260.932208618978205, 45507.789335026729956))
+_CDF_CD = _coefficient_pairs(
+    (1.0765576773720192317e-8, 0.39894151208813466764, 8.8831497943883759412, 93.506656132177855979,
+     597.27027639480026226, 2494.5375852903726711, 6848.1904505362823326, 11602.651437647350124,
+     9842.7148383839780218),
+    (22.266688044328115691, 235.38790178262499861, 1519.377599407554805, 6485.558298266760755,
+     18615.571640885098091, 34900.952721145977266, 38912.003286093271411, 19685.429676859990727))
+_CDF_PQ = _coefficient_pairs(
+    (0.02307344176494017303, 0.21589853405795699, 0.1274011611602473639, 0.022235277870649807,
+     0.001421619193227893466, 2.9112874951168792e-5),
+    (1.28426009614491121, 0.468238212480865118, 0.0659881378689285515, 0.00378239633202758244,
+     7.29751555083966205e-5))
+_CDF_CENTRAL = 0.67448975  # the upper quartile
+_CDF_SQRT32 = math.sqrt(32.0)
 
 
 class RecordError(ValueError):
@@ -302,8 +339,6 @@ def propensity_batch(spec: PolicySpec, state: BatchPolicyState) -> Optional[np.n
         pm, pv = _ts_posterior(spec, state)
         if state.K != 2:
             return _ts_quadrature(pm, np.sqrt(pv))
-        from scipy.special import ndtr  # here, not at the top: the CLI starts without scipy
-
         gap = (pm[:, 0] - pm[:, 1]) / np.sqrt(pv[:, 0] + pv[:, 1])
         p1 = ndtr(gap)
         return np.stack([p1, 1.0 - p1], axis=1)
@@ -340,11 +375,21 @@ def propensity(spec: PolicySpec, actions: np.ndarray, rewards: np.ndarray, K: in
         return None
     state = prefix_state(actions, rewards, K)
     out = np.empty((state.n, K))
-    for lo in range(0, state.n, _PROPENSITY_ROWS):
-        hi = min(lo + _PROPENSITY_ROWS, state.n)
+    step = _block_rows(spec, K)
+    for lo in range(0, state.n, step):
+        hi = min(lo + step, state.n)
         rows = BatchPolicyState(K=K, n=hi - lo, t=state.t[lo:hi], counts=state.counts[lo:hi], sums=state.sums[lo:hi])
         out[lo:hi] = propensity_batch(spec, rows)
     return out.reshape(actions.shape + (K,))
+
+
+def _block_rows(spec: PolicySpec, K: int) -> int:
+    """Prefix-state rows per ``propensity_batch`` call: as many as keep each
+    quadrature array within ``_QUADRATURE_ELEMENTS`` for TS with K != 2, else
+    ``_PROPENSITY_ROWS``."""
+    if isinstance(spec, TsSpec) and K != 2:
+        return max(1, _QUADRATURE_ELEMENTS // (K * (9 * K - 1) * len(_GL_STEPS)))
+    return _PROPENSITY_ROWS
 
 
 def _ts_posterior(spec: TsSpec, state: BatchPolicyState) -> tuple[np.ndarray, np.ndarray]:
@@ -365,17 +410,115 @@ def _ts_quadrature(pm: np.ndarray, sd: np.ndarray) -> np.ndarray:
 
     Integrates phi_k(x) prod_{j != k} Phi((x - pm_j) / sd_j), the product in log space.
     """
-    from scipy.special import log_ndtr  # here, not at the top: the CLI starts without scipy
-
     edges = np.sort((pm[:, :, None] + sd[:, :, None] * _TS_BREAKS).reshape(len(pm), 1, -1), axis=2)
     half = np.diff(edges, axis=2)[..., None] / 2  # (n, 1, pieces, 1)
-    z = (edges[..., :-1, None] + half * (1 + np.r_[-_GL_T, _GL_T]) - pm[:, :, None, None]) / sd[:, :, None, None]
+    z = edges[..., :-1, None] + half * _GL_STEPS - pm[:, :, None, None]
+    z /= sd[:, :, None, None]
     log_cdf = log_ndtr(z)  # z: (n, K, pieces, nodes), reused in place below
     z *= z
     z *= 0.5
     z += log_cdf
     np.subtract(log_cdf.sum(axis=1, keepdims=True), z, out=z)
     np.exp(z, out=z)
-    z *= half * np.r_[_GL_W, _GL_W]
+    z *= half * _GL_WEIGHTS
     out = z.sum(axis=(2, 3)) / sd  # the factor 1/sqrt(2 pi) cancels below
     return out / out.sum(axis=1, keepdims=True)  # so a one-arm row is exactly 1.0
+
+
+def ndtr(x) -> np.ndarray:
+    """The standard normal CDF Phi(x), elementwise, to about 1e-15 relative."""
+    return _normal_cdf(x, log=False)
+
+
+def log_ndtr(x) -> np.ndarray:
+    """log Phi(x), elementwise, to about 1e-15 relative, far into either tail."""
+    return _normal_cdf(x, log=True)
+
+
+def _normal_cdf(x, log: bool) -> np.ndarray:
+    """Phi(x) or log Phi(x) by Cody's forms, each on the elements of its range.
+
+    Each range is picked from the flattened array by a boolean mask: one
+    flat pass, where indices into the 4-D arguments of the TS quadrature
+    would cost several.  Every temporary is the size of one range's
+    elements, so a call holds about three times its input.  nan falls in
+    the central range and comes out nan.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    below, above = flat < -_CDF_CENTRAL, flat > _CDF_CENTRAL
+    central = ~(below | above)
+    xc = flat[central]
+    p = _ratio(xc * xc, _CDF_AB)
+    p *= xc
+    p += 0.5
+    out[central] = np.log(p, out=p) if log else p
+    far_below, far_above = flat < -_CDF_SQRT32, flat > _CDF_SQRT32
+    below ^= far_below
+    above ^= far_above
+    with np.errstate(over="ignore"):  # y^2 is inf past 1e154, and so is -log Phi(-y)
+        for mask, far, upper in ((below, False, False), (above, False, True), (far_below, True, False),
+                                 (far_above, True, True)):
+            y = np.abs(flat[mask])
+            if y.size:
+                out[mask] = _outer_cdf(y, far, upper, log)
+    return out.reshape(x.shape)[()]
+
+
+def _outer_cdf(y: np.ndarray, far: bool, upper: bool, log: bool) -> np.ndarray:
+    """Phi(x) or log Phi(x) at x = y if ``upper`` else -y, for y past the central
+    range, up to sqrt(32) or (``far``) beyond; overwrites y."""
+    if far:
+        # Past 1e300 Q is 0 and log Q is -inf already: the clamp changes no
+        # result and keeps inf - inf out of the tail's split.
+        np.minimum(y, 1e300, out=y)
+        u = np.square(y)
+        np.divide(1.0, u, out=u)
+        r = _ratio(u, _CDF_PQ)
+        r *= u
+        np.subtract(1.0 / math.sqrt(2.0 * math.pi), r, out=r)
+        r /= y
+    else:
+        r = _ratio(y, _CDF_CD)
+    if log and not upper:
+        # log Q = -y^2 / 2 + log r: an ulp of y^2 / 2 is an ulp of the result.
+        y *= y
+        y *= -0.5
+        y += np.log(r, out=r)
+        return y
+    q = _tail(y, r)
+    if not upper:
+        return q
+    if log:
+        np.negative(q, out=q)
+        return np.log1p(q, out=q)
+    return np.subtract(1.0, q, out=q)
+
+
+def _tail(y: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Q(y) = exp(-y^2 / 2) r, as exp(-s^2 / 2) exp(-(y - s)(y + s) / 2) r with s = y rounded
+    down to sixteenths: s^2 / 2 is exact, so Q keeps its relative accuracy where one
+    exp(-y^2 / 2) would lose up to |y| ulps."""
+    s = np.trunc(y * 16.0)
+    s /= 16.0
+    d = y - s
+    d *= y + s
+    d *= -0.5
+    np.exp(d, out=d)
+    np.square(s, out=s)
+    s *= -0.5
+    np.exp(s, out=s)
+    s *= d
+    s *= r
+    return s
+
+
+def _ratio(u: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """num(u) / den(u) of one coefficient table, both polynomials in one Horner pass."""
+    acc = pairs[0] * u
+    for c in pairs[1:-1]:
+        acc += c
+        acc *= u
+    acc += pairs[-1]
+    return np.divide(acc[0], acc[1], out=acc[0])

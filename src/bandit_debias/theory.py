@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .distributions import Gaussian, RewardDistribution
-from .policies import EtcSpec
+from .policies import EtcSpec, ndtr
 from .simulator import run_batch
 from .streams import TAG_THEORY, substream
 
@@ -173,8 +173,6 @@ def _split_at(other: RewardDistribution, pmf, m: int, x: np.ndarray, ties_below:
     of being 1 minus the other.
     """
     if pmf is None:
-        from scipy.special import ndtr  # here, not at the top: the CLI starts without scipy
-
         z = (x - other.mean()) * math.sqrt(m / other.variance())
         return ndtr(z), ndtr(-z)
     values, probs = pmf

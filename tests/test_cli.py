@@ -200,6 +200,18 @@ def test_bad_arms_file(tmp_path):
     assert rc == 1
 
 
+def test_request_too_large_for_memory_is_one_line_exit_1(tmp_path, capsys, bern_arms):
+    # 10**18 rounds need exabytes: numpy refuses the first array at once, whatever
+    # the machine, so the test allocates nothing.
+    out = tmp_path / "x.csv"
+    rc = dispatch(["simulate", "--policy", "ts", "--K", "2", "--T", str(10**18),
+                   "--arms", bern_arms, "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the simulate request is too large for memory: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == [Path(bern_arms).name]
+
+
 @pytest.mark.parametrize("policy, flags, message", [
     ("ucb", ["--m", "3", "--epsilon", "0.5"], "policy.epsilon is not a known field"),
     ("etc", ["--m", "3", "--prior-mean", "1"], "policy.prior_mean is not a known field"),

@@ -1,11 +1,11 @@
-"""The package loads scipy only where it calls it.
+"""The package runs on numpy alone: no path loads scipy.
 
-scipy.special takes about 0.6 s and 60 MiB to import, more than a whole
-``debias`` replay at T = 1000, B = 1000.  Only Thompson-sampling
-propensities and ``theory`` with a Gaussian arm against a finite arm call
-it; every other path, the rest of ``theory`` included, runs on numpy alone.
-This test session has long since imported scipy, so each check runs in a
-fresh interpreter, and an ``ast`` scan pins the few call sites.
+Thompson-sampling propensities (``evaluate``, and ``plan`` with ``ipw`` or
+``aipw``) and ``theory`` with a Gaussian arm against a finite arm need the
+normal CDF, and ``policies.ndtr`` and ``policies.log_ndtr`` give it on numpy.
+Importing scipy.special would cost about 22 MiB and half a second.  This
+test session imports scipy as a reference, so each check runs in a fresh
+interpreter, and an ``ast`` scan keeps every scipy import out of ``src/``.
 """
 import ast
 import json
@@ -53,9 +53,27 @@ def test_simulate_and_debias_load_no_scipy(tmp_path):
     assert loaded == []
 
 
+def test_evaluate_on_ts_logs_loads_no_scipy(tmp_path):
+    """IPW and AIPW on TS logs: the two-arm closed form and the K = 3 quadrature."""
+    arms = [{"type": "bernoulli", "p": p} for p in (0.3, 0.5, 0.6)]
+    for K in (2, 3):
+        (tmp_path / f"arms{K}.json").write_text(json.dumps(arms[:K]))
+    loaded = _run(f"""
+        from bandit_debias.cli import dispatch
+        for K in (2, 3):
+            log = {str(tmp_path)!r} + f"/log{{K}}.csv"
+            assert dispatch(["simulate", "--policy", "ts", "--K", str(K), "--T", "60",
+                             "--arms", {str(tmp_path)!r} + f"/arms{{K}}.json", "--seed", "5", "--out", log]) == 0
+            assert dispatch(["evaluate", "--log", log, "--meta", log + ".meta.json",
+                             "--out", {str(tmp_path)!r} + f"/eval{{K}}.json"]) == 0
+        {_REPORT}
+    """)
+    assert loaded == []
+
+
 def _plan_pools(tmp_path, policy: dict, estimators: list) -> dict:
     """Run ``plan --workers 2`` on a cell of ``policy`` (two blocks, so one pool) in a fresh interpreter,
-    with pools run in-process; whether scipy.special was loaded as each pool was built."""
+    with pools run in-process; whether any scipy module was loaded as each pool was built."""
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"cells": [{
         "name": "a", "policy": policy, "arms": [{"type": "bernoulli", "p": 0.3}, {"type": "bernoulli", "p": 0.6}],
@@ -66,7 +84,7 @@ def _plan_pools(tmp_path, policy: dict, estimators: list) -> dict:
         from test_cli import recording_pool
 
         built = []
-        concurrent.futures.ProcessPoolExecutor = recording_pool(lambda size: built.append("scipy.special" in sys.modules))
+        concurrent.futures.ProcessPoolExecutor = recording_pool(lambda size: built.append(any(m.split(".")[0] == "scipy" for m in sys.modules)))
         from bandit_debias.cli import dispatch
         rc = dispatch(["plan", "--plan", {str(plan)!r}, "--seed", "3", "--workers", "2",
                        "--out-dir", {str(tmp_path / "out")!r}])
@@ -74,9 +92,10 @@ def _plan_pools(tmp_path, policy: dict, estimators: list) -> dict:
     """)
 
 
-def test_weighted_plan_imports_scipy_before_the_pool_forks(tmp_path):
-    """A TS propensity calls scipy.special: imported in the parent, the forked workers inherit it."""
-    assert _plan_pools(tmp_path, {"name": "ts"}, ["mean", "ipw"]) == {"rc": 0, "built": [True], "scipy": True}
+def test_ts_weighted_plan_loads_no_scipy(tmp_path):
+    """TS propensities use the numpy CDFs: neither the parent nor a pool, as it is built, has scipy."""
+    policy = {"name": "ts"}
+    assert _plan_pools(tmp_path, policy, ["mean", "ipw", "aipw"]) == {"rc": 0, "built": [False], "scipy": False}
 
 
 def test_mean_only_plan_loads_no_scipy(tmp_path):
@@ -90,13 +109,15 @@ def test_eg_weighted_plan_loads_no_scipy(tmp_path):
 
 
 def test_theory_loads_no_scipy(tmp_path):
-    """The oracles on Bernoulli, lattice and Gaussian pairs and the criterion-7 and -8 Monte Carlo checks."""
+    """The oracles on Bernoulli, lattice, Gaussian and Gaussian-against-Bernoulli pairs, and the
+    criterion-7 and -8 Monte Carlo checks."""
     pairs = {
         "bernoulli": [{"type": "bernoulli", "p": 0.3}, {"type": "bernoulli", "p": 0.55}],
         "lattice": [{"type": "discrete", "support": [0, 0.25, 0.5, 0.75, 1], "probs": [0.3, 0.2, 0.2, 0.2, 0.1]},
                     {"type": "discrete", "support": [0, 0.25, 0.5, 0.75, 1], "probs": [0.1, 0.2, 0.2, 0.2, 0.3]}],
         "gaussian": [{"type": "gaussian", "mean": 1.0, "variance": 1.0},
                      {"type": "gaussian", "mean": 1.5, "variance": 0.8}],
+        "mixed": [{"type": "gaussian", "mean": 0.4, "variance": 0.2}, {"type": "bernoulli", "p": 0.55}],
     }
     for family, arms in pairs.items():
         (tmp_path / f"{family}.json").write_text(json.dumps(arms))
@@ -115,30 +136,15 @@ def test_theory_loads_no_scipy(tmp_path):
     assert loaded == []
 
 
-# Every function in src/ that imports scipy, as module.function.
-SCIPY_CALL_SITES = {"policies.propensity_batch", "policies._ts_quadrature", "harness.run_plan", "theory._split_at"}
-
-
-def test_scipy_is_imported_only_inside_the_allowed_functions():
-    sites, top_level = set(), []
+def test_src_imports_no_scipy():
+    found = []
     for path in sorted((ROOT / "src" / "bandit_debias").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        owner = {}
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for inner in ast.walk(node):
-                    owner.setdefault(inner, node.name)  # ast.walk is breadth-first: the outermost function wins
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "scipy" for name in names):
-                if node in owner:
-                    sites.add(f"{path.stem}.{owner[node]}")
-                else:
-                    top_level.append(f"{path.name}:{node.lineno}")
-    assert top_level == []
-    assert sites == SCIPY_CALL_SITES
+            found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "scipy"]
+    assert found == []

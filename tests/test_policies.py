@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
-from scipy.special import ndtr
+from scipy import integrate, special
 
 from bandit_debias import policies
+from bandit_debias.distributions import Bernoulli, Gaussian
 from bandit_debias.estimators import plugin_mean_trace
 from bandit_debias.policies import (
     BatchPolicyState,
@@ -21,7 +21,7 @@ from bandit_debias.policies import (
     select_batch,
     spec_from_dict,
 )
-from bandit_debias.simulator import BanditLog
+from bandit_debias.simulator import BanditLog, run_experiment
 from bandit_debias.streams import substream
 
 
@@ -261,7 +261,7 @@ def _quad_propensity(pm, sd):
     breaks = np.unique(pm[:, None] + sd[:, None] * np.array([-12.0, -6, -3, -1, 0, 1, 3, 6, 12]))
 
     def density(x, k):
-        cdfs = ndtr((x - pm) / sd)
+        cdfs = special.ndtr((x - pm) / sd)
         others = np.prod(np.delete(cdfs, k))
         return math.exp(-0.5 * ((x - pm[k]) / sd[k]) ** 2) / (sd[k] * math.sqrt(2 * math.pi)) * others
 
@@ -398,7 +398,7 @@ def test_spec_validation():
 @pytest.mark.parametrize("spec", [TsSpec(), TsSpec(0.5, 2.0, 0.5), EgSpec(0.1)], ids=["ts", "ts-prior", "eg"])
 @pytest.mark.parametrize("K", [2, 3])
 def test_blocked_propensity_equals_one_shot(spec, K):
-    # 3 logs x 100 rounds = 300 prefix-state rows: blocks of 128, 128 and 44.
+    # 3 logs x 100 rounds = 300 prefix-state rows: one block for EG and K = 2, 52-row blocks for TS at K = 3.
     rng = substream(40, K)
     actions = rng.integers(0, K, size=(3, 100))
     rewards = rng.standard_normal((3, 100))
@@ -408,9 +408,6 @@ def test_blocked_propensity_equals_one_shot(spec, K):
 
 def test_long_ts_log_propensity_memory_is_bounded():
     import tracemalloc
-
-    from bandit_debias.distributions import Bernoulli
-    from bandit_debias.simulator import run_experiment
 
     log = run_experiment(4, 2000, TsSpec(), [Bernoulli(p) for p in (0.3, 0.4, 0.5, 0.6)], seed=5)
     tracemalloc.start()
@@ -439,3 +436,92 @@ def test_argmax_rows_matches_numpy(x):
     arms = policies._argmax_rows(x)
     assert arms.dtype == np.int64
     assert np.array_equal(arms, np.argmax(x, axis=1))
+
+
+# The normal CDF runs on numpy alone; scipy.special is the reference here only.
+# The constants are Phi(x) and log Phi(x) to 20 digits (mpmath at 50 digits).
+# At -36.7 and 36.7, x^2 / 2 is not a float: one exp(-x^2 / 2) would be off
+# by 5e-14 there.
+NDTR_CONSTANTS = [
+    (-37.0, 5.7255712225245768227e-300), (-36.7, 3.6515293028034179725e-295), (-20.0, 2.7536241186062336951e-89),
+    (-8.3, 5.2055697448902540246e-17), (-5.0, 2.8665157187919391167e-7),
+    (-1.0, 0.15865525393145705141), (0.5, 0.69146246127401310364), (3.0, 0.99865010196836990547),
+    (8.0, 0.9999999999999993779),
+]
+LOG_NDTR_CONSTANTS = [
+    (-1e6, -500000000014.73444909), (-1000.0, -500007.82669481218431), (-37.0, -689.0305855768905936),
+    (-3.0, -6.6077262215103495433), (0.25, -0.51298407540943043213), (2.0, -0.023012909328963488465),
+    (10.0, -7.619853024160526066e-24), (12.3, -4.5287069561587846514e-35), (36.7, -3.6515293028034179725e-295),
+    (37.0, -5.7255712225245768227e-300),
+]
+
+
+def _cdf_grid(lo, hi):
+    """An even grid on [lo, hi] and uniform draws from it, with each form's end points."""
+    ends = [0.67448975, math.sqrt(32.0)]
+    edges = [s * e for e in ends for s in (-1, 1)] + [np.nextafter(s * e, 0.0) for e in ends for s in (-1, 1)]
+    x = np.concatenate([np.linspace(lo, hi, 200_001), np.random.default_rng(3).uniform(lo, hi, 20_000), edges])
+    return x[(x >= lo) & (x <= hi)]
+
+
+def test_ndtr_matches_scipy_and_constants():
+    # scipy's own error near -37 is 2e-13 (erfc of x / sqrt 2 inherits the rounding of x / sqrt 2).
+    x = _cdf_grid(-37.0, 37.0)
+    np.testing.assert_allclose(policies.ndtr(x), special.ndtr(x), rtol=5e-13, atol=0)
+    x, exact = np.array(NDTR_CONSTANTS).T
+    np.testing.assert_allclose(policies.ndtr(x), exact, rtol=1e-15, atol=0)
+
+
+def test_log_ndtr_matches_scipy_and_constants():
+    x = np.concatenate([-np.logspace(np.log10(20.0), 6, 10_000), _cdf_grid(-20.0, 20.0)])
+    np.testing.assert_allclose(policies.log_ndtr(x), special.log_ndtr(x), rtol=1e-13, atol=0)
+    # Past 20, log Phi = log1p(-Q) is about -Q, where scipy's erfc errs by up to 2.4e-13, and past
+    # 37.5 it is subnormal: compare within scipy's error, then to the constants.
+    x = _cdf_grid(20.0, 38.0)
+    np.testing.assert_allclose(policies.log_ndtr(x), special.log_ndtr(x), rtol=5e-13, atol=np.finfo(float).tiny)
+    x, exact = np.array(LOG_NDTR_CONSTANTS).T
+    np.testing.assert_allclose(policies.log_ndtr(x), exact, rtol=1e-15, atol=0)
+
+
+def test_normal_cdf_special_values_and_shapes():
+    x = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0])
+    np.testing.assert_array_equal(policies.ndtr(x), [1.0, 0.0, np.nan, 0.5, 0.5])
+    np.testing.assert_array_equal(policies.log_ndtr(x), [0.0, -np.inf, np.nan, np.log(0.5), np.log(0.5)])
+    assert policies.log_ndtr(-1e200) == -np.inf  # -x^2 / 2 overflows, as the true value does
+    assert np.ndim(policies.ndtr(1.5)) == 0 and policies.ndtr(1.5) == policies.ndtr(np.array([1.5]))[0]
+    grid = np.linspace(-40.0, 40.0, 24).reshape(2, 3, 4)
+    np.testing.assert_array_equal(policies.log_ndtr(grid), policies.log_ndtr(grid.ravel()).reshape(2, 3, 4))
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_ts_propensities_match_scipy_reference(K, monkeypatch):
+    """Propensities of TS logs with the numpy CDFs against the same code on scipy.special's."""
+    worlds = [
+        (TsSpec(), [Bernoulli(p) for p in np.linspace(0.3, 0.6, K)]),
+        (TsSpec(0.5, 2.0, 0.5), [Gaussian(m, 1.0) for m in np.linspace(0.0, 1.0, K)]),
+    ]
+    for spec, arms in worlds:
+        logs = [run_experiment(K, 300, spec, arms, seed=seed) for seed in range(3)]
+        actions, rewards = np.stack([log.actions for log in logs]), np.stack([log.rewards for log in logs])
+        ours = propensity(spec, actions, rewards, K)
+        with monkeypatch.context() as m:
+            m.setattr(policies, "ndtr", special.ndtr)
+            m.setattr(policies, "log_ndtr", special.log_ndtr)
+            reference = propensity(spec, actions, rewards, K)
+        np.testing.assert_allclose(ours, reference, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("rows", [1, 7, None], ids=["rows1", "rows7", "default"])
+@pytest.mark.parametrize("spec, K", [(TsSpec(), 2), (TsSpec(0.5, 2.0, 0.5), 4), (EgSpec(0.1), 3)],
+                         ids=["ts-k2", "ts-k4", "eg-k3"])
+def test_propensity_bytes_do_not_depend_on_the_block_size(spec, K, rows, monkeypatch):
+    """Each row's propensity is its own, so any block size gives the same bytes."""
+    rng = substream(41, K)
+    actions = rng.integers(0, K, size=(3, 40))
+    rewards = rng.standard_normal((3, 40))
+    default = propensity(spec, actions, rewards, K)
+    if rows is not None:
+        monkeypatch.setattr(policies, "_PROPENSITY_ROWS", rows)
+        monkeypatch.setattr(policies, "_QUADRATURE_ELEMENTS", rows * K * (9 * K - 1) * 8)
+        assert policies._block_rows(spec, K) == rows
+    assert propensity(spec, actions, rewards, K).tobytes() == default.tobytes()
