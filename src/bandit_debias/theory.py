@@ -7,7 +7,8 @@ Contents:
   ((T-2m)/(T-m)) E[(mu_k - Xbar_k) 1{arm k committed}] for both arms at
   once, by discrete enumeration, or in closed form when arm k is Gaussian;
   a finite arm's m-sample mean law is one convolution power, taken by
-  binary powering in O(log m) direct convolutions;
+  left-to-right binary powering in direct convolutions (``mean_pmf``), and
+  ties between two arms' means are decided exactly on their common lattice;
 * the Legendre-Fenchel transform of the log-MGF and the exact-asymptotics
   constants for mean tail probabilities and tail expectations (lattice and
   non-lattice cases);
@@ -41,6 +42,7 @@ from .streams import TAG_THEORY, substream
 _RATIONAL_DENOMINATOR_CAP = 10**6
 _ENUMERATION_CAP = 5_000_000  # largest mean lattice mean_pmf convolves
 _SLOPE_TOL = 1e-10            # residual |eta'(zeta) - x| of the Legendre-Fenchel tilt
+_SQUARE_CUTOFF = 256          # laws up to this length are squared by one np.convolve
 
 
 class OutOfRange(Exception):
@@ -126,15 +128,36 @@ def _span(points: Sequence[Fraction], origin: Fraction) -> Fraction:
     return span
 
 
+def _square(pmf: np.ndarray) -> np.ndarray:
+    """pmf * pmf from its halves lo and hi: lo*lo, 2 (lo*hi) and hi*hi.
+
+    Each cross product is taken once, and every term is a non-negative sum.
+    """
+    n = len(pmf)
+    if n <= _SQUARE_CUTOFF:
+        return np.convolve(pmf, pmf)
+    h = n // 2
+    lo, hi = pmf[:h], pmf[h:]
+    out = np.zeros(2 * n - 1)
+    out[:2 * h - 1] = _square(lo)
+    out[2 * h:] = _square(hi)
+    out[h:n + h - 1] += 2.0 * np.convolve(lo, hi)
+    return out
+
+
 def mean_pmf(d: RewardDistribution, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact distribution of the m-sample mean for a finite-support law.
 
     Supports are mapped to a common rational lattice and the sum law is the
     m-th convolution power of the one-draw pmf on that lattice, taken by
-    binary powering: at most 2 floor(log2 m) direct convolutions.  Direct
-    (not FFT) convolution keeps each entry's rounding relative to itself,
-    so tails far below the largest entry keep their relative accuracy.
-    Returns (values, probabilities) with the zero-probability points dropped.
+    left-to-right binary powering: per bit of m one square (``_square``),
+    and one convolution with the short one-draw pmf where the bit is set.
+    The ends that underflow to exactly zero are cut off each law as it
+    grows, so only the resolved band is convolved.  Direct (not FFT)
+    convolution of non-negative terms keeps each entry's rounding relative
+    to itself, so tails far below the largest entry keep their relative
+    accuracy.  Returns (values, probabilities) with the zero-probability
+    points dropped.
     """
     atoms = d.atoms()
     if atoms is None:
@@ -148,27 +171,52 @@ def mean_pmf(d: RewardDistribution, m: int) -> tuple[np.ndarray, np.ndarray]:
     width = max(indices)
     if (width * m + 1) > _ENUMERATION_CAP:
         raise EnumerationTooLarge(f"lattice of size {width * m + 1} exceeds cap {_ENUMERATION_CAP}")
-    power = np.zeros(width + 1)
-    power[indices] = probs
-    pmf = None
-    n = m
-    while True:
-        if n & 1:
-            pmf = power if pmf is None else np.convolve(pmf, power)
-        n >>= 1
-        if not n:
-            break
-        power = np.convolve(power, power)
-    values = (float(fracs[0]) * m + np.arange(len(pmf)) * float(step)) / m
+    one_draw = np.zeros(width + 1)
+    one_draw[indices] = probs
+    pmf, first = one_draw, 0  # first: lattice index of pmf[0]
+    for bit in bin(m)[3:]:
+        pmf, first = _square(pmf), 2 * first
+        if bit == "1":
+            pmf = np.convolve(pmf, one_draw)
+        resolved = np.flatnonzero(pmf)
+        pmf, first = pmf[resolved[0]:resolved[-1] + 1], first + int(resolved[0])
+    values = (float(fracs[0]) * m + np.arange(first, first + len(pmf)) * float(step)) / m
     keep = pmf > 0
     return values[keep], pmf[keep]
 
 
-def _split_at(other: RewardDistribution, pmf, m: int, x: np.ndarray, ties_below: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(P(Ybar_m below x), P(Ybar_m above x)) of the other arm's mean, vectorized over x.
+def _tie_tolerance(points: Sequence[float], m: int) -> float:
+    """Half the spacing of the lattice that holds every m-sample mean of the points.
+
+    Two such means, of any laws on these points, are equal or at least twice
+    this apart.  So a smaller float gap is an exact tie, as long as the
+    means' rounding (a few ulps of the largest point) stays well below it;
+    a lattice too fine for that raises EnumerationTooLarge.  A point with
+    no rational form (a point mass off every lattice) gives 0: only equal
+    floats tie.
+    """
+    try:
+        fracs = [_as_fraction(x) for x in points]
+    except ValueError:
+        return 0.0
+    span = _span(fracs, fracs[0])
+    if not span:
+        return math.inf  # a single point: every pair of means ties
+    tol = float(span) / (2 * m)
+    scale = max(abs(x) for x in points)
+    if tol <= 2.0**-45 * scale:
+        raise EnumerationTooLarge(f"mean lattice spacing {2 * tol:g} is below float resolution at {scale:g}")
+    return tol
+
+
+def _split_at(
+    own: RewardDistribution, other: RewardDistribution, pmf, m: int, x: np.ndarray, ties_below: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """(P(Ybar_m below x), P(Ybar_m above x)) of the other arm's mean, vectorized over own means x.
 
     ``pmf`` is the other arm's mean pmf, or None for a Gaussian law.  Ties
-    Ybar_m = x count below when ``ties_below``, else above.  Each side is
+    Ybar_m = x count below when ``ties_below``, else above; they are decided
+    on the two laws' common lattice (``_tie_tolerance``).  Each side is
     summed on its own, so a side near 0 keeps its relative accuracy instead
     of being 1 minus the other.
     """
@@ -178,8 +226,11 @@ def _split_at(other: RewardDistribution, pmf, m: int, x: np.ndarray, ties_below:
     values, probs = pmf
     below = np.concatenate([[0.0], np.cumsum(probs)])
     above = np.concatenate([np.cumsum(probs[::-1])[::-1], [0.0]])
-    tol = 1e-12
-    idx = np.searchsorted(values - tol if ties_below else values + tol, x, side="right")
+    tol = _tie_tolerance([*own.atoms()[0], *other.atoms()[0]], m)
+    if ties_below:
+        idx = np.searchsorted(values - tol, x, side="right")
+    else:
+        idx = np.searchsorted(values + tol, x, side="left")
     return below[idx], above[idx]
 
 
@@ -201,7 +252,7 @@ def _commit_expectation(arms, pmfs, m: int, k: int) -> float:
         return -sd * float(np.dot(probs, _std_normal_pdf((values - mu_own) / sd)))
     # Arm k commits when the other arm's mean is below Xbar_own = x; equality goes to arm 1.
     values, probs = own_pmf
-    commit, lose = _split_at(other, other_pmf, m, values, ties_below=k == 1)
+    commit, lose = _split_at(own, other, other_pmf, m, values, ties_below=k == 1)
     weighted = probs * (mu_own - values)
     if float(np.dot(probs, commit)) > 0.5:
         # sum p(x)(mu - x) = 0, so the commit sum is minus the losing-event sum;
@@ -233,9 +284,12 @@ def etc_bias_general(arms: Sequence[RewardDistribution], m: int, T: int) -> tupl
 
 
 def exact_mean_tail(d: RewardDistribution, mu2: float, m: int) -> tuple[float, float]:
-    """Exact (P(Xbar_m >= mu2), E[(mu2 - Xbar_m) 1{Xbar_m >= mu2}]) by enumeration."""
+    """Exact (P(Xbar_m >= mu2), E[(mu2 - Xbar_m) 1{Xbar_m >= mu2}]) by enumeration.
+
+    Whether Xbar_m = mu2 is decided on the lattice of the support and mu2.
+    """
     values, probs = mean_pmf(d, m)
-    in_tail = values >= mu2 - 1e-12
+    in_tail = values >= mu2 - _tie_tolerance([*d.atoms()[0], mu2], m)
     prob = float(probs[in_tail].sum())
     expect = float(np.dot(probs[in_tail], mu2 - values[in_tail]))
     return prob, expect

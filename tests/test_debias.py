@@ -3,10 +3,10 @@ import pytest
 
 from bandit_debias.bootstrap import BootstrapSpec
 from bandit_debias.debias import CHUNK, debias
-from bandit_debias.distributions import Gaussian
+from bandit_debias.distributions import FiniteDiscrete, Gaussian
 from bandit_debias.policies import EgSpec, EtcSpec, TsSpec
 from bandit_debias.simulator import BanditLog, run_experiment, summarize
-from bandit_debias.theory import EtcGaussianParams, etc_bias_gaussian
+from bandit_debias.theory import EtcGaussianParams, etc_bias_gaussian, etc_bias_general
 
 
 def test_degenerate_log_zero_estimated_bias():
@@ -44,6 +44,29 @@ def test_mb_estimate_matches_closed_form():
             k + 1)
         z = (rep.estimated_bias[k] - truth) / rep.bootstrap_se[k]
         assert abs(z) < 3, f"arm {k + 1}: z={z:.2f}"
+
+
+GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+@pytest.mark.parametrize("p1, p2, m, T, seed", [
+    ((0.1, 0.3, 0.2, 0.15, 0.25), (0.2, 0.2, 0.2, 0.2, 0.2), 10, 40, 1),
+    ((0.3, 0.2, 0.2, 0.2, 0.1), (0.1, 0.2, 0.2, 0.2, 0.3), 15, 60, 2),
+    ((0.25, 0.25, 0.0, 0.25, 0.25), (0.4, 0.1, 0.0, 0.1, 0.4), 8, 40, 3),
+])
+def test_efron_estimate_matches_exact_oracle(p1, p2, m, T, seed):
+    """The Efron world of a two-arm ETC log on a lattice is the pair of the
+    log's empirical laws, whose ETC bias etc_bias_general gives exactly."""
+    log = run_experiment(2, T, EtcSpec(m), [FiniteDiscrete(GRID, p1), FiniteDiscrete(GRID, p2)], seed=seed)
+    empirical = []
+    for k in range(2):
+        values, counts = np.unique(log.rewards[log.actions == k], return_counts=True)
+        empirical.append(FiniteDiscrete(values, counts / counts.sum()))
+    exact = etc_bias_general(empirical, m, T)
+    rep = debias(log, BootstrapSpec("efron", 200_000), seed=0)
+    for k in range(2):
+        z = (rep.estimated_bias[k] - exact[k]) / rep.bootstrap_se[k]
+        assert abs(z) < 4, f"arm {k + 1}: z={z:.2f}"
 
 
 @pytest.mark.parametrize("kind", ["mb", "efron"])

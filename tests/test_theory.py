@@ -1,10 +1,12 @@
 import math
-
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandit_debias.distributions import Bernoulli, FiniteDiscrete, Gaussian
 from bandit_debias import theory as th
@@ -104,12 +106,37 @@ class TestExactEnumeration:
         resolved = reference > 1e-250
         np.testing.assert_allclose(probs[resolved], reference[resolved], rtol=1e-12)
 
-    def test_mean_pmf_convolves_log_m_times(self, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("m", [64, 257])
+    def test_mean_pmf_matches_exact_rationals(self, m):
+        """Dyadic probabilities are exact floats, so the exact pmf is integer
+        counts over 8^m; every entry, down to 8^-m (1e-58 and 1e-232), is
+        within 1e-13 of it relative to itself."""
+        counts = (1, 3, 2, 1, 1)
+        d = FiniteDiscrete([0.0, 0.25, 0.5, 0.75, 1.0], [c / 8 for c in counts])
+        exact = [1]
+        for _ in range(m):
+            nxt = [0] * (len(exact) + len(counts) - 1)
+            for i, a in enumerate(exact):
+                for j, c in enumerate(counts):
+                    nxt[i + j] += a * c
+            exact = nxt
+        reference = np.array([float(Fraction(c, 8**m)) for c in exact])
+        values, probs = th.mean_pmf(d, m)
+        np.testing.assert_allclose(values, np.arange(4 * m + 1) / (4 * m), rtol=1e-15)
+        assert reference.min() == 8.0**-m
+        np.testing.assert_allclose(probs, reference, rtol=1e-13, atol=0)
+
+    def test_mean_pmf_work_is_a_fraction_of_the_lattice_squared(self, monkeypatch):
+        """At m = 4000 the five-atom law's mean lattice has N = 16001 points.
+        Symmetric squares and zero-trimmed ends keep the multiply-adds of all
+        np.convolve calls under 0.15 N^2; full-length right-to-left binary
+        powering took 0.41 N^2."""
+        work = []
         convolve = np.convolve
-        monkeypatch.setattr(np, "convolve", lambda a, b: calls.append(1) or convolve(a, b))
-        th.mean_pmf(B3, 4000)
-        assert len(calls) <= 2 * math.floor(math.log2(4000))
+        monkeypatch.setattr(np, "convolve", lambda a, b: work.append(len(a) * len(b)) or convolve(a, b))
+        d = FiniteDiscrete([0.0, 0.25, 0.5, 0.75, 1.0], [0.1, 0.3, 0.2, 0.15, 0.25])
+        th.mean_pmf(d, 4000)
+        assert sum(work) <= 0.15 * (4 * 4000 + 1) ** 2
 
     def test_general_builds_each_pmf_once(self, monkeypatch):
         calls = []
@@ -184,6 +211,62 @@ class TestExactEnumeration:
         assert th.etc_bias_general(arms, 10, 20)[0] == 0.0
         for k in (1, 2):
             assert th.etc_bias_general(arms, 5, 50)[k - 1] < 0
+
+    def test_ties_are_exact_far_from_the_origin(self):
+        """Laws on {c, c + 1} moved together by c: every tie stays a tie, so
+        the biases stay put.  An absolute 1e-12 tie tolerance, below one ulp
+        at 1e6, sent ties to arm 2 there (-0.0153686 for -0.0189214)."""
+        biases = []
+        for c in (0.0, 1e3, 1e6):
+            arms = [FiniteDiscrete([c, c + 1], [0.6, 0.4]), FiniteDiscrete([c, c + 1], [0.5, 0.5])]
+            biases.append(th.etc_bias_general(arms, 20, 80))
+        assert biases[0][1] == pytest.approx(-0.0189214, abs=5e-8)
+        for moved in biases[1:]:
+            assert moved == pytest.approx(biases[0], rel=1e-9)
+
+    @pytest.mark.parametrize("c", [1e3, 1000000.02, 1e6])
+    def test_exact_tail_threshold_on_the_lattice_far_from_the_origin(self, c):
+        """The threshold c + 0.6 is a lattice point of the 20-sample mean; at
+        c = 1000000.02 the mean's float fell below the threshold's by more
+        than 1e-12 and left the tail."""
+        ref = th.exact_mean_tail(FiniteDiscrete([0, 1], [0.7, 0.3]), 0.6, 20)
+        prob, expect = th.exact_mean_tail(FiniteDiscrete([c, c + 1], [0.7, 0.3]), c + 0.6, 20)
+        assert prob == pytest.approx(ref[0], rel=1e-12)
+        assert expect == pytest.approx(ref[1], rel=1e-6)
+
+    def test_point_mass_off_every_lattice(self):
+        """A point mass with no rational form shares no lattice with Bernoulli
+        means: no tie, arm 1 commits on Xbar >= y, and the tail needs no lattice."""
+        y, m, T = (math.sqrt(5) - 1) / 2, 40, 160
+        values, probs = th.mean_pmf(B3, m)
+        above = values >= y
+        expected = (T - 2 * m) / (T - m) * np.dot(probs[above], 0.3 - values[above])
+        assert th.etc_bias_general([B3, Gaussian(y, 0.0)], m, T)[0] == pytest.approx(expected, rel=1e-12)
+        assert th.exact_mean_tail(B3, y, m)[0] == pytest.approx(probs[above].sum(), rel=1e-12)
+
+    def test_lattice_too_fine_for_floats_raises(self):
+        # spacing 1e-3 / 1000 against means near 1e9: float rounding could break a tie
+        arms = [FiniteDiscrete([1e9, 1e9 + 1e-3], [0.5, 0.5])] * 2
+        with pytest.raises(EnumerationTooLarge, match="float resolution"):
+            th.etc_bias_general(arms, 1000, 4000)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 4000),
+        st.one_of(
+            st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
+            st.tuples(*[st.lists(st.floats(0.05, 1.0), min_size=5, max_size=5)] * 2),
+        ),
+    )
+    def test_exact_bias_is_never_positive(self, m, params):
+        """Both arms' exact ETC biases at T = 4m are <= 0, for Bernoulli and
+        five-atom lattice pairs (Shin, Ramdas and Rinaldo, NeurIPS 2019)."""
+        if isinstance(params[0], float):
+            arms = [Bernoulli(p) for p in params]
+        else:
+            arms = [FiniteDiscrete([0.0, 0.25, 0.5, 0.75, 1.0], np.array(w) / sum(w)) for w in params]
+        b1, b2 = th.etc_bias_general(arms, m, 4 * m)
+        assert b1 <= 0 and b2 <= 0
 
     def test_tie_convention_splits_between_arms(self):
         # identical arms: arm 1 wins ties, so its commit set is larger and its
