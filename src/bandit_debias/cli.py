@@ -190,7 +190,8 @@ def dispatch(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except MemoryError as e:
-        print(f"error: the {args.command} request is too large for memory: {e}", file=sys.stderr)
+        reason = str(e) or "an allocation failed"  # a bare MemoryError, as from a huge list, says nothing
+        print(f"error: the {args.command} request is too large for memory: {reason}", file=sys.stderr)
         return 1
     except _DATA_ERRORS as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)

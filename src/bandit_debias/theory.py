@@ -20,9 +20,9 @@ Contents:
 The oracles do not switch on a law's class: ``atoms()`` says whether a law has
 finite support (enumeration, lattice constants) or not (Gaussian closed
 forms, non-lattice constants), and ``mean()``/``variance()`` give the rest.
-Every lattice span is one rational GCD, ``_span``.  The Monte Carlo checks
-run at horizon T = 4m through the simulator's unlogged ETC path
-(``run_batch`` with an ``EtcSpec``), which draws each experiment's
+Every lattice fact comes from one rationalization, ``_lattice``.  The Monte
+Carlo checks run at horizon T = 4m through the simulator's unlogged ETC
+path (``run_batch`` with an ``EtcSpec``), which draws each experiment's
 per-arm sums and centred squares with no loop over rounds.
 """
 from __future__ import annotations
@@ -105,27 +105,27 @@ def g_value(mu1, mu2, var1, var2, m: int, T: int, k: int):
 # --- exact evaluation of the general two-arm bias identity -----------------
 
 
-def _as_fraction(x: float) -> Fraction:
+def _as_fraction(x: float) -> Optional[Fraction]:
+    """The nearest fraction under the denominator cap, or None if it is more than 1e-9 max(1, |x|) from x."""
     f = Fraction(x).limit_denominator(_RATIONAL_DENOMINATOR_CAP)
-    if abs(float(f) - x) > 1e-9 * max(1.0, abs(x)):
-        raise ValueError(f"value {x} has no rational representation under the denominator cap")
-    return f
+    return f if abs(float(f) - x) <= 1e-9 * max(1.0, abs(x)) else None
 
 
-def _gcd_fraction(a: Fraction, b: Fraction) -> Fraction:
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    return Fraction(math.gcd(a.numerator * b.denominator, b.numerator * a.denominator), a.denominator * b.denominator)
+def _lattice(points: Sequence[float]) -> Optional[tuple[Fraction, Fraction, list[int]]]:
+    """(origin, step, indices) of the coarsest rational lattice with point i at origin + indices[i] * step.
 
-
-def _span(points: Sequence[Fraction], origin: Fraction) -> Fraction:
-    """Largest d0 with every (point - origin)/d0 integral; 0 if all offsets vanish."""
-    span = Fraction(0)
-    for p in points:
-        span = _gcd_fraction(span, p - origin)
-    return span
+    step is one GCD of the offsets from the smallest point on their common
+    denominator, 0 when all points share a fraction; points the cap maps to
+    one fraction share an index.  None when a point has no rational form.
+    """
+    fracs = [_as_fraction(x) for x in points]
+    if None in fracs:
+        return None
+    origin = min(fracs)
+    denominator = math.lcm(*(f.denominator for f in fracs))
+    offsets = [int((f - origin) * denominator) for f in fracs]
+    step = math.gcd(*offsets)
+    return origin, Fraction(step, denominator), [o // step for o in offsets] if step else offsets
 
 
 def _square(pmf: np.ndarray) -> np.ndarray:
@@ -157,7 +157,8 @@ def mean_pmf(d: RewardDistribution, m: int) -> tuple[np.ndarray, np.ndarray]:
     convolution of non-negative terms keeps each entry's rounding relative
     to itself, so tails far below the largest entry keep their relative
     accuracy.  Returns (values, probabilities) with the zero-probability
-    points dropped.
+    points dropped.  A support with an atom off every lattice under the cap,
+    or with two atoms on one lattice point, raises ValueError.
     """
     atoms = d.atoms()
     if atoms is None:
@@ -165,9 +166,10 @@ def mean_pmf(d: RewardDistribution, m: int) -> tuple[np.ndarray, np.ndarray]:
     support, probs = atoms
     if len(support) == 1:
         return support, np.array([1.0])
-    fracs = [_as_fraction(x) for x in support]
-    step = _span(fracs, fracs[0])
-    indices = [int((f - fracs[0]) / step) for f in fracs]
+    lattice = _lattice(support)
+    if lattice is None or len(set(lattice[2])) < len(support):
+        raise ValueError(f"support {support.tolist()} has no rational lattice that keeps its atoms apart")
+    origin, step, indices = lattice
     width = max(indices)
     if (width * m + 1) > _ENUMERATION_CAP:
         raise EnumerationTooLarge(f"lattice of size {width * m + 1} exceeds cap {_ENUMERATION_CAP}")
@@ -180,7 +182,7 @@ def mean_pmf(d: RewardDistribution, m: int) -> tuple[np.ndarray, np.ndarray]:
             pmf = np.convolve(pmf, one_draw)
         resolved = np.flatnonzero(pmf)
         pmf, first = pmf[resolved[0]:resolved[-1] + 1], first + int(resolved[0])
-    values = (float(fracs[0]) * m + np.arange(first, first + len(pmf)) * float(step)) / m
+    values = (float(origin) * m + np.arange(first, first + len(pmf)) * float(step)) / m
     keep = pmf > 0
     return values[keep], pmf[keep]
 
@@ -195,14 +197,13 @@ def _tie_tolerance(points: Sequence[float], m: int) -> float:
     no rational form (a point mass off every lattice) gives 0: only equal
     floats tie.
     """
-    try:
-        fracs = [_as_fraction(x) for x in points]
-    except ValueError:
+    lattice = _lattice(points)
+    if lattice is None:
         return 0.0
-    span = _span(fracs, fracs[0])
-    if not span:
+    step = lattice[1]
+    if not step:
         return math.inf  # a single point: every pair of means ties
-    tol = float(span) / (2 * m)
+    tol = float(step) / (2 * m)
     scale = max(abs(x) for x in points)
     if tol <= 2.0**-45 * scale:
         raise EnumerationTooLarge(f"mean lattice spacing {2 * tol:g} is below float resolution at {scale:g}")
@@ -393,25 +394,21 @@ def bahadur_rao_constants(d: RewardDistribution, mu2: float) -> LDProfile:
         raise OutOfRange("threshold equals the mean: no exponential decay regime")
     _, eta_second = d.log_mgf_derivatives(zeta)
     atoms = d.atoms()
-    span = threshold_span = None
-    if atoms is not None:
-        try:
-            fracs = [_as_fraction(x) for x in atoms[0]]
-            span = float(_span(fracs, fracs[0])) or None
-            # A threshold off the rational grid leaves threshold_span None.
-            threshold_span = float(_span(fracs, _as_fraction(mu2))) or None
-        except ValueError:
-            pass
-    if span is None:
+    own = None if atoms is None else _lattice(atoms[0])
+    if own is None or not own[1]:
         lattice = False
+        span = threshold_span = None
         c0 = 1.0 / abs(zeta)
         c1 = -1.0 / zeta**2
         caveat = False
     else:
         lattice = True
+        span = float(own[1])
+        joint = _lattice([mu2, *atoms[0]])
+        threshold_span = None if joint is None else float(joint[1])
         c0 = span / (1.0 - math.exp(-abs(zeta) * span))
         c1 = -span * math.exp(-zeta * span) / ((1.0 - math.exp(-zeta * span)) * zeta)
-        caveat = not np.any(np.abs(atoms[0] - mu2) < 1e-12)
+        caveat = joint is None or joint[2][0] not in joint[2][1:]
     mu1 = d.mean()
     return LDProfile(
         distribution=d,

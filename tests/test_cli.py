@@ -200,7 +200,7 @@ def test_bad_arms_file(tmp_path):
     assert rc == 1
 
 
-def test_request_too_large_for_memory_is_one_line_exit_1(tmp_path, capsys, bern_arms):
+def test_request_too_large_for_memory_is_one_line_exit_1(tmp_path, capsys, monkeypatch, bern_arms):
     # 10**18 rounds need exabytes: numpy refuses the first array at once, whatever
     # the machine, so the test allocates nothing.
     out = tmp_path / "x.csv"
@@ -210,6 +210,41 @@ def test_request_too_large_for_memory_is_one_line_exit_1(tmp_path, capsys, bern_
     err = capsys.readouterr().err
     assert err.startswith("error: the simulate request is too large for memory: ") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == [Path(bern_arms).name]
+    # A bare MemoryError, as building debias's task list at --B 10**13 raises,
+    # still gives a reason; the replay pool is patched to raise it.
+    log = _simulate(tmp_path, bern_arms, extra=["--m", "3"])
+    capsys.readouterr()
+
+    def no_memory(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr("bandit_debias.debias.task_map", no_memory)
+    report = tmp_path / "report.json"
+    rc = dispatch(["debias", "--log", log, "--meta", log + ".meta.json", "--B", "10", "--seed", "1",
+                   "--out", str(report)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: the debias request is too large for memory: an allocation failed\n"
+    assert not report.exists()
+
+
+def test_theory_refuses_atoms_the_cap_cannot_separate(tmp_path, capsys):
+    """1 and 1 + 1e-10 (or 0 and 1e-10) rationalize to one fraction: the
+    exact enumeration refuses the support (exit 1, no file).  Writing both
+    atoms to one lattice index dropped a quarter of the mass (the m = 3 pmf
+    summed to 0.42) and reported arm 1's bias as +0.00499; a zero span
+    ended in ZeroDivisionError."""
+    near = {"type": "discrete", "support": [0, 1, 1.0000000001], "probs": [0.5, 0.25, 0.25]}
+    tiny = {"type": "discrete", "support": [0, 1e-10], "probs": [0.5, 0.5]}
+    for laws, flags in (([near, {"type": "bernoulli", "p": 0.4}], ["--m", "5", "--T", "20"]),
+                        ([tiny, tiny], ["--mu2", "8e-11", "--m", "3", "--T", "12"])):
+        arms = tmp_path / "arms.json"
+        arms.write_text(json.dumps(laws))
+        out = tmp_path / "theory.json"
+        assert dispatch(["theory", "--arms", str(arms), *flags, "--out", str(out)]) == 1
+        support = [float(x) for x in laws[0]["support"]]
+        message = f"error: support {support} has no rational lattice that keeps its atoms apart\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("policy, flags, message", [

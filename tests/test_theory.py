@@ -1,6 +1,8 @@
+import ast
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +270,29 @@ class TestExactEnumeration:
         b1, b2 = th.etc_bias_general(arms, m, 4 * m)
         assert b1 <= 0 and b2 <= 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 60),
+        st.one_of(st.sampled_from([0.0, 1.0, 1e3, 1e6]), st.integers(0, 10**6).map(float)),
+        st.sampled_from([1, 2, 4, 5, 10]),
+        st.lists(st.integers(0, 10), min_size=1, max_size=4, unique=True),
+        st.lists(st.floats(1e-12, 5e-8), max_size=2),
+        st.lists(st.floats(0.05, 1.0), min_size=6, max_size=6),
+    )
+    def test_mean_pmf_keeps_its_mass_or_raises(self, m, offset, q, ks, nudges, weights):
+        """Atoms offset + k/q, some nudged by at most 5e-8 (near-coincident
+        pairs, which the denominator cap merges or cannot place): the m-sample
+        mean pmf sums to 1, or mean_pmf raises.  It never returns a short pmf."""
+        grid = [offset + k / q for k in ks]
+        support = sorted({*grid, *(x + e for x, e in zip(grid, nudges))})
+        w = np.array(weights[:len(support)])
+        d = FiniteDiscrete(support, w / w.sum())
+        try:
+            _, probs = th.mean_pmf(d, m)
+        except (ValueError, EnumerationTooLarge):
+            return
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_tie_convention_splits_between_arms(self):
         # identical arms: arm 1 wins ties, so its commit set is larger and its
         # bias magnitude differs from arm 2's unless the law is continuous
@@ -386,6 +411,17 @@ class TestTailAsymptotics:
         assert prof.c0 == pytest.approx(1.5, rel=1e-12)
         assert prof.caveat is True
 
+    def test_threshold_on_an_atom_far_from_the_origin(self):
+        """Atoms 1e6 + j/10: a threshold at 1e6 + 0.7, or one float either side
+        of it (arm 2's mean rounds to either), is an atom, so no caveat.  An
+        absolute 1e-12 test, below one ulp at 1e6, flagged the neighbours."""
+        d = FiniteDiscrete([1e6 + j / 10 for j in range(11)], [0.3] + [0.07] * 10)
+        mu2 = FiniteDiscrete([1e6, 1e6 + 1], [0.3, 0.7]).mean()
+        for x in (mu2, math.nextafter(mu2, 0.0), math.nextafter(mu2, math.inf)):
+            prof = th.bahadur_rao_constants(d, x)
+            assert prof.span == pytest.approx(0.1) and prof.threshold_span == pytest.approx(0.1)
+            assert prof.caveat is False
+
     def test_gaussian_profile_continuous(self):
         prof = th.bahadur_rao_constants(Gaussian(1.0, 1.0), 1.5)
         assert prof.lattice is False
@@ -454,3 +490,22 @@ class TestMonteCarloConvergence:
     def test_rate_ratio_rejects_degenerate(self):
         with pytest.raises(OutOfRange):
             th.bootstrap_rate_ratio_check(Gaussian(1.0, 0.0), 1.5, [10], 10, seed=0)
+
+
+def test_rationalization_lives_in_one_helper():
+    """Fraction(...), limit_denominator and math.gcd/lcm appear in theory.py
+    only inside _as_fraction and _lattice, so every lattice fact is read from
+    one rationalization."""
+    tree = ast.parse(Path(th.__file__).read_text())
+    helpers = [range(n.lineno, n.end_lineno + 1) for n in tree.body
+               if isinstance(n, ast.FunctionDef) and n.name in ("_as_fraction", "_lattice")]
+
+    def rationalizes(f):
+        if isinstance(f, ast.Name):
+            return f.id == "Fraction"
+        math_call = isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "math"
+        return isinstance(f, ast.Attribute) and (f.attr == "limit_denominator" or math_call and f.attr in ("gcd", "lcm"))
+
+    found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call) and rationalizes(n.func)
+             and not any(n.lineno in lines for lines in helpers)]
+    assert len(helpers) == 2 and found == []
