@@ -7,8 +7,10 @@ Contents:
   ((T-2m)/(T-m)) E[(mu_k - Xbar_k) 1{arm k committed}] for both arms at
   once, by discrete enumeration, or in closed form when arm k is Gaussian;
   a finite arm's m-sample mean law is one convolution power, taken by
-  left-to-right binary powering in direct convolutions (``mean_pmf``), and
-  ties between two arms' means are decided exactly on their common lattice;
+  left-to-right binary powering in direct convolutions of blocks scaled by
+  powers of two, so that no product underflows needlessly (``mean_pmf``),
+  and ties between two arms' means are decided exactly on their common
+  lattice;
 * the Legendre-Fenchel transform of the log-MGF and the exact-asymptotics
   constants for mean tail probabilities and tail expectations (lattice and
   non-lattice cases);
@@ -42,7 +44,7 @@ from .streams import TAG_THEORY, substream
 _RATIONAL_DENOMINATOR_CAP = 10**6
 _ENUMERATION_CAP = 5_000_000  # largest mean lattice mean_pmf convolves
 _SLOPE_TOL = 1e-10            # residual |eta'(zeta) - x| of the Legendre-Fenchel tilt
-_SQUARE_CUTOFF = 256          # laws up to this length are squared by one np.convolve
+_BLOCK = 512                  # laws are convolved in blocks of this many points
 
 
 class OutOfRange(Exception):
@@ -128,20 +130,42 @@ def _lattice(points: Sequence[float]) -> Optional[tuple[Fraction, Fraction, list
     return origin, Fraction(step, denominator), [o // step for o in offsets] if step else offsets
 
 
-def _square(pmf: np.ndarray) -> np.ndarray:
-    """pmf * pmf from its halves lo and hi: lo*lo, 2 (lo*hi) and hi*hi.
+def _blocks(pmf: np.ndarray) -> list[tuple[int, np.ndarray, int]]:
+    """(start, block * 2^-e, e) for each _BLOCK-long block of pmf with a positive entry.
 
-    Each cross product is taken once, and every term is a non-negative sum.
+    e <= 0 puts the block's largest entry in [0.5, 1) unless it is 0.5 or
+    more already.  A block is never scaled down, so the scaling is exact,
+    subnormal entries included.
     """
-    n = len(pmf)
-    if n <= _SQUARE_CUTOFF:
-        return np.convolve(pmf, pmf)
-    h = n // 2
-    lo, hi = pmf[:h], pmf[h:]
-    out = np.zeros(2 * n - 1)
-    out[:2 * h - 1] = _square(lo)
-    out[2 * h:] = _square(hi)
-    out[h:n + h - 1] += 2.0 * np.convolve(lo, hi)
+    out = []
+    for start in range(0, len(pmf), _BLOCK):
+        block = pmf[start:start + _BLOCK]
+        top = float(block.max())
+        if top > 0:
+            e = min(0, math.frexp(top)[1])
+            out.append((start, np.ldexp(block, -e), e))
+    return out
+
+
+def _convolve(p: np.ndarray, q: Optional[np.ndarray] = None) -> np.ndarray:
+    """p * q, or p * p when q is None, summed from products of scaled blocks.
+
+    Block pair (i, j) is one np.convolve of the scaled blocks, put back in
+    scale by 2^(ei + ej) with one rounding.  A square takes each cross
+    product once, doubled, so every entry is a non-negative sum.  A pair
+    with ei + ej + _BLOCK.bit_length() <= -1075 is skipped: each of its
+    sums is under _BLOCK 2^(ei + ej) < 2^-1075, half the smallest
+    subnormal, so it rounds to 0 in either order of operations.
+    """
+    square = q is None
+    ps = _blocks(p)
+    qs = ps if square else _blocks(q)
+    out = np.zeros(len(p) + len(p if square else q) - 1)
+    for k, (i, a, ea) in enumerate(ps):
+        for j, b, eb in (qs[k:] if square else qs):
+            if ea + eb + _BLOCK.bit_length() > -1075:
+                doubled = square and j != i
+                out[i + j:i + j + len(a) + len(b) - 1] += np.ldexp(np.convolve(a, b), ea + eb + doubled)
     return out
 
 
@@ -150,15 +174,20 @@ def mean_pmf(d: RewardDistribution, m: int) -> tuple[np.ndarray, np.ndarray]:
 
     Supports are mapped to a common rational lattice and the sum law is the
     m-th convolution power of the one-draw pmf on that lattice, taken by
-    left-to-right binary powering: per bit of m one square (``_square``),
-    and one convolution with the short one-draw pmf where the bit is set.
-    The ends that underflow to exactly zero are cut off each law as it
-    grows, so only the resolved band is convolved.  Direct (not FFT)
-    convolution of non-negative terms keeps each entry's rounding relative
-    to itself, so tails far below the largest entry keep their relative
-    accuracy.  Returns (values, probabilities) with the zero-probability
-    points dropped.  A support with an atom off every lattice under the cap,
-    or with two atoms on one lattice point, raises ValueError.
+    left-to-right binary powering: per bit of m one square, and one
+    convolution with the short one-draw pmf where the bit is set.  Both go
+    through ``_convolve``, which cuts each law into blocks and scales every
+    block by an exact power of two so that its largest entry is near 1.
+    The products are taken on normal-range numbers, a product leaves the
+    normal range only where its true value does too, and each block
+    product is scaled back with one rounding.  The ends that underflow to
+    exactly zero are cut off each law as it grows, so only the resolved
+    band is convolved.  Direct (not FFT) convolution of non-negative terms
+    keeps each entry's rounding relative to itself, so tails far below the
+    largest entry keep their relative accuracy.  Returns (values,
+    probabilities) with the zero-probability points dropped.  A support
+    with an atom off every lattice under the cap, or with two atoms on one
+    lattice point, raises ValueError.
     """
     atoms = d.atoms()
     if atoms is None:
@@ -177,9 +206,9 @@ def mean_pmf(d: RewardDistribution, m: int) -> tuple[np.ndarray, np.ndarray]:
     one_draw[indices] = probs
     pmf, first = one_draw, 0  # first: lattice index of pmf[0]
     for bit in bin(m)[3:]:
-        pmf, first = _square(pmf), 2 * first
+        pmf, first = _convolve(pmf), 2 * first
         if bit == "1":
-            pmf = np.convolve(pmf, one_draw)
+            pmf = _convolve(pmf, one_draw)
         resolved = np.flatnonzero(pmf)
         pmf, first = pmf[resolved[0]:resolved[-1] + 1], first + int(resolved[0])
     values = (float(origin) * m + np.arange(first, first + len(pmf)) * float(step)) / m
@@ -395,7 +424,10 @@ def bahadur_rao_constants(d: RewardDistribution, mu2: float) -> LDProfile:
     _, eta_second = d.log_mgf_derivatives(zeta)
     atoms = d.atoms()
     own = None if atoms is None else _lattice(atoms[0])
-    if own is None or not own[1]:
+    # Atoms the denominator cap maps to one lattice point (a repeated index)
+    # are apart on no lattice under the cap: non-lattice, as for an atom
+    # with no rational form.
+    if own is None or len(set(own[2])) < len(own[2]):
         lattice = False
         span = threshold_span = None
         c0 = 1.0 / abs(zeta)

@@ -247,6 +247,22 @@ def test_theory_refuses_atoms_the_cap_cannot_separate(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_theory_profile_reads_atoms_the_cap_merges_as_non_lattice(tmp_path):
+    """Without --m the profile alone is written.  1 and 1 + 1e-10 share a
+    lattice index, so arm 1's law is read as non-lattice, c0 = 1/|zeta|, as
+    for an atom with no rational form; the span-1 lattice it was given
+    before (c0 2.9999999996) ignored the third atom."""
+    near = {"type": "discrete", "support": [0, 1, 1.0000000001], "probs": [0.5, 0.25, 0.25]}
+    arms = tmp_path / "arms.json"
+    arms.write_text(json.dumps([near, {"type": "bernoulli", "p": 0.4}]))
+    out = tmp_path / "theory.json"
+    assert dispatch(["theory", "--arms", str(arms), "--out", str(out)]) == 0
+    profile = json.loads(out.read_text())["profile"]
+    assert profile["lattice"] is False and profile["span"] is None and profile["threshold_span"] is None
+    assert profile["c0"] == pytest.approx(1.0 / abs(profile["zeta"]), rel=1e-15)
+    assert profile["c0"] == pytest.approx(2.466, abs=1e-3)
+
+
 @pytest.mark.parametrize("policy, flags, message", [
     ("ucb", ["--m", "3", "--epsilon", "0.5"], "policy.epsilon is not a known field"),
     ("etc", ["--m", "3", "--prior-mean", "1"], "policy.prior_mean is not a known field"),

@@ -108,11 +108,12 @@ class TestExactEnumeration:
         resolved = reference > 1e-250
         np.testing.assert_allclose(probs[resolved], reference[resolved], rtol=1e-12)
 
-    @pytest.mark.parametrize("m", [64, 257])
+    @pytest.mark.parametrize("m", [64, 257, 340])
     def test_mean_pmf_matches_exact_rationals(self, m):
         """Dyadic probabilities are exact floats, so the exact pmf is integer
-        counts over 8^m; every entry, down to 8^-m (1e-58 and 1e-232), is
-        within 1e-13 of it relative to itself."""
+        counts over 8^m; every entry, down to 8^-m (1e-58, 1e-232 and, at the
+        edge of the normal range, 8.9e-308), is within 1e-13 of it relative
+        to itself."""
         counts = (1, 3, 2, 1, 1)
         d = FiniteDiscrete([0.0, 0.25, 0.5, 0.75, 1.0], [c / 8 for c in counts])
         exact = [1]
@@ -139,6 +140,35 @@ class TestExactEnumeration:
         d = FiniteDiscrete([0.0, 0.25, 0.5, 0.75, 1.0], [0.1, 0.3, 0.2, 0.15, 0.25])
         th.mean_pmf(d, 4000)
         assert sum(work) <= 0.15 * (4 * 4000 + 1) ** 2
+
+    def test_mean_pmf_convolves_no_subnormal_operand(self, monkeypatch):
+        """Every np.convolve operand entry is 0 or in the normal range: each
+        block is scaled by a power of two before it is convolved.  Unscaled
+        halves passed 4757 subnormal entries in over these three laws."""
+        tiny = np.finfo(float).tiny
+        subnormal = []
+        convolve = np.convolve
+
+        def spy(a, b):
+            subnormal.extend(x for x in (a, b) if ((x > 0) & (x < tiny)).any())
+            return convolve(a, b)
+
+        monkeypatch.setattr(np, "convolve", spy)
+        five = FiniteDiscrete([0.0, 0.25, 0.5, 0.75, 1.0], [0.1, 0.3, 0.2, 0.15, 0.25])
+        for d, m in ((five, 4000), (five, 16000), (B3, 4000)):
+            th.mean_pmf(d, m)
+        assert subnormal == []
+
+    def test_mean_pmf_binomial_at_the_underflow_edge(self):
+        """At m = 16000 the Bernoulli(0.3) law spans some 4400 points above
+        underflow; every entry down to the smallest normal float matches
+        scipy's binomial pmf."""
+        values, probs = th.mean_pmf(B3, 16000)
+        counts = np.rint(values * 16000).astype(int)
+        reference = scipy.stats.binom.pmf(counts, 16000, 0.3)
+        normal = reference >= np.finfo(float).tiny
+        assert normal.sum() > 4000
+        np.testing.assert_allclose(probs[normal], reference[normal], rtol=1e-11)
 
     def test_general_builds_each_pmf_once(self, monkeypatch):
         calls = []
@@ -509,3 +539,13 @@ def test_rationalization_lives_in_one_helper():
     found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call) and rationalizes(n.func)
              and not any(n.lineno in lines for lines in helpers)]
     assert len(helpers) == 2 and found == []
+
+
+def test_convolution_lives_in_one_helper():
+    """np.convolve appears in theory.py only inside _convolve, so every law
+    is convolved from scaled blocks."""
+    tree = ast.parse(Path(th.__file__).read_text())
+    helper = [range(n.lineno, n.end_lineno + 1) for n in tree.body
+              if isinstance(n, ast.FunctionDef) and n.name == "_convolve"]
+    found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "convolve"]
+    assert len(helper) == 1 and found and all(line in helper[0] for line in found)
