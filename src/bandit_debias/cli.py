@@ -8,6 +8,7 @@ fallback.  Output files are written atomically (temp file plus rename).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -48,7 +49,9 @@ def _workers(args) -> int:
     return workers
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``dispatch`` and reused by every later one in the process."""
     parser = argparse.ArgumentParser(prog="bandit-debias")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -151,9 +154,10 @@ def _cmd_theory(args) -> int:
     mu2 = args.mu2 if args.mu2 is not None else (arms[1].mean() if len(arms) > 1 else None)
     if mu2 is None:
         raise ValueError("--mu2 is required when the arms file has a single distribution")
-    payload: dict = {"profile": theory.bahadur_rao_constants(arms[0], mu2).to_dict()}
+    profile = theory.bahadur_rao_constants(arms[0], mu2)
+    payload: dict = {"profile": profile.to_dict()}
     if args.m is not None:
-        payload["bias_asymptotic"] = theory.etc_bias_sharp_asymptotic(arms[0], mu2, args.m, args.T)
+        payload["bias_asymptotic"] = theory.etc_bias_from_profile(profile, args.m, args.T)
         if len(arms) > 1:
             arm1, arm2 = theory.etc_bias_general(arms, args.m, args.T)
             payload["bias_exact"] = {"arm1": arm1, "arm2": arm2}

@@ -20,6 +20,13 @@ simulator's sufficient-statistic path: per-arm exploration sums from the
 world's ``draw_sum``, the commit, and one committed-block sum, with no
 per-round policy step; the centred squares that path also draws go unused
 here.  Every other policy replays round by round.
+
+One call runs at most ``MAX_REPLAYS`` replay rows (W x B).  The task list,
+one entry per chunk, is built before the first replay and a process pool is
+handed all of it at once, so a larger request is refused before any work.
+At the limit the list has about 2.4e5 entries, and a replay that steps
+rounds (UCB, TS, EG; about 40 ns per row-round at best) is already hours
+of work at T = 1000.
 """
 from __future__ import annotations
 
@@ -32,6 +39,7 @@ from .simulator import BanditLog, json_floats, run_batch, summarize
 from .streams import TAG_REPLAY_CHUNK, substream, task_map
 
 CHUNK = 4096
+MAX_REPLAYS = 10**9  # replay rows (W x B) one call may run
 
 
 @dataclass
@@ -96,12 +104,16 @@ def debias(logs: BanditLog, spec: BootstrapSpec, seed: int, workers: int = 1) ->
 
     The W x B replays of a stack run as one batch, with log w's replays in
     rows w*B .. (w+1)*B - 1; the report's arrays take the summary's shape.
-    Raises ZeroCountArm if some log never pulled an arm.
+    Raises ZeroCountArm if some log never pulled an arm, and ValueError
+    for more than ``MAX_REPLAYS`` replays.
     """
     summary = summarize(logs)
-    world = build_world(summary, logs, spec)  # raises ZeroCountArm
     raw = summary.means.reshape(-1, logs.K)
     rows = len(raw) * spec.B
+    if rows > MAX_REPLAYS:
+        raise ValueError(f"{rows} replays (B = {spec.B} for each of {len(raw)} log(s)) "
+                         f"exceed MAX_REPLAYS = {MAX_REPLAYS}")
+    world = build_world(summary, logs, spec)  # raises ZeroCountArm
     # Boundaries depend only on the row count, never on the worker count.
     tasks = [
         (lo, min(lo + CHUNK, rows), spec.B, raw, logs.T, logs.policy, world, int(seed), i)

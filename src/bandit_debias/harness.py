@@ -28,7 +28,7 @@ from . import distributions as dist
 from . import estimators as est
 from . import policies
 from .bootstrap import BootstrapSpec
-from .debias import debias
+from .debias import MAX_REPLAYS, debias
 from .policies import json_int, json_list, json_optional, json_str, read_dataclass, read_record
 from .simulator import BanditLog, atomic_write_text, json_floats, run_batch, summarize, validate_config
 from .simulator import run_experiment  # noqa: F401  (perfbench/tracing.py wraps harness.run_experiment)
@@ -68,6 +68,11 @@ class Cell:
             raise ValueError(f"cell {self.name!r}: {exc}") from None
         if self.mse_B is not None and self.mse_B < 1:
             raise ValueError("mse_B must be >= 1")
+        block = min(BLOCK, self.replications)  # the logs of one debias call
+        for field, B in (("bootstrap.B", self.bootstrap.B), ("mse_B", self.mse_B or 1)):
+            if block * B > MAX_REPLAYS:
+                raise ValueError(f"cell {self.name!r}: {field} = {B} over a block of {block} replications "
+                                 f"asks for more than MAX_REPLAYS = {MAX_REPLAYS} replays")
         unknown = set(self.estimators) - set(est.NAMES)
         if unknown:
             raise ValueError(f"cell {self.name!r}: unknown estimator(s) {sorted(unknown)}")

@@ -240,15 +240,15 @@ def _tie_tolerance(points: Sequence[float], m: int) -> float:
 
 
 def _split_at(
-    own: RewardDistribution, other: RewardDistribution, pmf, m: int, x: np.ndarray, ties_below: bool
+    other: RewardDistribution, pmf, m: int, x: np.ndarray, ties_below: bool, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(P(Ybar_m below x), P(Ybar_m above x)) of the other arm's mean, vectorized over own means x.
 
     ``pmf`` is the other arm's mean pmf, or None for a Gaussian law.  Ties
-    Ybar_m = x count below when ``ties_below``, else above; they are decided
-    on the two laws' common lattice (``_tie_tolerance``).  Each side is
-    summed on its own, so a side near 0 keeps its relative accuracy instead
-    of being 1 minus the other.
+    Ybar_m = x count below when ``ties_below``, else above; they are the
+    pairs within ``tol``, the two laws' joint ``_tie_tolerance``.  Each side
+    is summed on its own, so a side near 0 keeps its relative accuracy
+    instead of being 1 minus the other.
     """
     if pmf is None:
         z = (x - other.mean()) * math.sqrt(m / other.variance())
@@ -256,7 +256,6 @@ def _split_at(
     values, probs = pmf
     below = np.concatenate([[0.0], np.cumsum(probs)])
     above = np.concatenate([np.cumsum(probs[::-1])[::-1], [0.0]])
-    tol = _tie_tolerance([*own.atoms()[0], *other.atoms()[0]], m)
     if ties_below:
         idx = np.searchsorted(values - tol, x, side="right")
     else:
@@ -268,8 +267,9 @@ def _std_normal_pdf(z):
     return np.exp(-0.5 * np.square(z)) / math.sqrt(2.0 * math.pi)
 
 
-def _commit_expectation(arms, pmfs, m: int, k: int) -> float:
-    """E[(mu_k - Xbar_k) 1{arm k committed}] given each arm's mean pmf (None if Gaussian)."""
+def _commit_expectation(arms, pmfs, m: int, k: int, tol: float) -> float:
+    """E[(mu_k - Xbar_k) 1{arm k committed}] given each arm's mean pmf (None if Gaussian)
+    and the tie tolerance of two finite arms."""
     own, other = arms[k - 1], arms[2 - k]
     own_pmf, other_pmf = pmfs[k - 1], pmfs[2 - k]
     mu_own = own.mean()
@@ -282,7 +282,7 @@ def _commit_expectation(arms, pmfs, m: int, k: int) -> float:
         return -sd * float(np.dot(probs, _std_normal_pdf((values - mu_own) / sd)))
     # Arm k commits when the other arm's mean is below Xbar_own = x; equality goes to arm 1.
     values, probs = own_pmf
-    commit, lose = _split_at(own, other, other_pmf, m, values, ties_below=k == 1)
+    commit, lose = _split_at(other, other_pmf, m, values, k == 1, tol)
     weighted = probs * (mu_own - values)
     if float(np.dot(probs, commit)) > 0.5:
         # sum p(x)(mu - x) = 0, so the commit sum is minus the losing-event sum;
@@ -302,15 +302,17 @@ def etc_bias_general(arms: Sequence[RewardDistribution], m: int, T: int) -> tupl
     arm's mean pmf, or, against a Gaussian other arm (sd s2), by Stein's
     identity -s^2/r phi((mu - mu2)/r) with r = sqrt(s^2 + s2^2).  A finite
     own arm that commits with probability above 1/2 sums over the losing
-    event instead, which has the same value and no cancellation.
+    event instead, which has the same value and no cancellation.  Two
+    finite arms decide their ties on one joint lattice, taken once.
     """
     if len(arms) != 2:
         raise ValueError("two arms required")
     if m < 1 or T < 2 * m:
         raise ValueError("need m >= 1 and T >= 2m")
     pmfs = [None if d.atoms() is None else mean_pmf(d, m) for d in arms]
+    tol = 0.0 if None in pmfs else _tie_tolerance([*arms[0].atoms()[0], *arms[1].atoms()[0]], m)
     scale = (T - 2 * m) / (T - m)
-    return scale * _commit_expectation(arms, pmfs, m, 1), scale * _commit_expectation(arms, pmfs, m, 2)
+    return scale * _commit_expectation(arms, pmfs, m, 1, tol), scale * _commit_expectation(arms, pmfs, m, 2, tol)
 
 
 def exact_mean_tail(d: RewardDistribution, mu2: float, m: int) -> tuple[float, float]:
@@ -474,9 +476,13 @@ def tail_normalizer(profile: LDProfile, m: int) -> float:
 
 def etc_bias_sharp_asymptotic(d: RewardDistribution, mu2: float, m: int, T: int) -> float:
     """Leading-order ETC bias of arm one against a deterministic arm at mu2."""
+    return etc_bias_from_profile(bahadur_rao_constants(d, mu2), m, T)
+
+
+def etc_bias_from_profile(profile: LDProfile, m: int, T: int) -> float:
+    """``etc_bias_sharp_asymptotic`` of the law and threshold whose profile is given."""
     if m < 1 or T < 2 * m:
         raise ValueError("need m >= 1 and T >= 2m")
-    profile = bahadur_rao_constants(d, mu2)
     return (
         (T - 2 * m)
         / (T - m)

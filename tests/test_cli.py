@@ -107,6 +107,34 @@ def test_theory_command(tmp_path, bern_arms):
     assert payload["bias_asymptotic"] < 0
 
 
+def test_theory_sets_up_its_profile_and_tie_lattice_once(tmp_path, monkeypatch):
+    """One profile serves ``profile`` and ``bias_asymptotic``; the two arms' ties share one joint lattice.
+
+    Five rationalizations are left: the profile's own and joint lattices,
+    one per arm's mean pmf, and the joint tie lattice.
+    """
+    from bandit_debias import distributions, theory
+
+    laws = [{"type": "discrete", "support": [0, 0.25, 0.5, 0.75, 1], "probs": probs}
+            for probs in ([0.3, 0.2, 0.2, 0.2, 0.1], [0.1, 0.2, 0.2, 0.2, 0.3])]
+    (tmp_path / "arms.json").write_text(json.dumps(laws))
+    calls = {"bahadur_rao_constants": 0, "_lattice": 0}
+    for name in calls:
+        def counting(*args, _fn=getattr(theory, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(theory, name, counting)
+    out = tmp_path / "theory.json"
+    argv = ["theory", "--arms", str(tmp_path / "arms.json"), "--m", "40", "--T", "160", "--out", str(out)]
+    assert dispatch(argv) == 0
+    assert calls["bahadur_rao_constants"] == 1 and calls["_lattice"] <= 5, calls
+    monkeypatch.undo()
+    arm1, arm2 = map(distributions.from_dict, laws)
+    payload = json.loads(out.read_text())
+    assert payload["bias_asymptotic"] == theory.etc_bias_sharp_asymptotic(arm1, arm2.mean(), 40, 160)
+    assert [payload["bias_exact"][f"arm{k}"] for k in (1, 2)] == list(theory.etc_bias_general([arm1, arm2], 40, 160))
+
+
 @pytest.mark.parametrize("given", [["--m", "10"], ["--T", "100"]], ids=["m_only", "T_only"])
 def test_theory_needs_m_and_T_together(tmp_path, bern_arms, given):
     out = tmp_path / "theory.json"
@@ -730,3 +758,57 @@ def test_plan_pool_is_sized_by_its_blocks(tmp_path, monkeypatch, pool_sizes, sou
     assert dispatch(argv) == 0
     assert pool_sizes == [3]
     assert (tmp_path / "out" / "b" / "summary.json").exists()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("replays were set up for a request over MAX_REPLAYS")
+
+
+def _replay_plan(tmp_path, name="plan.json", **fields):
+    """A plan of one 60-replication ETC cell (blocks of 50 logs) with the given fields."""
+    cell = {"name": "a", "policy": {"name": "etc", "m": 2}, "arms": [{"type": "bernoulli", "p": 0.3}] * 2,
+            "K": 2, "T": 10, "replications": 60, "bootstrap": {"kind": "mb", "B": 5}, **fields}
+    (tmp_path / name).write_text(json.dumps({"cells": [cell]}))
+    return ["plan", "--plan", str(tmp_path / name), "--seed", "3", "--out-dir", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_replay_count_that_cannot_finish_is_refused_at_once(tmp_path, gauss_arms, monkeypatch, pool_sizes, capsys,
+                                                            workers):
+    """B = 10**13 would be about 2.4e9 replay tasks: refused before the first is built, with one line and exit 1.
+
+    The stand-ins make a request that got past the limit fail at once
+    instead of building its task list: ``debias`` builds its world just
+    before the list, and a plan reaches its replays through ``harness.debias``.
+    """
+    monkeypatch.setattr("bandit_debias.debias.build_world", _refuse)
+    monkeypatch.setattr("bandit_debias.harness.debias", _refuse)
+    log = _simulate(tmp_path, gauss_arms, extra=["--m", "10"])
+    huge = 10**13
+    runs = [
+        (["debias", "--log", log, "--meta", log + ".meta.json", "--B", str(huge), "--seed", "7",
+          "--out", str(tmp_path / "r.json")], f"{huge} replays (B = {huge} for each of 1 log(s)) exceed MAX_REPLAYS"),
+        (_replay_plan(tmp_path, "b.json", bootstrap={"kind": "efron", "B": huge}),
+         f"bootstrap.B = {huge} over a block of 50"),
+        (_replay_plan(tmp_path, "mse.json", horizon_grid=[5], mse_B=huge), f"mse_B = {huge} over a block of 50"),
+    ]
+    for argv, message in runs:
+        assert dispatch([*argv, "--workers", workers]) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+    assert pool_sizes == []
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "out").exists()
+
+
+def test_replay_limit_admits_its_own_size(tmp_path, gauss_arms, monkeypatch, capsys):
+    """W x B = MAX_REPLAYS runs and one more replay is refused, for ``debias`` (W = 1) and a plan (W = 50)."""
+    for module in ("debias", "harness"):
+        monkeypatch.setattr(f"bandit_debias.{module}.MAX_REPLAYS", 500)
+    log = _simulate(tmp_path, gauss_arms, extra=["--m", "10"])
+    debias_args = ["debias", "--log", log, "--meta", log + ".meta.json", "--seed", "7",
+                   "--out", str(tmp_path / "r.json")]
+    assert dispatch([*debias_args, "--B", "500"]) == 0
+    assert dispatch([*debias_args, "--B", "501"]) == 1
+    assert dispatch(_replay_plan(tmp_path, bootstrap={"kind": "mb", "B": 10})) == 0
+    assert dispatch(_replay_plan(tmp_path, horizon_grid=[5], mse_B=11)) == 1
+    assert capsys.readouterr().err.count("MAX_REPLAYS = 500") == 2

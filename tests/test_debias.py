@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bandit_debias.bootstrap import BootstrapSpec
 from bandit_debias.debias import CHUNK, debias
-from bandit_debias.distributions import FiniteDiscrete, Gaussian
-from bandit_debias.policies import EgSpec, EtcSpec, TsSpec
+from bandit_debias.distributions import Bernoulli, FiniteDiscrete, Gaussian
+from bandit_debias.policies import EgSpec, EtcSpec, TsSpec, UcbSpec
 from bandit_debias.simulator import BanditLog, run_experiment, summarize
 from bandit_debias.theory import EtcGaussianParams, etc_bias_gaussian, etc_bias_general
 
@@ -179,3 +181,57 @@ def test_stacked_logs_replay_their_own_worlds(kind):
     assert rep.b_effective.tolist() == [[B, B], [B, B]]
     assert rep.zero_pull_replays.tolist() == [[0, 0], [0, 0]]
     assert np.all(np.abs(rep.estimated_bias) < 0.5)
+
+
+_LAWS = st.one_of(
+    st.builds(Bernoulli, st.floats(0.1, 0.9)),
+    st.builds(Gaussian, st.floats(-1.0, 1.0), st.floats(0.25, 4.0)),
+    st.builds(FiniteDiscrete, st.just(GRID), st.sampled_from([(0.1, 0.3, 0.2, 0.15, 0.25), (0.4, 0.1, 0.0, 0.1, 0.4)])),
+)
+
+
+@pytest.mark.parametrize("kind", ["mb", "efron"])
+@pytest.mark.parametrize("policy", [UcbSpec(), TsSpec(), EgSpec(0.0), EgSpec(0.2), EtcSpec(3)], ids=str)
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(arms=st.lists(_LAWS, min_size=2, max_size=3), T=st.integers(12, 40), log_seed=st.integers(0, 2**31))
+def test_replay_bias_is_never_positive(policy, kind, arms, T, log_seed):
+    """Sign oracle: every policy's replay bias is <= 0 up to Monte Carlo error.
+
+    Shin, Ramdas and Rinaldo, "Are sample means in multi-armed bandits
+    positively or negatively biased?" (NeurIPS 2019), call a sampling rule
+    optimistic when, with the rule's own randomness and every other reward
+    held fixed, the pull count of arm k never falls as one of arm k's
+    rewards rises.  At a fixed horizon an optimistic rule biases every
+    arm's sample mean downwards, in any world of i.i.d. arms, so in every
+    bootstrap world too.  Each policy here meets that condition as stated,
+    with its tie rule (ties go to the lowest arm) included: raising a
+    reward of arm k raises only arm k's score, and a tie rule by index can
+    turn a tie that arm k lost into a win but never a win into a loss.
+
+    * UCB: the score is arm k's mean plus a bonus of t and its count; an
+      unpulled arm's +inf score is fixed.
+    * TS: the score is arm k's posterior mean plus its posterior sd (a
+      function of its count) times a normal that each round draws whatever
+      the data, so the normal is part of the rule's own randomness.  The
+      two-arm rule ``gap > sd * z`` gives a tie to arm 1.
+    * EG, at epsilon 0 and above: the explore coin and the explored arm
+      come from a uniform drawn every round; the greedy arm is the argmax
+      of the means, an unpulled arm's 0 included.
+    * ETC: the exploration blocks are fixed, and the commit is the argmax
+      of the exploration means.
+
+    The theorem is about the sample mean where it is defined.  TS and EG
+    can leave an arm unpulled in a replay, and ``debias`` drops such a
+    replay from that arm's average (``b_effective``), a case the theorem
+    does not cover; the check holds there too.  An arm the log pulled once
+    has a point-mass world, whose estimate is rounding noise with
+    ``bootstrap_se`` 0, and is skipped.
+    """
+    if isinstance(policy, EtcSpec):
+        T = max(T, policy.m * len(arms))
+    log = run_experiment(len(arms), T, policy, arms, seed=log_seed)
+    assume((summarize(log).counts > 0).all())  # else no bootstrap world
+    rep = debias(log, BootstrapSpec(kind, 4000), seed=1)
+    for bias, se in zip(rep.estimated_bias, rep.bootstrap_se):
+        if se > 0:
+            assert bias <= 4 * se, f"estimated_bias {bias:.3g} is {bias / se:.2f} bootstrap_se"
