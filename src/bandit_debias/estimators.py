@@ -12,9 +12,10 @@ its first pull), so the augmentation term is measurable with respect to
 the history and unbiasedness is preserved under adaptive collection.
 
 Propensities and plug-in means come from the logs' prefix states
-(``policies.prefix_state``), so they use only the history and match what the
+(``policies.prefix_blocks``), so they use only the history and match what the
 policy saw at run time.  One pass over stacked logs, ``weighted_estimates``,
-computes both at every horizon; ``plan`` and ``evaluate`` share it.
+computes both at every horizon, a block of rounds at a time, so beyond the
+propensities it holds no array that grows with T; ``plan`` and ``evaluate`` share it.
 """
 from __future__ import annotations
 
@@ -53,34 +54,35 @@ def weighted_estimates(actions: np.ndarray, rewards: np.ndarray, props: np.ndarr
 
     Returns each log's first round with a zero chosen-arm propensity (-1 if none) and
     {name: {h: (n, K)}} for the estimators ``names``, NaN on the logs with such a round.
-    The per-round terms are built once; horizon h sums the first h rounds and divides by h.
+    The per-round terms x come a block of ``policies.prefix_blocks`` at a time, each block's first
+    round taking the total of the rounds before it: horizon h has the bits of ``x[:, :h].sum(axis=1) / h``.
     """
-    n, T, K = props.shape
+    n, _, K = props.shape
     chosen_p = np.take_along_axis(props, actions[:, :, None], axis=2)[:, :, 0]
     zero = chosen_p == 0.0
     first_zero = np.where(zero.any(axis=1), zero.argmax(axis=1), -1)
     good = np.flatnonzero(first_zero < 0)
     actions, rewards, chosen_p = actions[good], rewards[good], chosen_p[good]
-    onehot = actions[:, :, None] == np.arange(K)
-    terms = {}
-    if "ipw" in names:
-        terms["ipw"] = (rewards / chosen_p)[:, :, None] * onehot
-    if "aipw" in names:
-        mhat = policies.prefix_state(actions, rewards, K).means().reshape(len(good), T, K)
-        correction = onehot * ((rewards - np.where(onehot, mhat, 0.0).sum(axis=2)) / chosen_p)[:, :, None]
-        terms["aipw"] = mhat + correction
-    tables = {name: {h: np.full((n, K), np.nan) for h in horizons} for name in terms}
-    for name, x in terms.items():
-        for h, table in tables[name].items():
-            table[good] = x[:, :h].sum(axis=1) / h
+    tables = {name: {h: np.full((n, K), np.nan) for h in horizons} for name in ("ipw", "aipw") if name in names}
+    totals = dict.fromkeys(tables, -0.0)  # -0.0 + x is x, bit for bit
+    for lo, hi, state in policies.prefix_blocks(actions, rewards, K, policies._PROPENSITY_ROWS):
+        r, p = rewards[:, lo:hi], chosen_p[:, lo:hi]
+        onehot = actions[:, lo:hi, None] == np.arange(K)
+        mhat = state.means().reshape(onehot.shape)  # AIPW's running means
+        for name, table in tables.items():
+            x = ((r / p)[:, :, None] * onehot if name == "ipw" else
+                 mhat + onehot * ((r - np.where(onehot, mhat, 0.0).sum(axis=2)) / p)[:, :, None])
+            x[:, 0] += totals[name]
+            for h in table.keys() & range(lo + 1, hi + 1):
+                table[h][good] = x[:, :h - lo].sum(axis=1) / h
+            totals[name] = x.sum(axis=1)
     return first_zero, tables
 
 
 def _log_estimates(log: BanditLog, propensities: np.ndarray, names) -> dict:
     """{name: (K,)} of one log at its horizon; raises DivisionHazard at its first zero chosen-arm propensity."""
-    first_zero, tables = weighted_estimates(
-        log.actions[None, :], log.rewards[None, :], np.asarray(propensities)[None], names, (log.T,)
-    )
+    first_zero, tables = weighted_estimates(log.actions[None], log.rewards[None], np.asarray(propensities)[None],
+                                            names, (log.T,))
     t = int(first_zero[0])
     if t >= 0:
         raise DivisionHazard(t, int(log.actions[t]))

@@ -7,10 +7,10 @@ dimension, so simulating many experiments in lockstep costs a handful of
 array ops per round.
 
 Every propensity is a pure function of its row's counts and sums, computed by
-``propensity_batch``; ``propensity`` applies it to the prefix states of
-stacked logs in fixed blocks of rows, which bounds the working set.  TS with
-K != 2 uses an exact quadrature (``_ts_quadrature``).  The normal CDF that TS
-needs, ``ndtr`` and ``log_ndtr``, runs on numpy alone.
+``propensity_batch``.  ``prefix_blocks`` walks stacked logs in blocks of rounds,
+carrying each log's counts and sums on, for ``propensity`` and AIPW alike, so
+its working set does not grow with T.  TS with K != 2 uses an exact quadrature
+(``_ts_quadrature``); the normal CDF it needs, ``ndtr`` and ``log_ndtr``, runs on numpy alone.
 
 Conventions fixed here (ties have positive probability for Bernoulli
 rewards, so they must be pinned down):
@@ -50,9 +50,9 @@ _GL_T = np.array([0.1834346424956498, 0.5255324099163290, 0.7966664774136267, 0.
 _GL_W = np.array([0.3626837833783620, 0.3137066458778873, 0.2223810344533745, 0.1012285362903763])
 _GL_STEPS, _GL_WEIGHTS = 1 + np.r_[-_GL_T, _GL_T], np.r_[_GL_W, _GL_W]  # all 8, the steps on [0, 2]
 _TS_BREAKS = np.array([-12.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0, 12.0])
-# Prefix-state rows per propensity_batch call for EG and two-arm TS.  Their
-# arrays are a few (rows, K), so the fixed cost of each block's numpy calls,
-# not memory, sets the size.
+# Prefix-state rows per block for EG and two-arm TS propensities and IPW/AIPW.
+# Their arrays are a few (rows, K), so the fixed cost of each block's numpy
+# calls, not memory, sets the size.
 _PROPENSITY_ROWS = 2048
 # Elements per (rows, K, 9K - 1, 8) array of the TS quadrature in one block.
 # 2**15 float64 is 256 KiB (29 rows at K=4): few enough that a block's live
@@ -232,8 +232,8 @@ class BatchPolicyState:
     """State of ``n`` policy runs.
 
     ``t`` is each row's 1-based round, sum(counts[i]) + 1: an int for rows
-    advanced in lockstep, an (n, 1) column for the rows of a
-    ``prefix_state``, which sit at different rounds.  Either broadcasts
+    advanced in lockstep, an (n, 1) column for the rows of a block of
+    ``prefix_blocks``, which sit at different rounds.  Either broadcasts
     against the (n, K) counts.
 
     ``counts`` are float64, exact below 2**53 pulls, so a round's divisions
@@ -249,8 +249,7 @@ class BatchPolicyState:
 
     def __post_init__(self):
         if self.counts is None:
-            self.counts = np.zeros((self.n, self.K))
-            self.sums = np.zeros((self.n, self.K))
+            self.counts, self.sums = np.zeros((2, self.n, self.K))
         # Flat index of each row's arm 0 in the row-major arrays: indexing
         # them flat costs a third of indexing by (row, arm) pairs.
         self._row_starts = np.arange(0, self.n * self.K, self.K)
@@ -345,48 +344,43 @@ def propensity_batch(spec: PolicySpec, state: BatchPolicyState) -> Optional[np.n
     raise TypeError(f"unknown policy spec {spec!r}")
 
 
-def prefix_state(actions: np.ndarray, rewards: np.ndarray, K: int) -> BatchPolicyState:
-    """State of every round of stacked logs (n, T) as n*T rows.
-
-    Row i*T + t holds log i's counts and sums over rounds < t: a cumulative
-    sum shifted by one round, so round t sees only its strict past.
-    """
+def prefix_blocks(actions: np.ndarray, rewards: np.ndarray, K: int, rows: int):
+    """(lo, hi, state) for blocks of ``ceil(rows / n)`` rounds of stacked logs (n, T): row
+    i * (hi - lo) + s holds log i's counts and sums over rounds < lo + s.  Each block's running sums go
+    on from the last block's totals, from +0.0 as the one-run state adds, so any block size gives the same bits."""
     n, T = actions.shape
-    onehot = actions[:, :, None] == np.arange(K)
-    r = np.where(onehot, rewards[:, :, None], 0.0)
+    step = max(1, -(-rows // max(n, 1)))  # ceil(rows / n) rounds, at least one
+    past = np.zeros((2, n, K))  # counts and sums over the rounds before the block
+    for lo in range(0, T, step):
+        hi = min(lo + step, T)
+        onehot = actions[:, lo:hi, None] == np.arange(K)
+        run = np.zeros((2, n, hi - lo, K))
+        run[:, :, 0], run[0, :, 1:] = past, onehot[:, :-1]
+        np.copyto(run[1, :, 1:], rewards[:, lo:hi - 1, None], where=onehot[:, :-1])
+        np.cumsum(run, axis=2, out=run)
+        past = run[:, :, -1] + [onehot[:, -1], np.where(onehot[:, -1], rewards[:, hi - 1, None], 0.0)]
+        counts, sums = run.reshape(2, -1, K)
+        yield lo, hi, BatchPolicyState(K, len(counts), np.tile(np.arange(lo + 1, hi + 1), n)[:, None], counts, sums)
 
-    def strict_past(x: np.ndarray) -> np.ndarray:
-        out = np.zeros((n, T, K), dtype=x.dtype)
-        np.cumsum(x[:, :-1], axis=1, out=out[:, 1:])
-        return out.reshape(n * T, K)
 
-    return BatchPolicyState(
-        K=K,
-        n=n * T,
-        t=np.tile(np.arange(1, T + 1), n)[:, None],
-        counts=strict_past(onehot.astype(np.float64)),
-        sums=strict_past(r),
-    )
+def prefix_state(actions: np.ndarray, rewards: np.ndarray, K: int) -> BatchPolicyState:
+    """``prefix_blocks`` in one block: row i*T + t holds log i's counts and sums over rounds < t."""
+    return next(prefix_blocks(actions, rewards, K, actions.size))[2]
 
 
 def propensity(spec: PolicySpec, actions: np.ndarray, rewards: np.ndarray, K: int) -> Optional[np.ndarray]:
     """e_t(k) of stacked logs, shape (n, T, K); None for non-randomized policies."""
     if isinstance(spec, _DETERMINISTIC):
         return None
-    state = prefix_state(actions, rewards, K)
-    out = np.empty((state.n, K))
-    step = _block_rows(spec, K)
-    for lo in range(0, state.n, step):
-        hi = min(lo + step, state.n)
-        rows = BatchPolicyState(K=K, n=hi - lo, t=state.t[lo:hi], counts=state.counts[lo:hi], sums=state.sums[lo:hi])
-        out[lo:hi] = propensity_batch(spec, rows)
-    return out.reshape(actions.shape + (K,))
+    out = np.empty(actions.shape + (K,))
+    for lo, hi, state in prefix_blocks(actions, rewards, K, _block_rows(spec, K)):
+        out[:, lo:hi] = propensity_batch(spec, state).reshape(len(out), hi - lo, K)
+    return out
 
 
 def _block_rows(spec: PolicySpec, K: int) -> int:
-    """Prefix-state rows per ``propensity_batch`` call: as many as keep each
-    quadrature array within ``_QUADRATURE_ELEMENTS`` for TS with K != 2, else
-    ``_PROPENSITY_ROWS``."""
+    """Prefix-state rows per block of ``propensity``: as many as keep each quadrature array
+    within ``_QUADRATURE_ELEMENTS`` for TS with K != 2, else ``_PROPENSITY_ROWS``."""
     if isinstance(spec, TsSpec) and K != 2:
         return max(1, _QUADRATURE_ELEMENTS // (K * (9 * K - 1) * len(_GL_STEPS)))
     return _PROPENSITY_ROWS

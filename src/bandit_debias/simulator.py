@@ -454,10 +454,13 @@ def check_policy(log: BanditLog) -> None:
 
 
 def _column(rows: list, name: str, kind: type, dtype) -> np.ndarray:
+    out = np.empty(len(rows), dtype=dtype)
     try:
-        return np.array([kind(row[name]) for row in rows], dtype=dtype)
-    except (TypeError, ValueError, OverflowError) as exc:  # TypeError: a short row
-        raise CorruptLog(f"unparsable {name!r} field: {exc}") from None
+        for i, row in enumerate(rows):
+            out[i] = kind(row[name])
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int that int64 cannot hold
+        raise CorruptLog(f"data row {i + 1} has an unparsable {name!r} field: {exc}") from None
+    return out
 
 
 def _read_sidecar(meta) -> dict:
@@ -485,9 +488,10 @@ def load_log(csv_path: str, meta_path: str) -> BanditLog:
         raise CorruptLog(f"missing column(s) {missing}")
     if len(header) != 3:
         raise CorruptLog(f"columns {header} are not exactly t, arm, reward")
-    long_row = next((i for i, row in enumerate(rows) if None in row), None)
-    if long_row is not None:
-        raise CorruptLog(f"data row {long_row + 1} has more than 3 fields")
+    # csv.DictReader files a long row's extra fields under None and fills a short row with None.
+    bad = next((i for i, row in enumerate(rows) if None in row or None in row.values()), None)
+    if bad is not None:
+        raise CorruptLog(f"data row {bad + 1} has {'more' if None in rows[bad] else 'fewer'} than 3 fields")
     if len(rows) != T:
         raise CorruptLog(f"expected {T} rows, got {len(rows)}")
     t = _column(rows, "t", int, np.int64) - 1

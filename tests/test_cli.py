@@ -598,7 +598,15 @@ def _extra_field(lines):
 @pytest.mark.parametrize("edit, message", [
     (_extra_column, "CorruptLog: columns ['t', 'arm', 'reward', 'note'] are not exactly t, arm, reward\n"),
     (_extra_field, "CorruptLog: data row 7 has more than 3 fields\n"),
-], ids=["extra_column", "extra_field"])
+    (_short_row, "CorruptLog: data row 4 has fewer than 3 fields\n"),
+    (_set_field(2, "zero"),
+     "CorruptLog: data row 4 has an unparsable 'reward' field: could not convert string to float: 'zero'\n"),
+    (_set_field(1, "1.5"),
+     "CorruptLog: data row 4 has an unparsable 'arm' field: invalid literal for int() with base 10: '1.5'\n"),
+    # int() reads it; only the int64 column refuses it.
+    (_set_field(0, "99999999999999999999"),
+     "CorruptLog: data row 4 has an unparsable 't' field: Python int too large to convert to C long\n"),
+], ids=["extra_column", "extra_field", "short_row", "reward_zero", "arm_1.5", "t_past_int64"])
 def test_extra_csv_fields_are_exit_2(tmp_path, gauss_arms, capsys, edit, message):
     assert _corrupt_log(tmp_path, gauss_arms, edit) == 2
     assert capsys.readouterr().err == message

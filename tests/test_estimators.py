@@ -123,6 +123,28 @@ def test_each_horizon_matches_the_truncated_log(policy):
     assert set(weighted_estimates(out.actions, out.rewards, props, ("aipw",), (T,))[1]) == {"aipw"}
 
 
+def test_weighted_pass_memory_is_bounded():
+    """Propensities are written into their one output, and IPW/AIPW walk blocks of
+    rounds: neither holds an (n, T, K) array of its own beyond that output."""
+    import tracemalloc
+
+    spec, K, T = EgSpec(0.1), 4, 2000
+    out = run_batch(50, K, T, spec, [Bernoulli(p) for p in (0.3, 0.4, 0.5, 0.6)], substream(6), record_logs=True)
+    tracemalloc.start()
+    try:
+        props = propensity(spec, out.actions, out.rewards, K)
+        propensity_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        inputs = tracemalloc.get_traced_memory()[0]
+        first_zero, tables = weighted_estimates(out.actions, out.rewards, props, ("ipw", "aipw"), (T // 2, T))
+        weighted_peak = tracemalloc.get_traced_memory()[1] - inputs
+    finally:
+        tracemalloc.stop()
+    assert np.all(first_zero == -1) and np.isfinite(tables["aipw"][T]).all()
+    assert propensity_peak < 1.5 * props.nbytes, f"propensity peak {propensity_peak / props.nbytes:.2f}x its output"
+    assert weighted_peak < 2 * props.nbytes, f"weighted peak {weighted_peak / props.nbytes:.2f}x the propensities"
+
+
 def test_small_ts_propensity_is_not_rounded_to_zero():
     # Arms 1 and 2 pay 1.0 fifty times each, then arm 3 pays 0.0 sixteen
     # times.  Arm 3's propensity falls to about 5.5e-5 in the last round; a

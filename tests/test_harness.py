@@ -256,7 +256,8 @@ def test_block_with_a_zero_count_arm_log_fills_the_others():
     assert np.isnan(res.raw[failed]).all() and np.isnan(res.estimates["mb"][20][failed]).all()
 
 
-def test_zero_propensity_fails_only_its_replication(monkeypatch):
+def _zero_propensity_for_log_1(monkeypatch):
+    """Make log 1 of every block meet a zero chosen-arm propensity at round 6."""
     real = harness.policies.propensity
 
     def zero_for_log_1(spec, actions, rewards, K):
@@ -265,6 +266,10 @@ def test_zero_propensity_fails_only_its_replication(monkeypatch):
         return props
 
     monkeypatch.setattr(harness.policies, "propensity", zero_for_log_1)
+
+
+def test_zero_propensity_fails_only_its_replication(monkeypatch):
+    _zero_propensity_for_log_1(monkeypatch)
     cell = _gauss_cell(R=4, B=10, policy=EgSpec(0.2), estimators=("mean", "ipw"), horizon_grid=(50,), mse_B=10)
     (res,) = run_plan(ExperimentPlan(master_seed=9, cells=(cell,)))
     assert res.error_counts == {"DivisionHazard": 1}
@@ -308,14 +313,7 @@ def test_plan_outputs_golden(tmp_path, monkeypatch):
     # Pinned bytes: a rewrite of how replications are collected and written
     # must not move a plan's outputs.  Log 1's zero propensity makes it a
     # DivisionHazard row; EG at T=30 leaves arm 2 unpulled in some others.
-    real = harness.policies.propensity
-
-    def zero_for_log_1(spec, actions, rewards, K):
-        props = real(spec, actions, rewards, K)
-        props[1, 5, actions[1, 5]] = 0.0
-        return props
-
-    monkeypatch.setattr(harness.policies, "propensity", zero_for_log_1)
+    _zero_propensity_for_log_1(monkeypatch)
     cells = (
         Cell(name="eg", policy=EgSpec(0.05), arms=(Gaussian(1.0, 1.0), Gaussian(1.5, 1.0)),
              K=2, T=30, replications=12, bootstrap=BootstrapSpec("efron", 20),
@@ -355,14 +353,7 @@ GOLDEN_WEIGHTED_SHA256 = {
 
 @pytest.mark.parametrize("name", sorted(WEIGHTED_CELLS))
 def test_weighted_tables_golden(name, monkeypatch):
-    real = harness.policies.propensity
-
-    def zero_for_log_1(spec, actions, rewards, K):
-        props = real(spec, actions, rewards, K)
-        props[1, 5, actions[1, 5]] = 0.0
-        return props
-
-    monkeypatch.setattr(harness.policies, "propensity", zero_for_log_1)
+    _zero_propensity_for_log_1(monkeypatch)
     (res,) = run_plan(ExperimentPlan(master_seed=21, cells=(WEIGHTED_CELLS[name],)))
     assert res.errors[1] == "DivisionHazard" and res.error_counts["DivisionHazard"] == 1
     digest = hashlib.sha256()

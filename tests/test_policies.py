@@ -9,7 +9,7 @@ from scipy import integrate, special
 
 from bandit_debias import policies
 from bandit_debias.distributions import Bernoulli, Gaussian
-from bandit_debias.estimators import plugin_mean_trace
+from bandit_debias.estimators import plugin_mean_trace, weighted_estimates
 from bandit_debias.policies import (
     BatchPolicyState,
     EgSpec,
@@ -168,8 +168,9 @@ def test_ts_symmetric_propensity():
 def test_deterministic_policies_have_no_propensity(monkeypatch):
     state = play([(0, 1.0), (1, 0.0)])
     actions, rewards = np.array([[0, 1]]), np.array([[1.0, 0.0]])
-    # The answer needs no n*T-row prefix state, so none is built.
+    # The answer needs no prefix state, so none is built, whole or in blocks.
     monkeypatch.setattr(policies, "prefix_state", None)
+    monkeypatch.setattr(policies, "prefix_blocks", None)
     for spec in (EtcSpec(1), UcbSpec()):
         assert propensity_batch(spec, state) is None
         assert propensity(spec, actions, rewards, 2) is None
@@ -362,20 +363,27 @@ def stacked_logs(draw):
         st.builds(TsSpec, st.floats(-2, 2), st.floats(0.1, 4), st.floats(0.1, 4)),
     ),
     logs=stacked_logs(),
+    rows=st.integers(1, 30),
 )
-def test_prefix_state_propensities_match_step_by_step(spec, logs):
-    # Exact equality: the prefix state adds rewards in round order, as the
-    # one-run state does, and each row's propensity depends on that row
-    # alone.  Only the sign of a zero sum can differ (a first reward of -0.0),
-    # which array_equal ignores and no propensity depends on.
+def test_prefix_state_propensities_match_step_by_step(spec, logs, rows):
+    # Exact equality, down to the sign of a zero: the prefix state adds
+    # rewards in round order from +0.0, as the one-run state does, in one
+    # block or carried across blocks, and each row's propensity depends on
+    # that row alone.
     K, actions, rewards = logs
+    n, T = actions.shape
     state = policies.prefix_state(actions, rewards, K)
     assert np.array_equal(state.t, state.counts.sum(axis=1, keepdims=True) + 1)  # each row's own round
+    blocks = list(policies.prefix_blocks(actions, rewards, K, rows))
+    assert [lo for lo, _, _ in blocks] == list(range(0, T, -(-rows // n)))
+    for part in ("t", "counts", "sums"):
+        walked = np.concatenate([getattr(b, part).reshape(n, hi - lo, -1) for lo, hi, b in blocks], axis=1)
+        assert walked.tobytes() == getattr(state, part).tobytes()
     ref_props, ref_means = step_by_step(spec, actions, rewards, K)
     assert np.array_equal(propensity(spec, actions, rewards, K), ref_props)
     for i in range(len(actions)):
         log = BanditLog(K=K, T=actions.shape[1], actions=actions[i], rewards=rewards[i], policy=spec)
-        assert np.array_equal(plugin_mean_trace(log), ref_means[i])
+        assert plugin_mean_trace(log).tobytes() == ref_means[i].tobytes()
 
 
 def test_spec_serialization_round_trip():
@@ -515,13 +523,24 @@ def test_ts_propensities_match_scipy_reference(K, monkeypatch):
 @pytest.mark.parametrize("spec, K", [(TsSpec(), 2), (TsSpec(0.5, 2.0, 0.5), 4), (EgSpec(0.1), 3)],
                          ids=["ts-k2", "ts-k4", "eg-k3"])
 def test_propensity_bytes_do_not_depend_on_the_block_size(spec, K, rows, monkeypatch):
-    """Each row's propensity is its own, so any block size gives the same bytes."""
+    """Each row's propensity is its own, and each weighted table a running sum
+    carried across blocks, so any block size gives the same bytes."""
     rng = substream(41, K)
     actions = rng.integers(0, K, size=(3, 40))
     rewards = rng.standard_normal((3, 40))
-    default = propensity(spec, actions, rewards, K)
+
+    def outputs() -> list:
+        props = propensity(spec, actions, rewards, K)
+        zeroed = props.copy()
+        zeroed[1, 20, actions[1, 20]] = 0.0  # log 1 drops out; at 7 rows, 4-round blocks of the other two
+        first_zero, tables = weighted_estimates(actions, rewards, zeroed, ("ipw", "aipw"),
+                                                (1, 3, 4, 5, 7, 8, 20, 21, 39, 40))
+        assert first_zero.tolist() == [-1, 20, -1]
+        return [props] + [t for table in tables.values() for t in table.values()]
+
+    default = outputs()
     if rows is not None:
         monkeypatch.setattr(policies, "_PROPENSITY_ROWS", rows)
         monkeypatch.setattr(policies, "_QUADRATURE_ELEMENTS", rows * K * (9 * K - 1) * 8)
         assert policies._block_rows(spec, K) == rows
-    assert propensity(spec, actions, rewards, K).tobytes() == default.tobytes()
+    assert [x.tobytes() for x in outputs()] == [x.tobytes() for x in default]
