@@ -8,11 +8,14 @@ means, and report corrected means ``raw - (bootstrap average - raw)``.
 arrays are (K,) for a log and (W, K) for a stack.  A stack is corrected in
 one pass: log w's B replays are rows w*B .. (w+1)*B - 1 of one replay batch
 against a world with a leading log axis, and one log is the stack of one.
-Rows are grouped into fixed-size chunks; chunk i draws from a substream
-keyed (seed, chunk tag, i), its replay means are summed per log, and chunk
-results are reduced in index order, so a report is bit-identical at any
-worker count.  Replays where an arm was never pulled are excluded from that
-arm's average (its replay sample mean is undefined); the per-arm number of
+Rows are cut by ``chunk_bounds(rows, K)`` into the fewest balanced chunks
+of at most ``CHUNK_CELLS`` row-arm cells (8192 rows at K = 2), so a lockstep
+round's fixed cost is paid as few times as that width allows; the plan
+depends only on W x B and K.  Chunk i draws from a substream keyed (seed,
+chunk tag, i), its replay means are summed per log, and chunk results are
+reduced in index order, so a report is bit-identical at any worker count.
+Replays where an arm was never pulled are excluded from that arm's average
+(its replay sample mean is undefined); the per-arm number of
 contributing replays is reported as ``b_effective``.
 
 Replays are unlogged ``run_batch`` calls, so ETC replays take the
@@ -24,9 +27,9 @@ here.  Every other policy replays round by round.
 One call runs at most ``MAX_REPLAYS`` replay rows (W x B).  The task list,
 one entry per chunk, is built before the first replay and a process pool is
 handed all of it at once, so a larger request is refused before any work.
-At the limit the list has about 2.4e5 entries, and a replay that steps
-rounds (UCB, TS, EG; about 40 ns per row-round at best) is already hours
-of work at T = 1000.
+At the limit the list has about 1.2e5 entries at K = 2, and a replay that
+steps rounds (UCB, TS, EG; about 40 ns per row-round at best) is already
+hours of work at T = 1000.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from .bootstrap import BootstrapSpec, build_world
 from .simulator import BanditLog, json_floats, run_batch, summarize
 from .streams import TAG_REPLAY_CHUNK, substream, task_map
 
-CHUNK = 4096
+CHUNK_CELLS = 16384  # replay rows x arms one chunk may hold
 MAX_REPLAYS = 10**9  # replay rows (W x B) one call may run
 
 
@@ -80,12 +83,23 @@ class DebiasReport:
         }
 
 
+def chunk_bounds(rows: int, K: int) -> list[tuple[int, int]]:
+    """(lo, hi) of each replay chunk: the fewest that keep each within ``CHUNK_CELLS // K`` rows, balanced."""
+    count = -(-rows // max(1, CHUNK_CELLS // K))
+    return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
+
+
 def _replay_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-log sums of one chunk's replay means, of their squared deviations
     from the log's raw mean, and of their counts, each (W, K)."""
     lo, hi, B, raw, T, policy, world, seed, index = args
     W, K = raw.shape
     row_log = np.arange(lo, hi) // B
+    # A wide chunk's (rows, K) round temporaries sit just under glibc's initial 128 KiB
+    # mmap threshold, so a fresh process would hand its freed heap top back to the kernel
+    # between rounds and fault it in again.  Freeing one mapped 1 MiB block first raises
+    # glibc's mmap and trim thresholds; under other allocators it is one untouched allocation.
+    np.empty(1 << 17)
     rng = substream(seed, TAG_REPLAY_CHUNK, index)
     out = run_batch(hi - lo, K, T, policy, world, rng, row_log=row_log)
     means = out.means()  # NaN where an arm went unpulled in a replay
@@ -114,11 +128,9 @@ def debias(logs: BanditLog, spec: BootstrapSpec, seed: int, workers: int = 1) ->
         raise ValueError(f"{rows} replays (B = {spec.B} for each of {len(raw)} log(s)) "
                          f"exceed MAX_REPLAYS = {MAX_REPLAYS}")
     world = build_world(summary, logs, spec)  # raises ZeroCountArm
-    # Boundaries depend only on the row count, never on the worker count.
-    tasks = [
-        (lo, min(lo + CHUNK, rows), spec.B, raw, logs.T, logs.policy, world, int(seed), i)
-        for i, lo in enumerate(range(0, rows, CHUNK))
-    ]
+    # Boundaries depend only on the row and arm counts, never on the worker count.
+    tasks = [(lo, hi, spec.B, raw, logs.T, logs.policy, world, int(seed), i)
+             for i, (lo, hi) in enumerate(chunk_bounds(rows, logs.K))]
     with task_map(_replay_chunk, tasks, workers) as chunks:
         results = list(chunks)
 

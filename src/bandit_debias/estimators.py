@@ -65,10 +65,15 @@ def weighted_estimates(actions: np.ndarray, rewards: np.ndarray, props: np.ndarr
     actions, rewards, chosen_p = actions[good], rewards[good], chosen_p[good]
     tables = {name: {h: np.full((n, K), np.nan) for h in horizons} for name in ("ipw", "aipw") if name in names}
     totals = dict.fromkeys(tables, -0.0)  # -0.0 + x is x, bit for bit
-    for lo, hi, state in policies.prefix_blocks(actions, rewards, K, policies._PROPENSITY_ROWS):
+    rows = policies._PROPENSITY_ROWS
+    if "aipw" in tables:
+        blocks = policies.prefix_blocks(actions, rewards, K, rows)
+    else:  # IPW needs no running means, so the same blocks come with no state
+        blocks = ((lo, hi, None) for lo, hi in policies.round_blocks(*actions.shape, rows))
+    for lo, hi, state in blocks:
         r, p = rewards[:, lo:hi], chosen_p[:, lo:hi]
         onehot = actions[:, lo:hi, None] == np.arange(K)
-        mhat = state.means().reshape(onehot.shape)  # AIPW's running means
+        mhat = None if state is None else state.means().reshape(onehot.shape)  # AIPW's running means
         for name, table in tables.items():
             x = ((r / p)[:, :, None] * onehot if name == "ipw" else
                  mhat + onehot * ((r - np.where(onehot, mhat, 0.0).sum(axis=2)) / p)[:, :, None])

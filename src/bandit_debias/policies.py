@@ -344,15 +344,19 @@ def propensity_batch(spec: PolicySpec, state: BatchPolicyState) -> Optional[np.n
     raise TypeError(f"unknown policy spec {spec!r}")
 
 
+def round_blocks(n: int, T: int, rows: int) -> list[tuple[int, int]]:
+    """(lo, hi) of blocks of ``ceil(rows / n)`` rounds (at least one) of n stacked logs of T rounds."""
+    step = max(1, -(-rows // max(n, 1)))
+    return [(lo, min(lo + step, T)) for lo in range(0, T, step)]
+
+
 def prefix_blocks(actions: np.ndarray, rewards: np.ndarray, K: int, rows: int):
-    """(lo, hi, state) for blocks of ``ceil(rows / n)`` rounds of stacked logs (n, T): row
+    """(lo, hi, state) for the ``round_blocks`` of stacked logs (n, T): row
     i * (hi - lo) + s holds log i's counts and sums over rounds < lo + s.  Each block's running sums go
     on from the last block's totals, from +0.0 as the one-run state adds, so any block size gives the same bits."""
     n, T = actions.shape
-    step = max(1, -(-rows // max(n, 1)))  # ceil(rows / n) rounds, at least one
     past = np.zeros((2, n, K))  # counts and sums over the rounds before the block
-    for lo in range(0, T, step):
-        hi = min(lo + step, T)
+    for lo, hi in round_blocks(n, T, rows):
         onehot = actions[:, lo:hi, None] == np.arange(K)
         run = np.zeros((2, n, hi - lo, K))
         run[:, :, 0], run[0, :, 1:] = past, onehot[:, :-1]

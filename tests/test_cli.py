@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from bandit_debias.cli import dispatch
+from bandit_debias.debias import CHUNK_CELLS, chunk_bounds
 
 
 @pytest.fixture
@@ -736,10 +737,12 @@ def recording_pool(on_start):
 
 
 @pytest.mark.parametrize("source", ["flag", "env"])
-@pytest.mark.parametrize("B,pool", [("9000", [3]), ("1000", [])], ids=["three_chunks", "one_chunk"])
-def test_debias_pool_is_sized_by_its_chunks(tmp_path, gauss_arms, monkeypatch, pool_sizes, source, B, pool):
+@pytest.mark.parametrize("B,chunks", [(2 * (CHUNK_CELLS // 2) + 1, 3), (1000, 1)], ids=["three_chunks", "one_chunk"])
+def test_debias_pool_is_sized_by_its_chunks(tmp_path, gauss_arms, monkeypatch, pool_sizes, source, B, chunks):
+    assert len(chunk_bounds(B, 2)) == chunks
+    pool = [chunks] if chunks > 1 else []
     log = _simulate(tmp_path, gauss_arms, extra=["--m", "10"])
-    argv = ["debias", "--log", log, "--meta", log + ".meta.json", "--B", B, "--seed", "7"]
+    argv = ["debias", "--log", log, "--meta", log + ".meta.json", "--B", str(B), "--seed", "7"]
     rc = dispatch([*argv, "--out", str(tmp_path / "ref.json")])  # one worker: no pool
     if source == "flag":
         rc += dispatch([*argv, "--workers", "5000", "--out", str(tmp_path / "r.json")])

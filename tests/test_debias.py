@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bandit_debias.bootstrap import BootstrapSpec
-from bandit_debias.debias import CHUNK, debias
+from bandit_debias.debias import CHUNK_CELLS, chunk_bounds, debias
 from bandit_debias.distributions import Bernoulli, FiniteDiscrete, Gaussian
 from bandit_debias.policies import EgSpec, EtcSpec, TsSpec, UcbSpec
 from bandit_debias.simulator import BanditLog, run_experiment, summarize
@@ -75,12 +75,29 @@ def test_efron_estimate_matches_exact_oracle(p1, p2, m, T, seed):
 def test_workers_bit_identical(kind):
     # Pool workers receive the world pickled.
     log = run_experiment(2, 60, EtcSpec(5), [Gaussian(1, 1), Gaussian(1.5, 1)], seed=4)
-    spec = BootstrapSpec(kind, 9000)  # spans three chunks
+    spec = BootstrapSpec(kind, 2 * (CHUNK_CELLS // 2) + 1)  # spans three chunks
+    assert len(chunk_bounds(spec.B, 2)) == 3
     a = debias(log, spec, seed=5, workers=1)
     b = debias(log, spec, seed=5, workers=4)
     assert np.array_equal(a.estimated_bias, b.estimated_bias)
     assert np.array_equal(a.corrected_means, b.corrected_means)
     assert np.array_equal(a.bootstrap_se, b.bootstrap_se)
+
+
+def test_chunk_plan_is_the_fewest_balanced_chunks():
+    for K in (2, 4):
+        width = CHUNK_CELLS // K  # 8192 rows at K = 2, 4096 at K = 4
+        for rows in (1, 4095, 4096, 4097, 8191, 8192, 8193, 10_000, 50_000, 123_457):
+            bounds = chunk_bounds(rows, K)
+            sizes = [hi - lo for lo, hi in bounds]
+            assert (len(bounds) - 1) * width < rows <= len(bounds) * width  # no fewer chunks fit
+            assert bounds[0][0] == 0 and bounds[-1][1] == rows
+            assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+            assert max(sizes) - min(sizes) <= 1 and max(sizes) <= width
+    assert chunk_bounds(10_000, 2) == [(0, 5000), (5000, 10_000)]
+    assert chunk_bounds(5000, 4) == [(0, 2500), (2500, 5000)]
+    assert [hi - lo for lo, hi in chunk_bounds(50_000, 2)] == [7142] + [7143] * 6
+    assert chunk_bounds(0, 2) == []
 
 
 def test_seed_changes_estimate():
@@ -144,8 +161,8 @@ def test_to_dict_json_clean():
 @pytest.mark.parametrize(
     "kind, bias, corrected",
     [
-        ("mb", [-0.31169272812271936, -0.0038861171611881407], [0.8406400897537665, 1.5150442108223299]),
-        ("efron", [-0.31074035022965973, 0.00010431113594555619], [0.8396877118607069, 1.5110537825251962]),
+        ("mb", [-0.3183384916611395, -0.0027807550583056617], [0.8472858532921866, 1.5139388487194474]),
+        ("efron", [-0.3014521382740433, -0.0017350059930067996], [0.8303994999050905, 1.5128930996541485]),
     ],
 )
 def test_golden_report(kind, bias, corrected):
@@ -168,13 +185,15 @@ def test_bootstrap_se_survives_a_large_offset():
 
 @pytest.mark.parametrize("kind", ["mb", "efron"])
 def test_stacked_logs_replay_their_own_worlds(kind):
-    # Two logs 1e3 apart; log 2's replays straddle a chunk boundary.  A row
-    # replayed against the other log's world would move its average by ~1e3.
+    # Two logs 1e3 apart; each log's replays straddle a chunk boundary, which
+    # takes three balanced chunks.  A row replayed against the other log's
+    # world would move its average by ~1e3.
     log = run_experiment(2, 60, EtcSpec(5), [Gaussian(1, 1), Gaussian(1.5, 1)], seed=4)
     stack = BanditLog(K=2, T=60, actions=np.stack([log.actions] * 2),
                       rewards=np.stack([log.rewards, log.rewards + 1e3]), policy=log.policy)
-    B = 3000
-    assert B < CHUNK < 2 * B
+    B = 9000
+    inner = [lo for lo, _ in chunk_bounds(2 * B, 2)[1:]]
+    assert any(0 < lo < B for lo in inner) and any(B < lo < 2 * B for lo in inner)
     rep = debias(stack, BootstrapSpec(kind, B), seed=5)
     assert rep.raw_means.shape == rep.corrected_means.shape == rep.bootstrap_se.shape == (2, 2)
     np.testing.assert_allclose(rep.raw_means, summarize(log).means + [[0.0], [1e3]], rtol=0, atol=1e-9)

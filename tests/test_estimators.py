@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bandit_debias import policies
 from bandit_debias.distributions import Bernoulli, Gaussian
 from bandit_debias.estimators import (
     DivisionHazard,
@@ -121,6 +122,28 @@ def test_each_horizon_matches_the_truncated_log(policy):
                 log = BanditLog(K, h, out.actions[i, :h], out.rewards[i, :h], policy)
                 assert np.array_equal(tables[name][h][i], estimate(log, props[i, :h]))
     assert set(weighted_estimates(out.actions, out.rewards, props, ("aipw",), (T,))[1]) == {"aipw"}
+
+
+def test_ipw_alone_walks_no_prefix_state(monkeypatch):
+    # IPW needs no running means: asked for alone, it walks the same round
+    # blocks with no state and gives the bits of the full call's table.
+    K, T = 3, 2100
+    horizons = (1, 41, 42, 43, 1000, T)  # blocks of 42 rounds on the 49 logs with no zero
+    spec = EgSpec(0.1)
+    out = run_batch(50, K, T, spec, [Bernoulli(0.3), Gaussian(0.5, 1), Bernoulli(0.6)], substream(9), record_logs=True)
+    props = propensity(spec, out.actions, out.rewards, K)
+    props[4, 300, out.actions[4, 300]] = 0.0
+    full = weighted_estimates(out.actions, out.rewards, props, ("mean", "ipw", "aipw"), horizons)
+    monkeypatch.setattr(policies, "prefix_blocks", _raise)
+    alone = weighted_estimates(out.actions, out.rewards, props, ("ipw",), horizons)
+    assert alone[0].tolist() == full[0].tolist()
+    assert set(alone[1]) == {"ipw"}
+    for h in horizons:
+        assert alone[1]["ipw"][h].tobytes() == full[1]["ipw"][h].tobytes()
+
+
+def _raise(*args):
+    raise AssertionError("an IPW-only call walked the prefix state")
 
 
 def test_weighted_pass_memory_is_bounded():

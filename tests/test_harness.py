@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bandit_debias.bootstrap import BootstrapSpec
+from bandit_debias.debias import chunk_bounds
 from bandit_debias.distributions import Bernoulli, Gaussian
 from bandit_debias import harness
 from bandit_debias.harness import Cell, ExperimentPlan, run_plan
@@ -225,10 +226,12 @@ def test_ts_terminal_mse_within_factor_two(ts_gaussian_curves):
 
 
 def test_chunk_straddling_cell_is_worker_invariant(tmp_path):
-    # One block of 7 logs x B=1000 replays: rows 4096.. of log 5 spill into
-    # the second chunk.  The second cell gives the shared pool two tasks.
+    # One block of 9 logs x B=1000 replays in two balanced chunks: rows
+    # 4500.. of log 5 spill into the second.  The second cell gives the
+    # shared pool two tasks.
+    assert chunk_bounds(9 * 1000, 2)[1][0] % 1000 != 0
     cells = (
-        _gauss_cell(name="straddle", R=7, B=1000, policy=TsSpec(), T=40,
+        _gauss_cell(name="straddle", R=9, B=1000, policy=TsSpec(), T=40,
                     bootstrap=BootstrapSpec("efron", 1000), horizon_grid=(20, 40), mse_B=1000,
                     estimators=("mean", "ipw", "aipw")),
         _gauss_cell(name="second", R=3, B=10),
