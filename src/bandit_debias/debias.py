@@ -9,11 +9,12 @@ arrays are (K,) for a log and (W, K) for a stack.  A stack is corrected in
 one pass: log w's B replays are rows w*B .. (w+1)*B - 1 of one replay batch
 against a world with a leading log axis, and one log is the stack of one.
 Rows are cut by ``chunk_bounds(rows, K)`` into the fewest balanced chunks
-of at most ``CHUNK_CELLS`` row-arm cells (8192 rows at K = 2), so a lockstep
-round's fixed cost is paid as few times as that width allows; the plan
-depends only on W x B and K.  Chunk i draws from a substream keyed (seed,
-chunk tag, i), its replay means are summed per log, and chunk results are
-reduced in index order, so a report is bit-identical at any worker count.
+of at most ``max(CHUNK_ROWS, CHUNK_CELLS // K)`` rows (8192 at K = 2, 4096
+at K >= 4), so a lockstep round's fixed cost is paid as few times as that
+width allows; the plan depends only on W x B and K.  Chunk i draws from a
+substream keyed (seed, chunk tag, i), its replay means are summed per log,
+and chunk results are reduced in index order, so a report is bit-identical
+at any worker count.
 Replays where an arm was never pulled are excluded from that arm's average
 (its replay sample mean is undefined); the per-arm number of
 contributing replays is reported as ``b_effective``.
@@ -27,7 +28,8 @@ here.  Every other policy replays round by round.
 One call runs at most ``MAX_REPLAYS`` replay rows (W x B).  The task list,
 one entry per chunk, is built before the first replay and a process pool is
 handed all of it at once, so a larger request is refused before any work.
-At the limit the list has about 1.2e5 entries at K = 2, and a replay that
+At the limit the list has about 1.2e5 entries at K = 2 and at most
+about 2.4e5 (MAX_REPLAYS / CHUNK_ROWS) at any K, and a replay that
 steps rounds (UCB, TS, EG; about 40 ns per row-round at best) is already
 hours of work at T = 1000.
 """
@@ -42,6 +44,7 @@ from .simulator import BanditLog, json_floats, run_batch, summarize
 from .streams import TAG_REPLAY_CHUNK, substream, task_map
 
 CHUNK_CELLS = 16384  # replay rows x arms one chunk may hold
+CHUNK_ROWS = 4096  # a chunk may always hold this many rows, whatever K
 MAX_REPLAYS = 10**9  # replay rows (W x B) one call may run
 
 
@@ -84,8 +87,9 @@ class DebiasReport:
 
 
 def chunk_bounds(rows: int, K: int) -> list[tuple[int, int]]:
-    """(lo, hi) of each replay chunk: the fewest that keep each within ``CHUNK_CELLS // K`` rows, balanced."""
-    count = -(-rows // max(1, CHUNK_CELLS // K))
+    """(lo, hi) of each replay chunk: the fewest that keep each within
+    ``max(CHUNK_ROWS, CHUNK_CELLS // K)`` rows, balanced."""
+    count = -(-rows // max(CHUNK_ROWS, CHUNK_CELLS // K))
     return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
 
 

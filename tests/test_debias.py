@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bandit_debias.bootstrap import BootstrapSpec
-from bandit_debias.debias import CHUNK_CELLS, chunk_bounds, debias
+from bandit_debias.debias import CHUNK_CELLS, CHUNK_ROWS, MAX_REPLAYS, chunk_bounds, debias
 from bandit_debias.distributions import Bernoulli, FiniteDiscrete, Gaussian
 from bandit_debias.policies import EgSpec, EtcSpec, TsSpec, UcbSpec
 from bandit_debias.simulator import BanditLog, run_experiment, summarize
@@ -85,8 +85,8 @@ def test_workers_bit_identical(kind):
 
 
 def test_chunk_plan_is_the_fewest_balanced_chunks():
-    for K in (2, 4):
-        width = CHUNK_CELLS // K  # 8192 rows at K = 2, 4096 at K = 4
+    for K in (1, 2, 3, 4, 8, 10**5):
+        width = max(CHUNK_ROWS, CHUNK_CELLS // K)  # 8192 rows at K = 2, 4096 from K = 4 on
         for rows in (1, 4095, 4096, 4097, 8191, 8192, 8193, 10_000, 50_000, 123_457):
             bounds = chunk_bounds(rows, K)
             sizes = [hi - lo for lo, hi in bounds]
@@ -96,8 +96,11 @@ def test_chunk_plan_is_the_fewest_balanced_chunks():
             assert max(sizes) - min(sizes) <= 1 and max(sizes) <= width
     assert chunk_bounds(10_000, 2) == [(0, 5000), (5000, 10_000)]
     assert chunk_bounds(5000, 4) == [(0, 2500), (2500, 5000)]
+    assert chunk_bounds(5000, 8) == [(0, 2500), (2500, 5000)]
     assert [hi - lo for lo, hi in chunk_bounds(50_000, 2)] == [7142] + [7143] * 6
     assert chunk_bounds(0, 2) == []
+    # However many arms, the task list built before the first replay stays within the 4096-row plan's.
+    assert len(chunk_bounds(MAX_REPLAYS, 10**5)) == -(-MAX_REPLAYS // CHUNK_ROWS)
 
 
 def test_seed_changes_estimate():
