@@ -22,8 +22,10 @@ contributing replays is reported as ``b_effective``.
 Replays are unlogged ``run_batch`` calls, so ETC replays take the
 simulator's sufficient-statistic path: per-arm exploration sums from the
 world's ``draw_sum``, the commit, and one committed-block sum, with no
-per-round policy step; the centred squares that path also draws go unused
-here.  Every other policy replays round by round.
+per-round policy step.  That path's centred squares are discarded here: an
+mb world still draws them, an Efron world returns NaN.  Every other policy
+replays round by round.  A one-log call replays with no ``row_log``, since
+its world's cell is the arm itself.
 
 One call runs at most ``MAX_REPLAYS`` replay rows (W x B).  The task list,
 one entry per chunk, is built before the first replay and a process pool is
@@ -105,7 +107,8 @@ def _replay_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # glibc's mmap and trim thresholds; under other allocators it is one untouched allocation.
     np.empty(1 << 17)
     rng = substream(seed, TAG_REPLAY_CHUNK, index)
-    out = run_batch(hi - lo, K, T, policy, world, rng, row_log=row_log)
+    # One log's cell is the arm itself: the batch needs no log offset.
+    out = run_batch(hi - lo, K, T, policy, world, rng, row_log=row_log if W > 1 else None)
     means = out.means()  # NaN where an arm went unpulled in a replay
     defined = out.counts > 0
     cells = (row_log[:, None] * K + np.arange(K)).ravel()

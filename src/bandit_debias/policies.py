@@ -239,6 +239,13 @@ class BatchPolicyState:
     ``counts`` are float64, exact below 2**53 pulls, so a round's divisions
     by them convert nothing; a state built with int64 counts selects the
     same arms.
+
+    ``_all_pulled`` records that every row has pulled every arm.  It is read
+    from the counts alone, never from ``t``: a hand-built or prefix state
+    may leave an arm unpulled past round K.  Counts only grow, so once true
+    it stays true and is not checked again; until then ``_every_arm_pulled``
+    checks the counts afresh.  Code that writes counts other than by
+    ``update`` may only raise them.
     """
 
     K: int
@@ -253,9 +260,17 @@ class BatchPolicyState:
         # Flat index of each row's arm 0 in the row-major arrays: indexing
         # them flat costs a third of indexing by (row, arm) pairs.
         self._row_starts = np.arange(0, self.n * self.K, self.K)
+        self._all_pulled = bool(self.counts.all())
+
+    def _every_arm_pulled(self) -> bool:
+        if not self._all_pulled:
+            self._all_pulled = bool(self.counts.all())
+        return self._all_pulled
 
     def means(self) -> np.ndarray:
         """Empirical means, 0 for unpulled arms (whose sums are exactly 0)."""
+        if self._every_arm_pulled():
+            return self.sums / self.counts
         return self.sums / np.maximum(self.counts, 1)
 
     def update(self, arms: np.ndarray, rewards: np.ndarray) -> None:
@@ -273,15 +288,14 @@ def select_batch(spec: PolicySpec, state: BatchPolicyState, rng: np.random.Gener
     UCB scores a state whose counts are all positive as ``sums / counts +
     sqrt(log t / counts)`` directly; only a state with an unpulled arm, in
     any row, pays for masking that arm's score to +inf.  The guard is the
-    counts, not ``t``: a hand-built or prefix state may leave an arm
-    unpulled past round K.
+    state's all-pulled flag, which is read from the counts, not ``t``.
     """
     n, K = state.n, state.K
     if isinstance(spec, EtcSpec):
         return _argmax_rows(np.where(state.counts == spec.m, state.means(), np.inf))
     if isinstance(spec, UcbSpec):
         counts = state.counts
-        if counts.all():
+        if state._every_arm_pulled():
             return _argmax_rows(state.sums / counts + np.sqrt(np.log(state.t) / counts))
         with np.errstate(divide="ignore", invalid="ignore"):
             bonus = np.sqrt(np.log(state.t) / counts)
@@ -392,15 +406,21 @@ def _block_rows(spec: PolicySpec, K: int) -> int:
 
 def _ts_posterior(spec: TsSpec, state: BatchPolicyState) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means and variances (n, K): pv = 1 / (1 / prior_variance +
-    counts / lv), pm = pv * (prior_mean / prior_variance + sums / lv), each
-    step computed in place."""
-    pv = state.counts / spec.likelihood_variance
-    pv += 1.0 / spec.prior_variance
+    counts / lv), pm = pv * (prior_mean / prior_variance + sums / lv), in
+    new arrays, never the state's.
+
+    A division by lv = 1 and an addition of prior_mean / prior_variance = 0
+    are skipped.  Both are exact: x / 1 is x, and x + 0 is x for every x
+    but -0.0, which no sum is: running sums start at +0.0, and x + -x is
+    +0.0.
+    """
+    lv, shift = spec.likelihood_variance, spec.prior_mean / spec.prior_variance
+    pv = (state.counts if lv == 1.0 else state.counts / lv) + 1.0 / spec.prior_variance
     np.divide(1.0, pv, out=pv)
-    pm = state.sums / spec.likelihood_variance
-    pm += spec.prior_mean / spec.prior_variance
-    pm *= pv
-    return pm, pv
+    pm = state.sums if lv == 1.0 else state.sums / lv
+    if shift != 0.0:
+        pm = pm + shift
+    return pm * pv, pv
 
 
 def _ts_quadrature(pm: np.ndarray, sd: np.ndarray) -> np.ndarray:

@@ -24,8 +24,9 @@ An explore-then-commit batch whose logs are not kept never steps round by
 round.  Its outcome is a function of per-arm sufficient statistics: K
 exploration sums of m draws, the commit to their argmax, and the committed
 block's sum of T - mK draws, each with its centred sum of squares from the
-world's ``draw_sum``.  It is the package's one ETC sampler, for bootstrap
-replays and ``theory``'s Monte Carlo checks alike.  Logged runs
+world's ``draw_sum`` (NaN on a ``ResampleWorld``, which keeps no squares).
+It is the package's one ETC sampler, for bootstrap replays and for
+``theory``'s Monte Carlo checks, which run on law worlds only.  Logged runs
 (``simulate`` and the harness's real experiments) keep the round loop, so
 their logs do not depend on this shortcut.
 """
@@ -111,7 +112,7 @@ class BatchOutcome:
     sums: np.ndarray
     actions: Optional[np.ndarray] = None  # (n, T)
     rewards: Optional[np.ndarray] = None  # (n, T)
-    squares: Optional[np.ndarray] = None  # (n, K) centred sums of squares, unlogged ETC batches only
+    squares: Optional[np.ndarray] = None  # (n, K) centred sums of squares, unlogged ETC batches only; NaN on Efron
 
     def means(self) -> np.ndarray:
         return np.where(self.counts > 0, self.sums / np.maximum(self.counts, 1), np.nan)
@@ -224,8 +225,8 @@ class ResampleWorld:
     ``offsets[w, k]`` and has ``counts[w, k] >= 1`` entries (``offsets``
     and ``counts`` are (K,) for one log).  Row i's draw is the round's i-th
     uniform, scaled to an index into its cell's slice: a resample with
-    replacement.  Each value's squared deviation about its cell's mean is
-    kept beside it for ``draw_sum``'s squares.
+    replacement.  ``draw_sum``'s squares are NaN: only ``debias`` replays
+    ETC on this world, and it reads the sums alone.
     """
 
     def __init__(self, actions: np.ndarray, rewards: np.ndarray, K: int):
@@ -240,9 +241,6 @@ class ResampleWorld:
         self.offsets = (np.cumsum(counts) - counts).reshape(shape)
         # By flat cell, for the draws; float counts scale u with no conversion.
         self._offsets, self._counts = self.offsets.ravel(), counts.astype(np.float64)
-        grouped = cells[order]
-        self._means = np.bincount(grouped, weights=self.values) / counts
-        self._deviations = np.square(self.values - self._means[grouped])
 
     def __len__(self) -> int:
         return self.counts.shape[-1]
@@ -261,21 +259,16 @@ class ResampleWorld:
         return self.values.take(self._offsets.take(cells) + u.astype(np.int64))
 
     def draw_sum(self, cells: np.ndarray, j: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Per row, the sum S of j resampled rewards from its flat cell and their centred sum of squares.
-
-        Rounds are drawn in blocks.  The squares sum the draws' squared
-        deviations about the cell's mean c and move them to the row's own
-        mean: D - (S - j c)^2 / j.
-        """
+        """Per row, the sum of j resampled rewards from its flat cell, drawn in
+        blocks of rounds, and NaN in place of their centred sum of squares."""
         n = len(cells)
         offsets, counts = self._offsets[cells], self._counts[cells]
         rounds = max(1, _SUM_CELLS // n)
-        sums, spread = np.zeros(n), np.zeros(n)
+        sums = np.zeros(n)
         for done in range(0, j, rounds):
             picks = offsets + (rng.random((min(rounds, j - done), n)) * counts).astype(np.int64)
             sums += self.values[picks].sum(axis=0)
-            spread += self._deviations[picks].sum(axis=0)
-        return sums, spread - np.square(sums - j * self._means[cells]) / j
+        return sums, np.full(n, np.nan)
 
 
 World = Union[LawWorld, ResampleWorld]

@@ -94,6 +94,18 @@ def test_ucb_plays_an_unpulled_arm_past_round_K():
     assert select_batch(UcbSpec(), state, substream(0)).tolist() == [0, 0]
 
 
+def test_ucb_all_pulled_flag_reads_the_counts_not_t():
+    # Rows stepped past round K, row 0 never on arm 1: a flag taken from t
+    # would score that arm 0 / 0, and the NaN loses to arm 0.
+    state = BatchPolicyState(K=3, n=2)
+    for arms in ([0, 0], [2, 1], [0, 2], [2, 0]):
+        state.update(np.array(arms), np.array([1.0, 0.5]))
+    assert state.t == 5 > state.K and not state._every_arm_pulled()
+    assert select_batch(UcbSpec(), state, substream(0)).tolist() == [1, 1]
+    state.update(np.array([1, 1]), np.array([0.0, 0.0]))
+    assert state._every_arm_pulled()
+
+
 @st.composite
 def lockstep_ucb_states(draw):
     """(counts, sums, t) of lockstep rows at round t, zero counts and exact ties included."""
@@ -138,6 +150,50 @@ def test_ts_conjugate_posterior():
     # unpulled arm keeps the prior
     assert mean[0, 1] == 0.0
     assert var[0, 1] == 1.0
+
+
+# Rewards whose running sums reach +0.0 from both sides, and -0.0 itself.
+SUM_REWARDS = st.sampled_from([-0.0, 0.0, 0.5, -0.5, 1.5, -1.5, 0.1, -0.1, 3.0, 1e-300])
+
+
+@st.composite
+def stepped_states(draw):
+    """A state stepped by ``update`` from zero counts: integer counts, 0 included, and running sums."""
+    K, n, rounds = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(0, 8))
+    state = BatchPolicyState(K=K, n=n)
+    for _ in range(rounds):
+        arms = draw(st.lists(st.integers(0, K - 1), min_size=n, max_size=n))
+        state.update(np.array(arms), np.array(draw(st.lists(SUM_REWARDS, min_size=n, max_size=n))))
+    return state
+
+
+@pytest.mark.parametrize("spec", [TsSpec(), TsSpec(0.5, 1.0, 1.0), TsSpec(0.0, 1.0, 2.0)],
+                         ids=["default", "prior-mean", "likelihood-variance"])
+@settings(max_examples=100, deadline=None)
+@given(state=stepped_states())
+def test_ts_posterior_skips_are_bit_exact(spec, state):
+    # The posterior skips a division by a unit likelihood variance and an
+    # addition of a zero prior mean; both must give the full arithmetic's bits.
+    before = state.counts.tobytes(), state.sums.tobytes()
+    pm, pv = policies._ts_posterior(spec, state)
+    lv = spec.likelihood_variance
+    full_pv = 1.0 / (state.counts / lv + 1.0 / spec.prior_variance)
+    full_pm = ((state.sums / lv) + spec.prior_mean / spec.prior_variance) * full_pv
+    assert pv.tobytes() == full_pv.tobytes() and pm.tobytes() == full_pm.tobytes()
+    assert (state.counts.tobytes(), state.sums.tobytes()) == before  # the state's arrays are not written
+
+
+def test_means_match_the_guarded_division_across_the_all_pulled_flag():
+    rng = substream(42)
+    state, seen = BatchPolicyState(K=3, n=6), set()
+    for _ in range(40):
+        seen.add(state._every_arm_pulled())
+        assert state.means().tobytes() == (state.sums / np.maximum(state.counts, 1)).tobytes()
+        state.update(rng.integers(0, 3, 6), rng.standard_normal(6))
+    assert seen == {False, True}
+    hand_built = _state(state.counts, state.sums)  # int64 counts, every arm pulled
+    assert hand_built._every_arm_pulled()
+    assert hand_built.means().tobytes() == (hand_built.sums / np.maximum(hand_built.counts, 1)).tobytes()
 
 
 def test_ts_posterior_variance_decreasing():

@@ -21,6 +21,7 @@ WIDTHS = (1, 7, 4100)
 POLICIES = {
     "ucb": (UcbSpec(), 3),
     "ts-k2": (TsSpec(), 2),
+    "ts-k2-prior": (TsSpec(0.5, 1.0, 1.0), 2),  # unit likelihood variance, non-zero prior mean
     "ts-k3": (TsSpec(0.5, 2.0, 0.5), 3),
     "eg-0": (EgSpec(0.0), 2),
     "eg-0.05": (EgSpec(0.05), 3),
@@ -56,7 +57,9 @@ WORLDS = (*LAWS, "resample", "stacked-law", "stacked-resample")
 CASES = [(p, w) for p in POLICIES for w in WORLDS]
 
 # sha256 over the widths of (counts, sums, actions, rewards), recorded with
-# the round loop as it stood before float counts and the unmasked UCB score.
+# the round loop as it stood before float counts and the unmasked UCB score;
+# ts-k2-prior's before the TS posterior skipped its division by a unit
+# likelihood variance and its addition of a zero prior mean.
 DIGESTS = {
     "ucb/gaussian": "9611145e9802cb01e2a3654a8a517a2f36b8bd35c4f2031a7863c022c3b7f3b5",
     "ucb/bernoulli": "63d4aeb94c110976651909aee1a01dabc3f59800c2f1ac2045880366074b5d7f",
@@ -72,6 +75,13 @@ DIGESTS = {
     "ts-k2/resample": "d055bef21eed6d423faa9885e3888015f4817e3e6eb2471238b2ec94aba75317",
     "ts-k2/stacked-law": "ca3d21d559024e090497e7575669f5370126d185bbaa5a021a5d457398fe6691",
     "ts-k2/stacked-resample": "67a341ca18b9435727b6b58c40deb3bbfea16c6c0799f9288f249de2c4edde01",
+    "ts-k2-prior/gaussian": "4eb80e2d8f5083e1b6af534c93904d5b567d68619ae4a6afc1f7856e21b918c4",
+    "ts-k2-prior/bernoulli": "ca17bc69123b4aa5d0c4508bb52ad4a8bc1a0b068613b36f74975b978ffffd29",
+    "ts-k2-prior/mixed": "cbaa1d639f55fb8bb67a3dc7db56618699941882141c3c625826204d8514efc5",
+    "ts-k2-prior/zero-variance": "8fed997a34c06d78a87e69250dcc57e39291fd02a1ef53bf3909c0f27508c3cd",
+    "ts-k2-prior/resample": "4463ca9f724a90586c83da8447546ef7aef6653341a55469b74fd99261b8cb88",
+    "ts-k2-prior/stacked-law": "f8986e685ac55ddc785ab2e0c5869921486179313cfe77b87786e18436fb14e3",
+    "ts-k2-prior/stacked-resample": "8f465b9d0b03ac9af4d79a0e54812c9b19f95bf6d6a30aee2ead3e060e060f48",
     "ts-k3/gaussian": "980db901b94135c3b71c3ef38102a9a7161a5c965ad3ff7a4c7e39a716c57f59",
     "ts-k3/bernoulli": "98b76358b06c0b337e04b59d644e62053eeeaa5c156cedff6290a020df01cc31",
     "ts-k3/mixed": "3ddef476d47b3bd4ef8402465f818e300c5aa43afba47102e3422f7efd6dca16",
