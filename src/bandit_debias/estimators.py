@@ -13,12 +13,13 @@ the history and unbiasedness is preserved under adaptive collection.
 
 Propensities and plug-in means come from the logs' prefix states
 (``policies.prefix_blocks``), so they use only the history and match what the
-policy saw at run time.  One pass over stacked logs, ``weighted_estimates``,
-computes both at every horizon, a block of rounds at a time, so beyond the
-propensities it holds no array that grows with T; ``plan`` and ``evaluate`` share it.
+policy saw at run time.  One walk over stacked logs, ``weighted_estimates``,
+takes both from each block of rounds and computes every horizon, so it holds
+no array that grows with T; ``plan`` and ``evaluate`` share it.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -49,57 +50,60 @@ def plugin_mean_trace(log: BanditLog) -> np.ndarray:
     return policies.prefix_state(log.actions[None, :], log.rewards[None, :], log.K).means()
 
 
-def weighted_estimates(actions: np.ndarray, rewards: np.ndarray, props: np.ndarray, names, horizons) -> tuple:
-    """IPW/AIPW of stacked logs (n, T) with propensities (n, T, K) at each horizon h.
+def weighted_estimates(logs: BanditLog, names, horizons) -> Optional[tuple]:
+    """IPW/AIPW of stacked logs (n, T) at each horizon h; None if the policy is non-randomized.
 
     Returns each log's first round with a zero chosen-arm propensity (-1 if none) and
     {name: {h: (n, K)}} for the estimators ``names``, NaN on the logs with such a round.
-    The per-round terms x come a block of ``policies.prefix_blocks`` at a time, each block's first
-    round taking the total of the rounds before it: horizon h has the bits of ``x[:, :h].sum(axis=1) / h``.
+    One walk of ``policies.prefix_blocks`` gives each block's propensities and AIPW's running
+    means.  The per-round terms x come a block at a time, each block's first round taking the
+    total of the rounds before it: horizon h has the bits of ``x[:, :h].sum(axis=1) / h``.
     """
-    n, _, K = props.shape
-    chosen_p = np.take_along_axis(props, actions[:, :, None], axis=2)[:, :, 0]
-    zero = chosen_p == 0.0
-    first_zero = np.where(zero.any(axis=1), zero.argmax(axis=1), -1)
-    good = np.flatnonzero(first_zero < 0)
-    actions, rewards, chosen_p = actions[good], rewards[good], chosen_p[good]
-    tables = {name: {h: np.full((n, K), np.nan) for h in horizons} for name in ("ipw", "aipw") if name in names}
+    if isinstance(logs.policy, policies._DETERMINISTIC):
+        return None
+    actions, rewards, K = logs.actions, logs.rewards, logs.K
+    first_zero = np.full(len(actions), -1)
+    tables = {name: {h: np.full((len(actions), K), np.nan) for h in horizons}
+              for name in ("ipw", "aipw") if name in names}
     totals = dict.fromkeys(tables, -0.0)  # -0.0 + x is x, bit for bit
-    rows = policies._PROPENSITY_ROWS
-    if "aipw" in tables:
-        blocks = policies.prefix_blocks(actions, rewards, K, rows)
-    else:  # IPW needs no running means, so the same blocks come with no state
-        blocks = ((lo, hi, None) for lo, hi in policies.round_blocks(*actions.shape, rows))
-    for lo, hi, state in blocks:
-        r, p = rewards[:, lo:hi], chosen_p[:, lo:hi]
+    for lo, hi, state in policies.prefix_blocks(actions, rewards, K, policies._PROPENSITY_ROWS):
+        r = rewards[:, lo:hi]
         onehot = actions[:, lo:hi, None] == np.arange(K)
-        mhat = None if state is None else state.means().reshape(onehot.shape)  # AIPW's running means
+        p = policies.propensity_batch(logs.policy, state).reshape(onehot.shape)[onehot].reshape(r.shape)
+        zero = p == 0.0
+        first_zero = np.where((first_zero < 0) & zero.any(axis=1), lo + zero.argmax(axis=1), first_zero)
+        p = np.where(zero, 1.0, p)  # a log with a zero is NaN at the end; meanwhile it divides by 1
+        mhat = state.means().reshape(onehot.shape) if "aipw" in tables else None  # AIPW's running means
         for name, table in tables.items():
             x = ((r / p)[:, :, None] * onehot if name == "ipw" else
                  mhat + onehot * ((r - np.where(onehot, mhat, 0.0).sum(axis=2)) / p)[:, :, None])
             x[:, 0] += totals[name]
             for h in table.keys() & range(lo + 1, hi + 1):
-                table[h][good] = x[:, :h - lo].sum(axis=1) / h
+                table[h][:] = x[:, :h - lo].sum(axis=1) / h
             totals[name] = x.sum(axis=1)
+    for estimate in (estimate for table in tables.values() for estimate in table.values()):
+        estimate[first_zero >= 0] = np.nan
     return first_zero, tables
 
 
-def _log_estimates(log: BanditLog, propensities: np.ndarray, names) -> dict:
-    """{name: (K,)} of one log at its horizon; raises DivisionHazard at its first zero chosen-arm propensity."""
-    first_zero, tables = weighted_estimates(log.actions[None], log.rewards[None], np.asarray(propensities)[None],
-                                            names, (log.T,))
-    t = int(first_zero[0])
+def _log_estimates(log: BanditLog, names) -> Optional[dict]:
+    """{name: (K,)} of one log at its horizon, None if the policy is non-randomized;
+    raises DivisionHazard at its first zero chosen-arm propensity."""
+    weighted = weighted_estimates(replace(log, actions=log.actions[None], rewards=log.rewards[None]), names, (log.T,))
+    if weighted is None:
+        return None
+    (t,), tables = weighted  # the one log's first zero round, or -1
     if t >= 0:
-        raise DivisionHazard(t, int(log.actions[t]))
+        raise DivisionHazard(int(t), int(log.actions[t]))
     return {name: table[log.T][0] for name, table in tables.items()}
 
 
-def ipw_estimate(log: BanditLog, propensities: np.ndarray) -> np.ndarray:
-    return _log_estimates(log, propensities, ("ipw",))["ipw"]
+def ipw_estimate(log: BanditLog) -> np.ndarray:
+    return _log_estimates(log, ("ipw",))["ipw"]
 
 
-def aipw_estimate(log: BanditLog, propensities: np.ndarray) -> np.ndarray:
-    return _log_estimates(log, propensities, ("aipw",))["aipw"]
+def aipw_estimate(log: BanditLog) -> np.ndarray:
+    return _log_estimates(log, ("aipw",))["aipw"]
 
 
 def evaluate(log: BanditLog, estimators=NAMES) -> dict:
@@ -111,11 +115,11 @@ def evaluate(log: BanditLog, estimators=NAMES) -> dict:
     weighted = [name for name in ("ipw", "aipw") if name in estimators]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails below, with no warning
         summary = summarize(log)
-        props = propensity_trace(log) if weighted else None
-        estimates = {} if props is None else _log_estimates(log, props, weighted)
+        estimates = _log_estimates(log, weighted) if weighted else {}
     out: dict = {"mean": json_floats(summary.means)} if "mean" in estimators else {}  # null for an unpulled arm
     if weighted:
-        out["propensities_defined"] = props is not None
+        out["propensities_defined"] = estimates is not None
+    estimates = estimates or {}
     out.update((name, v.tolist()) for name, v in estimates.items())
     for v in ([summary.means] if "mean" in out else []) + list(estimates.values()):
         overflow = np.flatnonzero((summary.counts > 0) & ~np.isfinite(v))

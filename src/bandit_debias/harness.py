@@ -5,10 +5,11 @@ estimator set) and optionally a horizon grid for MSE-versus-time curves.
 Replications run in fixed blocks of ``BLOCK`` (50).  A block's real
 experiments run as one lockstep batch, the bootstrap replays of all its logs
 as one ``debias`` call on their stack per horizon, and its IPW/AIPW
-estimates at every horizon from one propensity call and one pass over the
-logs.  Streams are keyed (master seed, cell index, block index), plus the
-horizon index for truncated-horizon replays.  The block size never depends
-on the worker count, so a rerun is bit-identical at any worker count.
+estimates at every horizon from one walk of the logs' prefix states, the
+source of both propensities and AIPW's running means.  Streams are keyed
+(master seed, cell index, block index), plus the horizon index for truncated-
+horizon replays.  The block size never depends on the worker count, so a
+rerun is bit-identical at any worker count.
 Results stay per-replication columns from the replay to the writer: a cell
 concatenates its blocks' columns and derives its summaries from them.
 Per-replication failures (for example an undefined bootstrap bias) are
@@ -216,12 +217,10 @@ def _run_block(args) -> tuple:
             estimates[kind][horizon] = _debias_rows(logs.truncated(horizon), mse_spec, seed)[2]
     hazard = np.zeros(n, dtype=bool)
     weighted = {"ipw", "aipw"} & set(cell.estimators)
-    props = policies.propensity(cell.policy, sim.actions, sim.rewards, K) if weighted else None
-    if props is not None:
-        # A zero chosen-arm propensity fails its replication, not the block.
-        first_zero, tables = est.weighted_estimates(sim.actions, sim.rewards, props, weighted, {T, *cell.horizon_grid})
-        hazard = first_zero >= 0
-        estimates.update(tables)
+    result = est.weighted_estimates(logs, weighted, {T, *cell.horizon_grid}) if weighted else None
+    if result is not None:  # a zero chosen-arm propensity fails its replication, not the block
+        hazard = result[0] >= 0
+        estimates.update(result[1])
     for column in (raw, bias, *estimates[kind].values()):  # a DivisionHazard row is NaN throughout
         column[hazard] = np.nan
     # A log with an unpulled arm has no bootstrap world, but the log itself

@@ -8,9 +8,10 @@ array ops per round.
 
 Every propensity is a pure function of its row's counts and sums, computed by
 ``propensity_batch``.  ``prefix_blocks`` walks stacked logs in blocks of rounds,
-carrying each log's counts and sums on, for ``propensity`` and AIPW alike, so
-its working set does not grow with T.  TS with K != 2 uses an exact quadrature
-(``_ts_quadrature``); the normal CDF it needs, ``ndtr`` and ``log_ndtr``, runs on numpy alone.
+carrying each log's counts and sums on, for IPW/AIPW's propensities and running
+means alike, so its working set does not grow with T.  TS with K != 2 uses an exact
+quadrature (``_ts_quadrature``) over bounded row slices; the normal CDF it needs,
+``ndtr`` and ``log_ndtr``, runs on numpy alone.
 
 Conventions fixed here (ties have positive probability for Bernoulli
 rewards, so they must be pinned down):
@@ -50,11 +51,11 @@ _GL_T = np.array([0.1834346424956498, 0.5255324099163290, 0.7966664774136267, 0.
 _GL_W = np.array([0.3626837833783620, 0.3137066458778873, 0.2223810344533745, 0.1012285362903763])
 _GL_STEPS, _GL_WEIGHTS = 1 + np.r_[-_GL_T, _GL_T], np.r_[_GL_W, _GL_W]  # all 8, the steps on [0, 2]
 _TS_BREAKS = np.array([-12.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0, 12.0])
-# Prefix-state rows per block for EG and two-arm TS propensities and IPW/AIPW.
-# Their arrays are a few (rows, K), so the fixed cost of each block's numpy
-# calls, not memory, sets the size.
+# Prefix-state rows per block for propensities and IPW/AIPW.  Their arrays
+# are a few (rows, K), so the fixed cost of each block's numpy calls, not
+# memory, sets the size.
 _PROPENSITY_ROWS = 2048
-# Elements per (rows, K, 9K - 1, 8) array of the TS quadrature in one block.
+# Elements per (rows, K, 9K - 1, 8) array of the TS quadrature in one row slice.
 # 2**15 float64 is 256 KiB (29 rows at K=4): few enough that a block's live
 # arrays stay in cache, many enough that its ~100 numpy calls cost little.
 _QUADRATURE_ELEMENTS = 2**15
@@ -263,8 +264,8 @@ class BatchPolicyState:
         self._all_pulled = bool(self.counts.all())
 
     def _every_arm_pulled(self) -> bool:
-        if not self._all_pulled:
-            self._all_pulled = bool(self.counts.all())
+        if not self._all_pulled:  # then counts has a zero, so it is not empty
+            self._all_pulled = bool(self.counts.min() > 0)
         return self._all_pulled
 
     def means(self) -> np.ndarray:
@@ -351,7 +352,11 @@ def propensity_batch(spec: PolicySpec, state: BatchPolicyState) -> Optional[np.n
     if isinstance(spec, TsSpec):
         pm, pv = _ts_posterior(spec, state)
         if state.K != 2:
-            return _ts_quadrature(pm, np.sqrt(pv))
+            sd, out = np.sqrt(pv), np.empty_like(pm)
+            rows = max(1, _QUADRATURE_ELEMENTS // (state.K * (9 * state.K - 1) * len(_GL_STEPS)))
+            for lo in range(0, state.n, rows):
+                out[lo:lo + rows] = _ts_quadrature(pm[lo:lo + rows], sd[lo:lo + rows])
+            return out
         gap = (pm[:, 0] - pm[:, 1]) / np.sqrt(pv[:, 0] + pv[:, 1])
         p1 = ndtr(gap)
         return np.stack([p1, 1.0 - p1], axis=1)
@@ -391,17 +396,9 @@ def propensity(spec: PolicySpec, actions: np.ndarray, rewards: np.ndarray, K: in
     if isinstance(spec, _DETERMINISTIC):
         return None
     out = np.empty(actions.shape + (K,))
-    for lo, hi, state in prefix_blocks(actions, rewards, K, _block_rows(spec, K)):
+    for lo, hi, state in prefix_blocks(actions, rewards, K, _PROPENSITY_ROWS):
         out[:, lo:hi] = propensity_batch(spec, state).reshape(len(out), hi - lo, K)
     return out
-
-
-def _block_rows(spec: PolicySpec, K: int) -> int:
-    """Prefix-state rows per block of ``propensity``: as many as keep each quadrature array
-    within ``_QUADRATURE_ELEMENTS`` for TS with K != 2, else ``_PROPENSITY_ROWS``."""
-    if isinstance(spec, TsSpec) and K != 2:
-        return max(1, _QUADRATURE_ELEMENTS // (K * (9 * K - 1) * len(_GL_STEPS)))
-    return _PROPENSITY_ROWS
 
 
 def _ts_posterior(spec: TsSpec, state: BatchPolicyState) -> tuple[np.ndarray, np.ndarray]:

@@ -533,6 +533,20 @@ def test_evaluate_stops_when_finite_rewards_overflow_an_estimate(tmp_path, capsy
     assert not out.exists()
 
 
+def test_evaluate_zero_propensity_is_exit_2(tmp_path, capsys):
+    # A TS log: arm 1 pays 0.0 forty times, arm 2 pays 50.0 forty times, then
+    # arm 1 plays once at a propensity that underflows to exactly 0.
+    arms = [1] * 40 + [2] * 40 + [1]
+    log = tmp_path / "ts.csv"
+    log.write_text("t,arm,reward\n" + "".join(f"{t},{a},{50.0 if a == 2 else 0.0}\n" for t, a in enumerate(arms, 1)))
+    meta = tmp_path / "ts.csv.meta.json"
+    meta.write_text(json.dumps({"K": 2, "T": len(arms), "policy": {"name": "ts"}}))
+    out = tmp_path / "e.json"
+    assert dispatch(["evaluate", "--log", str(log), "--meta", str(meta), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "DivisionHazard: propensity of chosen arm 1 at round 81 is zero\n"
+    assert not out.exists()
+
+
 def _relabel_first_rounds(lines):
     for i in range(1, 11):  # swap arms 1 and 2 in rounds 1..10
         t, arm, reward = lines[i].split(",")

@@ -21,7 +21,7 @@ def test_single_arm_ipw_is_sample_mean():
     log = run_experiment(1, 50, EgSpec(0.5), [Gaussian(2, 1)], seed=0)
     props = propensity_trace(log)
     assert np.all(props == 1.0)
-    est = ipw_estimate(log, props)
+    est = ipw_estimate(log)
     assert est[0] == pytest.approx(log.rewards.mean(), rel=1e-12)
 
 
@@ -46,8 +46,8 @@ def test_plugin_means_use_strict_past():
 
 def _mc_estimates(policy, arms, T, R, seed):
     out = run_batch(R, len(arms), T, policy, arms, substream(seed), record_logs=True)
-    props = propensity(policy, out.actions, out.rewards, len(arms))
-    first_zero, tables = weighted_estimates(out.actions, out.rewards, props, ("ipw", "aipw"), (T,))
+    first_zero, tables = weighted_estimates(BanditLog(len(arms), T, out.actions, out.rewards, policy),
+                                            ("ipw", "aipw"), (T,))
     assert np.all(first_zero == -1)
     return tables["ipw"][T], tables["aipw"][T]
 
@@ -85,87 +85,95 @@ def test_aipw_reduces_to_ipw_with_zero_plugin():
     props = propensity_trace(log)
     pulled = log.actions[:, None] == np.arange(log.K)
     augmentation = (plugin_mean_trace(log) * (1.0 - pulled / props)).mean(axis=0)
-    np.testing.assert_allclose(aipw_estimate(log, props),
-                               ipw_estimate(log, props) + augmentation, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(aipw_estimate(log), ipw_estimate(log) + augmentation, rtol=0, atol=1e-12)
     # Only the last reward is nonzero, so every plug-in mean is 0.
     log.rewards[:-1] = 0.0
-    props = propensity_trace(log)
     assert np.all(plugin_mean_trace(log) == 0.0)
-    np.testing.assert_allclose(aipw_estimate(log, props),
-                               ipw_estimate(log, props), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(aipw_estimate(log), ipw_estimate(log), rtol=0, atol=1e-12)
 
 
 def test_zero_propensity_raises():
-    log = run_experiment(2, 20, EgSpec(0.3), [Gaussian(1, 1), Gaussian(1.5, 1)], seed=2)
-    props = propensity_trace(log).copy()
-    props[7, int(log.actions[7])] = 0.0
+    # A TS log: arm 1 pays 0.0 forty times, arm 2 pays 50.0 forty times, then
+    # arm 1 plays once at a propensity that underflows to exactly 0.
+    actions = np.repeat([0, 1, 0], [40, 40, 1])
+    log = BanditLog(K=2, T=81, actions=actions, rewards=np.where(actions == 1, 50.0, 0.0), policy=TsSpec())
+    assert propensity_trace(log)[80, 0] == 0.0
     with pytest.raises(DivisionHazard) as exc:
-        ipw_estimate(log, props)
-    assert exc.value.t == 7
+        ipw_estimate(log)
+    assert exc.value.t == 80
     with pytest.raises(DivisionHazard):
-        aipw_estimate(log, props)
+        aipw_estimate(log)
+    with pytest.raises(DivisionHazard, match=r"^propensity of chosen arm 1 at round 81 is zero$"):
+        evaluate(log)
+
+
+def test_a_later_zero_does_not_move_the_first(zero_propensities, monkeypatch):
+    # Log 1 meets zero propensities at rounds 6 and 30, in different blocks of two rounds.
+    spec, K, T = EgSpec(0.2), 2, 40
+    out = run_batch(3, K, T, spec, [Bernoulli(0.3), Bernoulli(0.6)], substream(12), record_logs=True)
+    monkeypatch.setattr(policies, "_PROPENSITY_ROWS", 6)
+    zero_propensities(6, slice(1, 2))
+    zero_propensities(30, slice(1, 2))
+    first_zero, tables = weighted_estimates(BanditLog(K, T, out.actions, out.rewards, spec), ("ipw",), (T,))
+    assert first_zero.tolist() == [-1, 5, -1]
+    assert np.isnan(tables["ipw"][T][1]).all() and np.isfinite(tables["ipw"][T][[0, 2]]).all()
 
 
 @pytest.mark.parametrize("policy", [EgSpec(0.2), TsSpec()])
-def test_each_horizon_matches_the_truncated_log(policy):
+def test_each_horizon_matches_the_truncated_log(policy, zero_propensities):
     # A stack of 5 logs; log 3 meets a zero propensity at round 9.
     K, T, horizons = 3, 24, (3, 8, 9, 24)
     out = run_batch(5, K, T, policy, [Gaussian(1, 1), Bernoulli(0.4), Gaussian(0.5, 2)], substream(8), record_logs=True)
-    props = propensity(policy, out.actions, out.rewards, K)
-    props[3, 8, out.actions[3, 8]] = 0.0
-    first_zero, tables = weighted_estimates(out.actions, out.rewards, props, ("ipw", "aipw"), horizons)
+    logs = BanditLog(K, T, out.actions, out.rewards, policy)
+    zero_propensities(9, slice(3, 4))  # a stack of one has no log 3
+    first_zero, tables = weighted_estimates(logs, ("ipw", "aipw"), horizons)
     assert first_zero.tolist() == [-1, -1, -1, 8, -1]
     for h in horizons:
         for name, estimate in (("ipw", ipw_estimate), ("aipw", aipw_estimate)):
             assert np.isnan(tables[name][h][3]).all()  # NaN even before the zero
             for i in (0, 1, 2, 4):
                 log = BanditLog(K, h, out.actions[i, :h], out.rewards[i, :h], policy)
-                assert np.array_equal(tables[name][h][i], estimate(log, props[i, :h]))
-    assert set(weighted_estimates(out.actions, out.rewards, props, ("aipw",), (T,))[1]) == {"aipw"}
+                assert np.array_equal(tables[name][h][i], estimate(log))
+    assert set(weighted_estimates(logs, ("aipw",), (T,))[1]) == {"aipw"}
 
 
-def test_ipw_alone_walks_no_prefix_state(monkeypatch):
-    # IPW needs no running means: asked for alone, it walks the same round
-    # blocks with no state and gives the bits of the full call's table.
+def test_ipw_alone_has_the_full_calls_bytes(zero_propensities):
+    # Asked for alone, IPW gives the bits of the full call's table.
     K, T = 3, 2100
-    horizons = (1, 41, 42, 43, 1000, T)  # blocks of 42 rounds on the 49 logs with no zero
+    horizons = (1, 41, 42, 43, 1000, T)  # blocks of 41 rounds
     spec = EgSpec(0.1)
     out = run_batch(50, K, T, spec, [Bernoulli(0.3), Gaussian(0.5, 1), Bernoulli(0.6)], substream(9), record_logs=True)
-    props = propensity(spec, out.actions, out.rewards, K)
-    props[4, 300, out.actions[4, 300]] = 0.0
-    full = weighted_estimates(out.actions, out.rewards, props, ("mean", "ipw", "aipw"), horizons)
-    monkeypatch.setattr(policies, "prefix_blocks", _raise)
-    alone = weighted_estimates(out.actions, out.rewards, props, ("ipw",), horizons)
+    logs = BanditLog(K, T, out.actions, out.rewards, spec)
+    zero_propensities(301, slice(4, 5))
+    full = weighted_estimates(logs, ("mean", "ipw", "aipw"), horizons)
+    alone = weighted_estimates(logs, ("ipw",), horizons)
     assert alone[0].tolist() == full[0].tolist()
     assert set(alone[1]) == {"ipw"}
     for h in horizons:
         assert alone[1]["ipw"][h].tobytes() == full[1]["ipw"][h].tobytes()
 
 
-def _raise(*args):
-    raise AssertionError("an IPW-only call walked the prefix state")
-
-
 def test_weighted_pass_memory_is_bounded():
-    """Propensities are written into their one output, and IPW/AIPW walk blocks of
-    rounds: neither holds an (n, T, K) array of its own beyond that output."""
+    """Propensities are written into their one output; IPW/AIPW walk blocks of rounds
+    and hold no (n, T, K) array, not even the propensities."""
     import tracemalloc
 
     spec, K, T = EgSpec(0.1), 4, 2000
     out = run_batch(50, K, T, spec, [Bernoulli(p) for p in (0.3, 0.4, 0.5, 0.6)], substream(6), record_logs=True)
+    logs = BanditLog(K, T, out.actions, out.rewards, spec)
     tracemalloc.start()
     try:
         props = propensity(spec, out.actions, out.rewards, K)
         propensity_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         inputs = tracemalloc.get_traced_memory()[0]
-        first_zero, tables = weighted_estimates(out.actions, out.rewards, props, ("ipw", "aipw"), (T // 2, T))
+        first_zero, tables = weighted_estimates(logs, ("ipw", "aipw"), (T // 2, T))
         weighted_peak = tracemalloc.get_traced_memory()[1] - inputs
     finally:
         tracemalloc.stop()
     assert np.all(first_zero == -1) and np.isfinite(tables["aipw"][T]).all()
     assert propensity_peak < 1.5 * props.nbytes, f"propensity peak {propensity_peak / props.nbytes:.2f}x its output"
-    assert weighted_peak < 2 * props.nbytes, f"weighted peak {weighted_peak / props.nbytes:.2f}x the propensities"
+    assert weighted_peak < 0.5 * props.nbytes, f"weighted peak {weighted_peak / props.nbytes:.2f}x n*T*K floats"
 
 
 def test_small_ts_propensity_is_not_rounded_to_zero():
@@ -180,8 +188,8 @@ def test_small_ts_propensity_is_not_rounded_to_zero():
     chosen = props[np.arange(log.T), actions]
     assert np.all(chosen > 0)
     assert chosen[-1] == pytest.approx(5.524e-5, rel=1e-3)
-    assert np.all(np.isfinite(ipw_estimate(log, props)))
-    assert np.all(np.isfinite(aipw_estimate(log, props)))
+    assert np.all(np.isfinite(ipw_estimate(log)))
+    assert np.all(np.isfinite(aipw_estimate(log)))
 
 
 def test_propensity_trace_rows_sum_to_one():

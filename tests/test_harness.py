@@ -259,20 +259,8 @@ def test_block_with_a_zero_count_arm_log_fills_the_others():
     assert np.isnan(res.raw[failed]).all() and np.isnan(res.estimates["mb"][20][failed]).all()
 
 
-def _zero_propensity_for_log_1(monkeypatch):
-    """Make log 1 of every block meet a zero chosen-arm propensity at round 6."""
-    real = harness.policies.propensity
-
-    def zero_for_log_1(spec, actions, rewards, K):
-        props = real(spec, actions, rewards, K)
-        props[1, 5, actions[1, 5]] = 0.0
-        return props
-
-    monkeypatch.setattr(harness.policies, "propensity", zero_for_log_1)
-
-
-def test_zero_propensity_fails_only_its_replication(monkeypatch):
-    _zero_propensity_for_log_1(monkeypatch)
+def test_zero_propensity_fails_only_its_replication(zero_propensities):
+    zero_propensities(6, slice(1, 2))  # log 1 of every block meets a zero chosen-arm propensity at round 6
     cell = _gauss_cell(R=4, B=10, policy=EgSpec(0.2), estimators=("mean", "ipw"), horizon_grid=(50,), mse_B=10)
     (res,) = run_plan(ExperimentPlan(master_seed=9, cells=(cell,)))
     assert res.error_counts == {"DivisionHazard": 1}
@@ -283,21 +271,14 @@ def test_zero_propensity_fails_only_its_replication(monkeypatch):
         assert np.isnan(column[1]).all() and np.all(np.isfinite(column[[0, 2, 3]]))
 
 
-def test_division_hazard_outranks_zero_count_arm(monkeypatch):
+def test_division_hazard_outranks_zero_count_arm(zero_propensities):
     # A log that left an arm unpulled and also met a zero propensity is labelled DivisionHazard.
     cell = Cell(name="eg", policy=EgSpec(0.05), arms=(Gaussian(1.0, 1.0), Gaussian(1.5, 1.0)),
                 K=2, T=30, replications=20, bootstrap=BootstrapSpec("mb", 10), estimators=("mean", "ipw"))
     plan = ExperimentPlan(master_seed=3, cells=(cell,))
     (plain,) = run_plan(plan)
     assert plain.error_counts["ZeroCountArm"] > 0
-    real = harness.policies.propensity
-
-    def zero_everywhere(spec, actions, rewards, K):
-        props = real(spec, actions, rewards, K)
-        props[np.arange(len(actions)), 5, actions[:, 5]] = 0.0
-        return props
-
-    monkeypatch.setattr(harness.policies, "propensity", zero_everywhere)
+    zero_propensities(6, slice(None))
     (res,) = run_plan(plan)
     assert res.error_counts == {"DivisionHazard": 20}
     assert np.isnan(res.estimates["ipw"][30]).all() and np.isnan(res.corrected).all()
@@ -312,11 +293,11 @@ GOLDEN_PLAN_SHA256 = {
 }
 
 
-def test_plan_outputs_golden(tmp_path, monkeypatch):
+def test_plan_outputs_golden(tmp_path, zero_propensities):
     # Pinned bytes: a rewrite of how replications are collected and written
     # must not move a plan's outputs.  Log 1's zero propensity makes it a
     # DivisionHazard row; EG at T=30 leaves arm 2 unpulled in some others.
-    _zero_propensity_for_log_1(monkeypatch)
+    zero_propensities(6, slice(1, 2))
     cells = (
         Cell(name="eg", policy=EgSpec(0.05), arms=(Gaussian(1.0, 1.0), Gaussian(1.5, 1.0)),
              K=2, T=30, replications=12, bootstrap=BootstrapSpec("efron", 20),
@@ -355,8 +336,8 @@ GOLDEN_WEIGHTED_SHA256 = {
 
 
 @pytest.mark.parametrize("name", sorted(WEIGHTED_CELLS))
-def test_weighted_tables_golden(name, monkeypatch):
-    _zero_propensity_for_log_1(monkeypatch)
+def test_weighted_tables_golden(name, zero_propensities):
+    zero_propensities(6, slice(1, 2))
     (res,) = run_plan(ExperimentPlan(master_seed=21, cells=(WEIGHTED_CELLS[name],)))
     assert res.errors[1] == "DivisionHazard" and res.error_counts["DivisionHazard"] == 1
     digest = hashlib.sha256()

@@ -230,6 +230,7 @@ def test_deterministic_policies_have_no_propensity(monkeypatch):
     for spec in (EtcSpec(1), UcbSpec()):
         assert propensity_batch(spec, state) is None
         assert propensity(spec, actions, rewards, 2) is None
+        assert weighted_estimates(BanditLog(2, 2, actions, rewards, spec), ("ipw", "aipw"), (2,)) is None
 
 
 @pytest.mark.parametrize("spec", [EgSpec(0.3), TsSpec()])
@@ -462,7 +463,7 @@ def test_spec_validation():
 @pytest.mark.parametrize("spec", [TsSpec(), TsSpec(0.5, 2.0, 0.5), EgSpec(0.1)], ids=["ts", "ts-prior", "eg"])
 @pytest.mark.parametrize("K", [2, 3])
 def test_blocked_propensity_equals_one_shot(spec, K):
-    # 3 logs x 100 rounds = 300 prefix-state rows: one block for EG and K = 2, 52-row blocks for TS at K = 3.
+    # 3 logs x 100 rounds = 300 prefix-state rows: one block, whose TS quadrature at K = 3 runs in 52-row slices.
     rng = substream(40, K)
     actions = rng.integers(0, K, size=(3, 100))
     rewards = rng.standard_normal((3, 100))
@@ -578,25 +579,22 @@ def test_ts_propensities_match_scipy_reference(K, monkeypatch):
 @pytest.mark.parametrize("rows", [1, 7, None], ids=["rows1", "rows7", "default"])
 @pytest.mark.parametrize("spec, K", [(TsSpec(), 2), (TsSpec(0.5, 2.0, 0.5), 4), (EgSpec(0.1), 3)],
                          ids=["ts-k2", "ts-k4", "eg-k3"])
-def test_propensity_bytes_do_not_depend_on_the_block_size(spec, K, rows, monkeypatch):
+def test_propensity_bytes_do_not_depend_on_the_block_size(spec, K, rows, monkeypatch, zero_propensities):
     """Each row's propensity is its own, and each weighted table a running sum
     carried across blocks, so any block size gives the same bytes."""
     rng = substream(41, K)
     actions = rng.integers(0, K, size=(3, 40))
     rewards = rng.standard_normal((3, 40))
+    logs = BanditLog(K, 40, actions, rewards, spec)
+    zero_propensities(21, slice(1, 2))  # log 1's round 21, in the propensities too; at 7 rows, 3-round blocks
 
     def outputs() -> list:
-        props = propensity(spec, actions, rewards, K)
-        zeroed = props.copy()
-        zeroed[1, 20, actions[1, 20]] = 0.0  # log 1 drops out; at 7 rows, 4-round blocks of the other two
-        first_zero, tables = weighted_estimates(actions, rewards, zeroed, ("ipw", "aipw"),
-                                                (1, 3, 4, 5, 7, 8, 20, 21, 39, 40))
+        first_zero, tables = weighted_estimates(logs, ("ipw", "aipw"), (1, 3, 4, 5, 7, 8, 20, 21, 39, 40))
         assert first_zero.tolist() == [-1, 20, -1]
-        return [props] + [t for table in tables.values() for t in table.values()]
+        return [propensity(spec, actions, rewards, K)] + [t for table in tables.values() for t in table.values()]
 
     default = outputs()
     if rows is not None:
         monkeypatch.setattr(policies, "_PROPENSITY_ROWS", rows)
         monkeypatch.setattr(policies, "_QUADRATURE_ELEMENTS", rows * K * (9 * K - 1) * 8)
-        assert policies._block_rows(spec, K) == rows
     assert [x.tobytes() for x in outputs()] == [x.tobytes() for x in default]
