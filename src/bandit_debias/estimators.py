@@ -47,7 +47,7 @@ def propensity_trace(log: BanditLog) -> Optional[np.ndarray]:
 
 def plugin_mean_trace(log: BanditLog) -> np.ndarray:
     """Running per-arm means using only strictly earlier rounds; 0 before first pull."""
-    return policies.prefix_state(log.actions[None, :], log.rewards[None, :], log.K).means()
+    return np.concatenate([s.means() for *_, s in policies.prefix_blocks(log.actions[None], log.rewards[None], log.K)])
 
 
 def weighted_estimates(logs: BanditLog, names, horizons) -> Optional[tuple]:
@@ -66,7 +66,7 @@ def weighted_estimates(logs: BanditLog, names, horizons) -> Optional[tuple]:
     tables = {name: {h: np.full((len(actions), K), np.nan) for h in horizons}
               for name in ("ipw", "aipw") if name in names}
     totals = dict.fromkeys(tables, -0.0)  # -0.0 + x is x, bit for bit
-    for lo, hi, state in policies.prefix_blocks(actions, rewards, K, policies._PROPENSITY_ROWS):
+    for lo, hi, state in policies.prefix_blocks(actions, rewards, K):
         r = rewards[:, lo:hi]
         onehot = actions[:, lo:hi, None] == np.arange(K)
         p = policies.propensity_batch(logs.policy, state).reshape(onehot.shape)[onehot].reshape(r.shape)

@@ -7,11 +7,12 @@ dimension, so simulating many experiments in lockstep costs a handful of
 array ops per round.
 
 Every propensity is a pure function of its row's counts and sums, computed by
-``propensity_batch``.  ``prefix_blocks`` walks stacked logs in blocks of rounds,
-carrying each log's counts and sums on, for IPW/AIPW's propensities and running
-means alike, so its working set does not grow with T.  TS with K != 2 uses an exact
-quadrature (``_ts_quadrature``) over bounded row slices; the normal CDF it needs,
-``ndtr`` and ``log_ndtr``, runs on numpy alone.
+``propensity_batch``.  ``prefix_blocks``, the one walk of a log's past, goes
+through stacked logs in blocks of ``_PREFIX_ROWS`` prefix states, carrying each
+log's counts and sums on, for the policy check and IPW/AIPW's propensities and
+running means alike, so its working set does not grow with T.  TS with K != 2
+uses an exact quadrature (``_ts_quadrature``) over bounded row slices; the
+normal CDF it needs, ``ndtr`` and ``log_ndtr``, runs on numpy alone.
 
 Conventions fixed here (ties have positive probability for Bernoulli
 rewards, so they must be pinned down):
@@ -51,10 +52,10 @@ _GL_T = np.array([0.1834346424956498, 0.5255324099163290, 0.7966664774136267, 0.
 _GL_W = np.array([0.3626837833783620, 0.3137066458778873, 0.2223810344533745, 0.1012285362903763])
 _GL_STEPS, _GL_WEIGHTS = 1 + np.r_[-_GL_T, _GL_T], np.r_[_GL_W, _GL_W]  # all 8, the steps on [0, 2]
 _TS_BREAKS = np.array([-12.0, -6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0, 12.0])
-# Prefix-state rows per block for propensities and IPW/AIPW.  Their arrays
-# are a few (rows, K), so the fixed cost of each block's numpy calls, not
+# Prefix-state rows per block of every walk of ``prefix_blocks``.  A block's
+# arrays are a few (rows, K), so the fixed cost of its numpy calls, not
 # memory, sets the size.
-_PROPENSITY_ROWS = 2048
+_PREFIX_ROWS = 2048
 # Elements per (rows, K, 9K - 1, 8) array of the TS quadrature in one row slice.
 # 2**15 float64 is 256 KiB (29 rows at K=4): few enough that a block's live
 # arrays stay in cache, many enough that its ~100 numpy calls cost little.
@@ -363,19 +364,15 @@ def propensity_batch(spec: PolicySpec, state: BatchPolicyState) -> Optional[np.n
     raise TypeError(f"unknown policy spec {spec!r}")
 
 
-def round_blocks(n: int, T: int, rows: int) -> list[tuple[int, int]]:
-    """(lo, hi) of blocks of ``ceil(rows / n)`` rounds (at least one) of n stacked logs of T rounds."""
-    step = max(1, -(-rows // max(n, 1)))
-    return [(lo, min(lo + step, T)) for lo in range(0, T, step)]
-
-
-def prefix_blocks(actions: np.ndarray, rewards: np.ndarray, K: int, rows: int):
-    """(lo, hi, state) for the ``round_blocks`` of stacked logs (n, T): row
-    i * (hi - lo) + s holds log i's counts and sums over rounds < lo + s.  Each block's running sums go
+def prefix_blocks(actions: np.ndarray, rewards: np.ndarray, K: int):
+    """(lo, hi, state) for blocks of ``ceil(_PREFIX_ROWS / n)`` rounds (at least one) of stacked logs (n, T):
+    row i * (hi - lo) + s holds log i's counts and sums over rounds < lo + s.  Each block's running sums go
     on from the last block's totals, from +0.0 as the one-run state adds, so any block size gives the same bits."""
     n, T = actions.shape
+    step = max(1, -(-_PREFIX_ROWS // max(n, 1)))
     past = np.zeros((2, n, K))  # counts and sums over the rounds before the block
-    for lo, hi in round_blocks(n, T, rows):
+    for lo in range(0, T, step):
+        hi = min(lo + step, T)
         onehot = actions[:, lo:hi, None] == np.arange(K)
         run = np.zeros((2, n, hi - lo, K))
         run[:, :, 0], run[0, :, 1:] = past, onehot[:, :-1]
@@ -386,17 +383,12 @@ def prefix_blocks(actions: np.ndarray, rewards: np.ndarray, K: int, rows: int):
         yield lo, hi, BatchPolicyState(K, len(counts), np.tile(np.arange(lo + 1, hi + 1), n)[:, None], counts, sums)
 
 
-def prefix_state(actions: np.ndarray, rewards: np.ndarray, K: int) -> BatchPolicyState:
-    """``prefix_blocks`` in one block: row i*T + t holds log i's counts and sums over rounds < t."""
-    return next(prefix_blocks(actions, rewards, K, actions.size))[2]
-
-
 def propensity(spec: PolicySpec, actions: np.ndarray, rewards: np.ndarray, K: int) -> Optional[np.ndarray]:
     """e_t(k) of stacked logs, shape (n, T, K); None for non-randomized policies."""
     if isinstance(spec, _DETERMINISTIC):
         return None
     out = np.empty(actions.shape + (K,))
-    for lo, hi, state in prefix_blocks(actions, rewards, K, _PROPENSITY_ROWS):
+    for lo, hi, state in prefix_blocks(actions, rewards, K):
         out[:, lo:hi] = propensity_batch(spec, state).reshape(len(out), hi - lo, K)
     return out
 

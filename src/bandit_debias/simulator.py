@@ -428,29 +428,30 @@ def check_policy(log: BanditLog) -> None:
 
     ETC, UCB and EG with epsilon = 0 draw nothing that decides their choice,
     so ``select_batch`` on the log's prefix states (summed as the policy sums
-    them) must give back every logged arm.  TS and EG with epsilon > 0 give
-    every arm positive probability, so they can produce any arm sequence.
+    them) must give back every logged arm; the check walks them block by
+    block (``policies.prefix_blocks``) and stops at the first mismatch.  TS
+    and EG with epsilon > 0 give every arm positive probability, so they can
+    produce any arm sequence.
     """
     policy, K, T = log.policy, log.K, log.T
     if isinstance(policy, policies.EtcSpec) and policy.m * K > T:
         raise PolicyMismatch(f"ETC with m={policy.m} explores for {policy.m * K} rounds, longer than the log's {T}")
     if isinstance(policy, policies.TsSpec) or (isinstance(policy, policies.EgSpec) and policy.epsilon > 0):
         return
-    state = policies.prefix_state(log.actions[None], log.rewards[None], K)
-    expected = policies.select_batch(policy, state, substream(0))  # EG never explores at epsilon = 0
-    bad = np.flatnonzero(log.actions != expected)
-    if bad.size:
-        t = bad[0]
-        raise PolicyMismatch(
-            f"round {t + 1}: {policy!r} plays arm {expected[t] + 1}, the log has arm {log.actions[t] + 1}"
-        )
+    rng = substream(0)  # EG never explores at epsilon = 0
+    for lo, hi, state in policies.prefix_blocks(log.actions[None], log.rewards[None], K):
+        expected = policies.select_batch(policy, state, rng)
+        bad = np.flatnonzero(log.actions[lo:hi] != expected)
+        if bad.size:
+            t, arm = lo + bad[0], expected[bad[0]]
+            raise PolicyMismatch(f"round {t + 1}: {policy!r} plays arm {arm + 1}, the log has arm {log.actions[t] + 1}")
 
 
-def _column(rows: list, name: str, kind: type, dtype) -> np.ndarray:
-    out = np.empty(len(rows), dtype=dtype)
+def _column(fields: list, name: str, kind: type, dtype) -> np.ndarray:
+    out = np.empty(len(fields), dtype=dtype)
     try:
-        for i, row in enumerate(rows):
-            out[i] = kind(row[name])
+        for i, field in enumerate(fields):
+            out[i] = kind(field)
     except (ValueError, OverflowError) as exc:  # OverflowError: an int that int64 cannot hold
         raise CorruptLog(f"data row {i + 1} has an unparsable {name!r} field: {exc}") from None
     return out
@@ -472,30 +473,37 @@ def load_log(csv_path: str, meta_path: str) -> BanditLog:
         except ValueError as exc:
             raise CorruptLog(f"sidecar is not valid JSON: {exc}") from None
     K, T = meta["K"], meta["T"]
+    header, i = None, 0  # i: the last data row read
     with open(csv_path, newline="") as f:
-        reader = csv.DictReader(f)
-        rows = list(reader)
-    header = reader.fieldnames or []
-    missing = sorted({"t", "arm", "reward"} - set(header))
-    if missing:
-        raise CorruptLog(f"missing column(s) {missing}")
-    if len(header) != 3:
-        raise CorruptLog(f"columns {header} are not exactly t, arm, reward")
-    # csv.DictReader files a long row's extra fields under None and fills a short row with None.
-    bad = next((i for i, row in enumerate(rows) if None in row or None in row.values()), None)
-    if bad is not None:
-        raise CorruptLog(f"data row {bad + 1} has {'more' if None in rows[bad] else 'fewer'} than 3 fields")
-    if len(rows) != T:
-        raise CorruptLog(f"expected {T} rows, got {len(rows)}")
-    t = _column(rows, "t", int, np.int64) - 1
+        try:
+            header = next(reader := csv.reader(f), [])
+            missing = sorted({"t", "arm", "reward"} - set(header))
+            if missing:
+                raise CorruptLog(f"missing column(s) {missing}")
+            if len(header) != 3:
+                raise CorruptLog(f"columns {header} are not exactly t, arm, reward")
+            columns = {name: [] for name in header}
+            first, second, third = (column.append for column in columns.values())
+            for i, row in enumerate(filter(None, reader), 1):  # a blank line reads as [] and is skipped
+                if len(row) != 3:
+                    raise CorruptLog(f"data row {i} has {'more' if len(row) > 3 else 'fewer'} than 3 fields")
+                first(row[0]), second(row[1]), third(row[2])
+        except csv.Error as exc:
+            where = "the header" if header is None else f"data row {i + 1}"
+            raise CorruptLog(f"{where} is unreadable: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise CorruptLog(f"log is not valid text: {exc}") from None
+    if len(columns["t"]) != T:
+        raise CorruptLog(f"expected {T} rows, got {len(columns['t'])}")
+    t = _column(columns["t"], "t", int, np.int64) - 1
     hits = np.bincount(t[(t >= 0) & (t < T)], minlength=T)
     if np.any(hits != 1):
         # T rows that miss the set 1..T leave at least one round out.
         raise CorruptLog(f"rounds are not 1..{T} once each: round {np.argmin(hits) + 1} is missing")
     actions = np.empty(T, dtype=np.int64)
     rewards = np.empty(T)
-    actions[t] = _column(rows, "arm", int, np.int64) - 1
-    rewards[t] = _column(rows, "reward", float, np.float64)
+    actions[t] = _column(columns["arm"], "arm", int, np.int64) - 1
+    rewards[t] = _column(columns["reward"], "reward", float, np.float64)
     bad_arm = np.flatnonzero((actions < 0) | (actions >= K))
     if bad_arm.size:
         raise CorruptLog(f"arm {actions[bad_arm[0]] + 1} at round {bad_arm[0] + 1} is outside 1..{K}")

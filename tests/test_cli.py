@@ -610,6 +610,10 @@ def _extra_field(lines):
     lines[7] += ",junk"
 
 
+def _huge_header(lines):
+    lines[0] += "x" * 131_073
+
+
 @pytest.mark.parametrize("edit, message", [
     (_extra_column, "CorruptLog: columns ['t', 'arm', 'reward', 'note'] are not exactly t, arm, reward\n"),
     (_extra_field, "CorruptLog: data row 7 has more than 3 fields\n"),
@@ -621,7 +625,11 @@ def _extra_field(lines):
     # int() reads it; only the int64 column refuses it.
     (_set_field(0, "99999999999999999999"),
      "CorruptLog: data row 4 has an unparsable 't' field: Python int too large to convert to C long\n"),
-], ids=["extra_column", "extra_field", "short_row", "reward_zero", "arm_1.5", "t_past_int64"])
+    # Past the csv module's field size limit, the row cannot be read at all.
+    (_set_field(2, "1" * 131_073), "CorruptLog: data row 4 is unreadable: field larger than field limit (131072)\n"),
+    (_huge_header, "CorruptLog: the header is unreadable: field larger than field limit (131072)\n"),
+], ids=["extra_column", "extra_field", "short_row", "reward_zero", "arm_1.5", "t_past_int64", "huge_field",
+        "huge_header"])
 def test_extra_csv_fields_are_exit_2(tmp_path, gauss_arms, capsys, edit, message):
     assert _corrupt_log(tmp_path, gauss_arms, edit) == 2
     assert capsys.readouterr().err == message
@@ -630,6 +638,29 @@ def test_extra_csv_fields_are_exit_2(tmp_path, gauss_arms, capsys, edit, message
     assert rc == 2
     assert capsys.readouterr().err == message
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "e.json").exists()
+
+
+def _not_utf8(data: bytes) -> bytes:
+    lines = data.splitlines(keepends=True)
+    lines[4] = lines[4].replace(b"\n", b"\xff\n")
+    return b"".join(lines)
+
+
+@pytest.mark.parametrize("edit, start", [
+    # A 0xff byte is no UTF-8; a locale whose codec reads it gets an unparsable reward instead.
+    (_not_utf8, "CorruptLog: "),
+    (lambda data: b"", "CorruptLog: missing column(s) ['arm', 'reward', 't']\n"),
+], ids=["not_utf8", "empty"])
+def test_log_bytes_that_are_no_log_are_exit_2(tmp_path, gauss_arms, capsys, edit, start):
+    log = Path(_simulate(tmp_path, gauss_arms, policy="eg", extra=("--epsilon", "0.2")))
+    log.write_bytes(edit(log.read_bytes()))
+    meta = str(log) + ".meta.json"
+    for command in (["debias", "--B", "10", "--seed", "2"], ["evaluate"]):
+        rc = dispatch([*command, "--log", str(log), "--meta", meta, "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(start) and err.count("\n") == 1, err
+    assert not (tmp_path / "r.json").exists()
 
 
 def _plan_file(tmp_path):

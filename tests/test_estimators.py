@@ -111,7 +111,7 @@ def test_a_later_zero_does_not_move_the_first(zero_propensities, monkeypatch):
     # Log 1 meets zero propensities at rounds 6 and 30, in different blocks of two rounds.
     spec, K, T = EgSpec(0.2), 2, 40
     out = run_batch(3, K, T, spec, [Bernoulli(0.3), Bernoulli(0.6)], substream(12), record_logs=True)
-    monkeypatch.setattr(policies, "_PROPENSITY_ROWS", 6)
+    monkeypatch.setattr(policies, "_PREFIX_ROWS", 6)
     zero_propensities(6, slice(1, 2))
     zero_propensities(30, slice(1, 2))
     first_zero, tables = weighted_estimates(BanditLog(K, T, out.actions, out.rewards, spec), ("ipw",), (T,))

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,14 @@ def play(moves, K=2):
 
 def pull(state, arm, reward):
     state.update(np.array([arm]), np.array([reward]))
+
+
+def one_block(actions, rewards, K):
+    """The prefix state of stacked logs (n, T) as ``prefix_blocks`` gives it in one block: row i*T + t
+    holds log i's counts and sums over rounds < t."""
+    with mock.patch.object(policies, "_PREFIX_ROWS", actions.size):
+        ((_, _, state),) = policies.prefix_blocks(actions, rewards, K)
+    return state
 
 
 def pick(spec, state, rng):
@@ -224,8 +233,7 @@ def test_ts_symmetric_propensity():
 def test_deterministic_policies_have_no_propensity(monkeypatch):
     state = play([(0, 1.0), (1, 0.0)])
     actions, rewards = np.array([[0, 1]]), np.array([[1.0, 0.0]])
-    # The answer needs no prefix state, so none is built, whole or in blocks.
-    monkeypatch.setattr(policies, "prefix_state", None)
+    # The answer needs no prefix state, so no block of one is built.
     monkeypatch.setattr(policies, "prefix_blocks", None)
     for spec in (EtcSpec(1), UcbSpec()):
         assert propensity_batch(spec, state) is None
@@ -429,9 +437,10 @@ def test_prefix_state_propensities_match_step_by_step(spec, logs, rows):
     # that row alone.
     K, actions, rewards = logs
     n, T = actions.shape
-    state = policies.prefix_state(actions, rewards, K)
+    state = one_block(actions, rewards, K)
     assert np.array_equal(state.t, state.counts.sum(axis=1, keepdims=True) + 1)  # each row's own round
-    blocks = list(policies.prefix_blocks(actions, rewards, K, rows))
+    with mock.patch.object(policies, "_PREFIX_ROWS", rows):
+        blocks = list(policies.prefix_blocks(actions, rewards, K))
     assert [lo for lo, _, _ in blocks] == list(range(0, T, -(-rows // n)))
     for part in ("t", "counts", "sums"):
         walked = np.concatenate([getattr(b, part).reshape(n, hi - lo, -1) for lo, hi, b in blocks], axis=1)
@@ -467,7 +476,7 @@ def test_blocked_propensity_equals_one_shot(spec, K):
     rng = substream(40, K)
     actions = rng.integers(0, K, size=(3, 100))
     rewards = rng.standard_normal((3, 100))
-    one_shot = propensity_batch(spec, policies.prefix_state(actions, rewards, K)).reshape(3, 100, K)
+    one_shot = propensity_batch(spec, one_block(actions, rewards, K)).reshape(3, 100, K)
     assert np.array_equal(propensity(spec, actions, rewards, K), one_shot)
 
 
@@ -595,6 +604,6 @@ def test_propensity_bytes_do_not_depend_on_the_block_size(spec, K, rows, monkeyp
 
     default = outputs()
     if rows is not None:
-        monkeypatch.setattr(policies, "_PROPENSITY_ROWS", rows)
+        monkeypatch.setattr(policies, "_PREFIX_ROWS", rows)
         monkeypatch.setattr(policies, "_QUADRATURE_ELEMENTS", rows * K * (9 * K - 1) * 8)
     assert [x.tobytes() for x in outputs()] == [x.tobytes() for x in default]

@@ -10,6 +10,7 @@ from bandit_debias.debias import debias
 from bandit_debias.distributions import Bernoulli, FiniteDiscrete, Gaussian
 from bandit_debias.policies import EgSpec, EtcSpec, TsSpec, UcbSpec
 from bandit_debias.simulator import (
+    BanditLog,
     LawWorld,
     PolicyMismatch,
     ResampleWorld,
@@ -399,3 +400,49 @@ def test_etc_log_shorter_than_its_exploration_is_rejected(tmp_path):
     log.policy = EtcSpec(6)
     with pytest.raises(PolicyMismatch, match="explores for 12 rounds"):
         _reload(log, tmp_path)
+
+
+def _committed_etc_log(T, m=5):
+    """An ETC(m) log on two arms, built by hand: arm 1 explores first and pays 0, then arm 2 pays 1
+    through its m rounds and the commit."""
+    actions = np.r_[np.zeros(m, np.int64), np.ones(T - m, np.int64)]
+    return BanditLog(K=2, T=T, actions=actions, rewards=actions.astype(float), policy=EtcSpec(m))
+
+
+def test_policy_check_memory_does_not_grow_with_the_log():
+    import tracemalloc
+
+    T, K = 200_000, 2
+    log = _committed_etc_log(T)
+    tracemalloc.start()
+    try:
+        check_policy(log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < T * K * 8, peak
+
+
+def test_policy_check_finds_a_mismatch_in_a_late_block():
+    log = _committed_etc_log(200_000)
+    log.actions[150_000] = 0
+    with pytest.raises(PolicyMismatch) as exc:
+        check_policy(log)
+    assert str(exc.value) == "round 150001: EtcSpec(m=5) plays arm 2, the log has arm 1"
+
+
+@pytest.mark.parametrize("round_", [1, 7, 8, 30, 100])
+def test_policy_mismatch_does_not_depend_on_the_block_size(monkeypatch, round_):
+    # At 7 prefix states per block, round 8 opens the second block and round 100 ends the last.
+    log = run_experiment(2, 100, UcbSpec(), [Gaussian(1, 1), Gaussian(1.5, 1)], seed=4)
+    monkeypatch.setattr(policies, "_PREFIX_ROWS", 7)
+    check_policy(log)
+    log.actions[round_ - 1] = 1 - log.actions[round_ - 1]
+    messages = []
+    for rows in (log.T, 7):
+        monkeypatch.setattr(policies, "_PREFIX_ROWS", rows)
+        with pytest.raises(PolicyMismatch) as exc:
+            check_policy(log)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"round {round_}: UcbSpec() plays arm"), messages[0]
