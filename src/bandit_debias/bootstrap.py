@@ -16,11 +16,9 @@ Two constructions, both held as per-arm arrays (see ``simulator``):
 
 Either world promises only the arm's bootstrap law: replay row i takes the
 i-th draw of each round, and ``draw_sum`` gives the sum of j such draws at
-once, for ETC replays.  The mb world also draws their centred sum of
-squares; the Efron world returns NaN in its place, since ``debias`` reads
-the sums alone.  A stack of logs gives one world with a leading
-log axis, one bootstrap law per (log, arm).  Worlds pickle, so ``debias``
-can ship them to pool workers.
+once, for ETC replays (``simulator`` says what their squares hold).  A
+stack of logs gives one world with a leading log axis, one bootstrap law
+per (log, arm).  Worlds pickle, so ``debias`` can ship them to pool workers.
 """
 from __future__ import annotations
 

@@ -12,20 +12,20 @@ Rows are cut by ``chunk_bounds(rows, K)`` into the fewest balanced chunks
 of at most ``max(CHUNK_ROWS, CHUNK_CELLS // K)`` rows (8192 at K = 2, 4096
 at K >= 4), so a lockstep round's fixed cost is paid as few times as that
 width allows; the plan depends only on W x B and K.  Chunk i draws from a
-substream keyed (seed, chunk tag, i), its replay means are summed per log,
-and chunk results are reduced in index order, so a report is bit-identical
-at any worker count.
+substream keyed (seed, chunk tag, i), its replay means are summed per log
+into an ``ArmSummary`` (see ``simulator`` for its squares' centring), and
+chunk records are added field by field in index order, so a report is
+bit-identical at any worker count.
 Replays where an arm was never pulled are excluded from that arm's average
 (its replay sample mean is undefined); the per-arm number of
-contributing replays is reported as ``b_effective``.
+contributing replays is reported as ``b_effective``, and the bootstrap SE
+is NaN where it is below 2.
 
 Replays are unlogged ``run_batch`` calls, so ETC replays take the
-simulator's sufficient-statistic path: per-arm exploration sums from the
-world's ``draw_sum``, the commit, and one committed-block sum, with no
-per-round policy step.  That path's centred squares are discarded here: an
-mb world still draws them, an Efron world returns NaN.  Every other policy
-replays round by round.  A one-log call replays with no ``row_log``, since
-its world's cell is the arm itself.
+simulator's sufficient-statistic path, with no per-round policy step; its
+squares are discarded here.  Every other policy replays round by round.  A
+one-log call replays with no ``row_log``, since its world's cell is the arm
+itself.
 
 One call runs at most ``MAX_REPLAYS`` replay rows (W x B).  The task list,
 one entry per chunk, is built before the first replay and a process pool is
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import BootstrapSpec, build_world
-from .simulator import BanditLog, json_floats, run_batch, summarize
+from .simulator import ArmSummary, BanditLog, json_floats, run_batch, summarize
 from .streams import TAG_REPLAY_CHUNK, substream, task_map
 
 CHUNK_CELLS = 16384  # replay rows x arms one chunk may hold
@@ -61,7 +61,7 @@ class DebiasReport:
     estimated_bias: np.ndarray   # bootstrap average - raw; NaN where undefined
     corrected_means: np.ndarray  # raw - estimated_bias, exactly
     b_effective: np.ndarray      # replays contributing per arm
-    bootstrap_se: np.ndarray     # MC standard error of the bootstrap average
+    bootstrap_se: np.ndarray     # MC standard error of the bootstrap average; NaN below 2 replays
 
     @property
     def zero_pull_replays(self) -> np.ndarray:
@@ -95,9 +95,9 @@ def chunk_bounds(rows: int, K: int) -> list[tuple[int, int]]:
     return [(rows * i // count, rows * (i + 1) // count) for i in range(count)]
 
 
-def _replay_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-log sums of one chunk's replay means, of their squared deviations
-    from the log's raw mean, and of their counts, each (W, K)."""
+def _replay_chunk(args) -> ArmSummary:
+    """One chunk's replays per log, (W, K): how many pulled each arm, the sum
+    of their means and of their squared deviations from the log's raw mean."""
     lo, hi, B, raw, T, policy, world, seed, index = args
     W, K = raw.shape
     row_log = np.arange(lo, hi) // B
@@ -109,7 +109,7 @@ def _replay_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rng = substream(seed, TAG_REPLAY_CHUNK, index)
     # One log's cell is the arm itself: the batch needs no log offset.
     out = run_batch(hi - lo, K, T, policy, world, rng, row_log=row_log if W > 1 else None)
-    means = out.means()  # NaN where an arm went unpulled in a replay
+    means = out.means  # NaN where an arm went unpulled in a replay
     defined = out.counts > 0
     cells = (row_log[:, None] * K + np.arange(K)).ravel()
 
@@ -117,7 +117,7 @@ def _replay_chunk(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.bincount(cells, weights=np.where(defined, x, 0.0).ravel(), minlength=W * K).reshape(W, K)
 
     counts = np.bincount(cells[defined.ravel()], minlength=W * K).reshape(W, K)
-    return per_log(means), per_log((means - raw[row_log]) ** 2), counts
+    return ArmSummary(counts, per_log(means), per_log((means - raw[row_log]) ** 2))
 
 
 def debias(logs: BanditLog, spec: BootstrapSpec, seed: int, workers: int = 1) -> DebiasReport:
@@ -138,23 +138,19 @@ def debias(logs: BanditLog, spec: BootstrapSpec, seed: int, workers: int = 1) ->
     # Boundaries depend only on the row and arm counts, never on the worker count.
     tasks = [(lo, hi, spec.B, raw, logs.T, logs.policy, world, int(seed), i)
              for i, (lo, hi) in enumerate(chunk_bounds(rows, logs.K))]
+    total = ArmSummary(np.zeros(raw.shape, dtype=np.int64), np.zeros_like(raw), np.zeros_like(raw))
     with task_map(_replay_chunk, tasks, workers) as chunks:
-        results = list(chunks)
+        for chunk in chunks:  # fixed reduction order by chunk index
+            total.counts += chunk.counts
+            total.sums += chunk.sums
+            total.squares += chunk.squares
 
-    sum_means = np.zeros_like(raw)
-    sum_dev2 = np.zeros_like(raw)
-    b_eff = np.zeros(raw.shape, dtype=np.int64)
-    for s1, s2, n_def in results:  # fixed reduction order by chunk index
-        sum_means += s1
-        sum_dev2 += s2
-        b_eff += n_def
-
-    n = np.maximum(b_eff, 1)
-    boot_avg = np.where(b_eff > 0, sum_means / n, np.nan)
-    estimated_bias = boot_avg - raw
+    estimated_bias = total.means - raw
     # Squares about the raw mean, not E[x^2] - avg^2, which cancels at a large offset.
-    var = sum_dev2 / n - estimated_bias**2
-    se = np.where(b_eff > 0, np.sqrt(np.maximum(var, 0.0) / n), np.nan)
-    shape = summary.means.shape  # (K,) for one log, (W, K) for a stack
-    fields = (estimated_bias, raw - estimated_bias, b_eff, se)
-    return DebiasReport(logs.K, spec.B, spec.kind, summary.means, *(x.reshape(shape) for x in fields))
+    n = np.maximum(total.counts, 1)
+    var = total.squares / n - estimated_bias**2
+    # One replay gives no spread: its SE is undefined, not 0.
+    se = np.where(total.counts > 1, np.sqrt(np.maximum(var, 0.0) / n), np.nan)
+    shape = summary.counts.shape  # (K,) for one log, (W, K) for a stack
+    fields = (raw, estimated_bias, raw - estimated_bias, total.counts, se)
+    return DebiasReport(logs.K, spec.B, spec.kind, *(x.reshape(shape) for x in fields))

@@ -6,8 +6,9 @@ oracles is finite everywhere.  ``atoms()`` gives a law's finite support as
 ``(support, probs)`` arrays, or None for a continuous Gaussian; the support
 is the atoms of positive probability only, and the theory oracles read
 lattice facts from it rather than from the law's class.  Each law gives its
-cumulants in its own centred coordinate, ``centred_log_mgf``, so that a law
-far from the origin loses no digits to its offset.
+cumulants only in its own centred coordinate, ``centred_log_mgf``, so that a
+law far from the origin loses no digits to its offset; log E[exp(h X)] is
+h * mean() plus its first value.
 Instances are immutable and safe to share across workers; generators are
 single-owner.
 """
@@ -38,15 +39,6 @@ def _positive(support: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.nd
 
 class _Law:
     """Each law defines ``centred_log_mgf(h)``: eta_c(h) = log E[exp(h (X - mean))] and its first two derivatives."""
-
-    def log_mgf(self, h: float) -> float:
-        """log E[exp(h X)]."""
-        return 0.0 if h == 0.0 else self.mean() * h + self.centred_log_mgf(h)[0]
-
-    def log_mgf_derivatives(self, h: float) -> tuple[float, float]:
-        """The first two derivatives of ``log_mgf`` at h: the tilted law's mean and variance."""
-        _, d1, d2 = self.centred_log_mgf(h)
-        return self.mean() + d1, d2
 
     def to_dict(self) -> dict:
         """The tagged record that ``from_dict`` reads: the fields in order, under their record keys."""

@@ -137,7 +137,8 @@ class CellResult:
     @property
     def mc_bias_se(self) -> np.ndarray:
         n_valid = np.sum(~np.isnan(self.raw), axis=0)
-        return _nan_columns(np.nanstd, self.raw) / np.sqrt(np.maximum(n_valid, 1))
+        # One valid replication gives no spread: its SE is undefined, not 0.
+        return np.where(n_valid > 1, _nan_columns(np.nanstd, self.raw) / np.sqrt(np.maximum(n_valid, 1)), np.nan)
 
     @property
     def mean_estimated_bias(self) -> np.ndarray:

@@ -20,15 +20,20 @@ A world's contract is each arm's law, not a stream layout: row i of a round
 takes the round's i-th draw, whichever arm it chose, so every row's reward
 is an independent draw from its arm's law.
 
+One record, ``ArmSummary``, holds each arm's count, sum and centred sum of
+squares for a log or a stack (``summarize``), a batch of runs
+(``run_batch``) and ``debias``'s replay reduce.  Its squares are centred on
+each cell's own mean, NaN on Efron ETC replays (a ``ResampleWorld`` keeps
+none), and centred on each log's raw mean in the replay reduce.
+
 An explore-then-commit batch whose logs are not kept never steps round by
 round.  Its outcome is a function of per-arm sufficient statistics: K
 exploration sums of m draws, the commit to their argmax, and the committed
 block's sum of T - mK draws, each with its centred sum of squares from the
-world's ``draw_sum`` (NaN on a ``ResampleWorld``, which keeps no squares).
-It is the package's one ETC sampler, for bootstrap replays and for
-``theory``'s Monte Carlo checks, which run on law worlds only.  Logged runs
-(``simulate`` and the harness's real experiments) keep the round loop, so
-their logs do not depend on this shortcut.
+world's ``draw_sum``.  It is the package's one ETC sampler, for bootstrap
+replays and for ``theory``'s Monte Carlo checks, which run on law worlds
+only.  Logged runs (``simulate`` and the harness's real experiments) keep
+the round loop, so their logs do not depend on this shortcut.
 """
 from __future__ import annotations
 
@@ -92,30 +97,31 @@ def _world_tag(tag) -> str:
 
 @dataclass
 class ArmSummary:
-    """Per-arm sufficient statistics, (K,) or (W, K) for a stack; variance uses the 1/n (MLE) convention."""
+    """Per-arm counts, sums and centred squares: (K,) for a log, (W, K) for a stack, (n, K) for a batch.
 
-    counts: np.ndarray
-    means: np.ndarray
-    variances: np.ndarray
+    Means and 1/n (MLE) variances are NaN where a count is 0.  In ``debias``'s
+    replay reduce the squares are centred on each log's raw mean, not on the
+    cell mean, and ``variances`` is not read.
+    """
+
+    counts: np.ndarray  # int64
+    sums: np.ndarray
+    squares: Optional[np.ndarray] = None  # None for a round-loop batch, which keeps no squares
+    actions: Optional[np.ndarray] = None
+    rewards: Optional[np.ndarray] = None
+
+    @property
+    def means(self) -> np.ndarray:
+        return np.where(self.counts > 0, self.sums / np.maximum(self.counts, 1), np.nan)
+
+    @property
+    def variances(self) -> np.ndarray:
+        return np.where(self.counts > 0, self.squares / np.maximum(self.counts, 1), np.nan)
 
     @property
     def zero_count_arms(self) -> list[int]:
         """Arms that some summarized log never pulled."""
         return [int(k) for k in np.flatnonzero((self.counts == 0).reshape(-1, self.counts.shape[-1]).any(axis=0))]
-
-
-@dataclass
-class BatchOutcome:
-    """Sufficient statistics of n lockstep experiments (plus optional logs)."""
-
-    counts: np.ndarray  # (n, K) int64
-    sums: np.ndarray
-    actions: Optional[np.ndarray] = None  # (n, T)
-    rewards: Optional[np.ndarray] = None  # (n, T)
-    squares: Optional[np.ndarray] = None  # (n, K) centred sums of squares, unlogged ETC batches only; NaN on Efron
-
-    def means(self) -> np.ndarray:
-        return np.where(self.counts > 0, self.sums / np.maximum(self.counts, 1), np.nan)
 
 
 class LawWorld:
@@ -283,7 +289,7 @@ def run_batch(
     rng: np.random.Generator,
     record_logs: bool = False,
     row_log: Optional[np.ndarray] = None,
-) -> BatchOutcome:
+) -> ArmSummary:
     """Run n independent experiments in lockstep off one stream.
 
     ``world`` is a world object or a sequence of K reward laws, which is
@@ -309,10 +315,10 @@ def run_batch(
         if record_logs:
             actions[:, t0] = chosen
             rewards[:, t0] = r
-    return BatchOutcome(counts=state.counts.astype(np.int64), sums=state.sums, actions=actions, rewards=rewards)
+    return ArmSummary(state.counts.astype(np.int64), state.sums, actions=actions, rewards=rewards)
 
 
-def _run_etc(n: int, K: int, T: int, m: int, world: World, base: np.ndarray, rng: np.random.Generator) -> BatchOutcome:
+def _run_etc(n: int, K: int, T: int, m: int, world: World, base: np.ndarray, rng: np.random.Generator) -> ArmSummary:
     """Sufficient statistics of n ETC runs: each arm's exploration sum of m
     draws, the commit to the argmax of their means (ties to the lowest arm,
     as at round mK + 1 of the round loop), and one committed-block sum.
@@ -331,7 +337,7 @@ def _run_etc(n: int, K: int, T: int, m: int, world: World, base: np.ndarray, rng
         squares[rows, committed] += block_squares + m * rest / (m + rest) * gap * gap
         sums[rows, committed] += block
         counts[rows, committed] += rest
-    return BatchOutcome(counts=counts, sums=sums, squares=squares)
+    return ArmSummary(counts, sums, squares)
 
 
 def validate_config(K: int, T: int, policy: PolicySpec, world) -> None:
@@ -363,13 +369,12 @@ def summarize(log: BanditLog) -> ArmSummary:
     rewards = log.rewards.ravel()
     counts = np.bincount(cells, minlength=size)
     sums = np.bincount(cells, weights=rewards, minlength=size)
-    means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    means = ArmSummary(counts, sums).means
     # Centred squares: E[x^2] - mean^2 cancels catastrophically at a large
     # offset.  Squares of finite rewards may overflow: their variance is inf.
     with np.errstate(over="ignore"):
         squares = np.bincount(cells, weights=(rewards - means[cells]) ** 2, minlength=size)
-    variances = np.where(counts > 0, squares / np.maximum(counts, 1), np.nan)
-    return ArmSummary(counts=counts.reshape(shape), means=means.reshape(shape), variances=variances.reshape(shape))
+    return ArmSummary(*(x.reshape(shape) for x in (counts, sums, squares)))
 
 
 # --- persistence -----------------------------------------------------------

@@ -423,7 +423,7 @@ def bahadur_rao_constants(d: RewardDistribution, mu2: float) -> LDProfile:
     rate, zeta = legendre_fenchel(d, mu2)
     if zeta == 0.0:
         raise OutOfRange("threshold equals the mean: no exponential decay regime")
-    _, eta_second = d.log_mgf_derivatives(zeta)
+    eta_second = d.centred_log_mgf(zeta)[2]
     atoms = d.atoms()
     own = None if atoms is None else _lattice(atoms[0])
     # Atoms the denominator cap maps to one lattice point (a repeated index)
@@ -512,7 +512,7 @@ def log_bias_ratio_experiment(
     for i, m in enumerate(m_grid):
         T = 4 * m
         out = run_batch(replications, 2, T, EtcSpec(m), arms, substream(seed, TAG_THEORY, i))
-        means, variances = out.means(), out.squares / out.counts
+        means, variances = out.means, out.variances
         ok = (variances > 0).all(axis=1)
         plugin = (*means[ok].T, *variances[ok].T)
         valid = np.column_stack([
@@ -549,7 +549,7 @@ def bootstrap_rate_ratio_check(
     for i, m in enumerate(m_grid):
         T = 4 * m
         out = run_batch(replications, 2, T, EtcSpec(m), arms, substream(seed, TAG_THEORY, 1000 + i))
-        means, variances = out.means(), out.squares / out.counts
+        means, variances = out.means, out.variances
         ok = variances[:, 0] > 0
         boot_rate = (means[ok, 0] - mu2) ** 2 / (2.0 * variances[ok, 0])
         ratios = boot_rate / rate

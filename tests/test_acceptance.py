@@ -102,7 +102,7 @@ def test_criterion_03_bootstrap_matches_plugin_closed_form():
 
 def test_criterion_04_raw_bias_sign():
     out = run_batch(10_000, 2, 100, EtcSpec(10), list(NORMAL_ARMS), substream(515))
-    means = out.means()
+    means = out.means
     bias = means.mean(axis=0) - np.array([1.0, 1.5])
     se = means.std(axis=0) / math.sqrt(len(means))
     upper = bias + 2.576 * se

@@ -336,6 +336,31 @@ def test_debias_zero_count_arm_is_exit_2(tmp_path, gauss_arms):
     assert rc == 2
 
 
+def test_debias_se_of_one_replay_is_null(tmp_path, gauss_arms):
+    # One replay per arm gives no spread: its SE is undefined, not a point mass's 0.
+    log = str(tmp_path / "ucb.csv")
+    assert dispatch(["simulate", "--policy", "ucb", "--K", "2", "--T", "50",
+                     "--arms", gauss_arms, "--seed", "3", "--out", log]) == 0
+    for B, defined in (("1", False), ("2", True)):
+        out = tmp_path / f"r{B}.json"
+        assert dispatch(["debias", "--log", log, "--meta", log + ".meta.json",
+                         "--B", B, "--seed", "7", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["b_effective"] == [int(B)] * 2
+        assert [se is not None for se in report["bootstrap_se"]] == [defined] * 2, report
+
+
+def test_plan_se_of_one_replication_is_null(tmp_path):
+    plan = json.loads(Path(_plan_file(tmp_path)).read_text())
+    plan["cells"][0]["replications"] = 1
+    plan_path = tmp_path / "one.json"
+    plan_path.write_text(json.dumps(plan))
+    assert dispatch(["plan", "--plan", str(plan_path), "--seed", "1", "--out-dir", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "cell" / "summary.json").read_text())
+    assert summary["mc_bias_se"] == [None, None]
+    assert None not in summary["mc_bias"]
+
+
 def test_plan_command_and_worker_invariance(tmp_path, monkeypatch):
     plan = {
         "cells": [

@@ -472,12 +472,15 @@ def test_spec_validation():
 @pytest.mark.parametrize("spec", [TsSpec(), TsSpec(0.5, 2.0, 0.5), EgSpec(0.1)], ids=["ts", "ts-prior", "eg"])
 @pytest.mark.parametrize("K", [2, 3])
 def test_blocked_propensity_equals_one_shot(spec, K):
-    # 3 logs x 100 rounds = 300 prefix-state rows: one block, whose TS quadrature at K = 3 runs in 52-row slices.
+    # 3 logs x 100 rounds = 300 prefix-state rows.  At 64 rows a block holds ceil(64 / 3) = 22 rounds,
+    # so the walk takes 5 blocks; the TS quadrature at K = 3 runs each in slices of at most 52 rows.
     rng = substream(40, K)
     actions = rng.integers(0, K, size=(3, 100))
     rewards = rng.standard_normal((3, 100))
     one_shot = propensity_batch(spec, one_block(actions, rewards, K)).reshape(3, 100, K)
-    assert np.array_equal(propensity(spec, actions, rewards, K), one_shot)
+    with mock.patch.object(policies, "_PREFIX_ROWS", 64):
+        assert [lo for lo, _, _ in policies.prefix_blocks(actions, rewards, K)] == [0, 22, 44, 66, 88]
+        assert propensity(spec, actions, rewards, K).tobytes() == one_shot.tobytes()
 
 
 def test_long_ts_log_propensity_memory_is_bounded():

@@ -10,6 +10,7 @@ from bandit_debias.debias import debias
 from bandit_debias.distributions import Bernoulli, FiniteDiscrete, Gaussian
 from bandit_debias.policies import EgSpec, EtcSpec, TsSpec, UcbSpec
 from bandit_debias.simulator import (
+    ArmSummary,
     BanditLog,
     LawWorld,
     PolicyMismatch,
@@ -55,7 +56,7 @@ def test_etc_schedule_invariant():
 def test_etc_raw_bias_monte_carlo():
     arms = [Gaussian(1.0, 1.0), Gaussian(1.5, 1.0)]
     out = run_batch(1000, 2, 100, EtcSpec(10), arms, substream(2024))
-    bias = out.means().mean(axis=0) - np.array([1.0, 1.5])
+    bias = out.means.mean(axis=0) - np.array([1.0, 1.5])
     assert abs(bias[0] + 0.042) < 0.02
     assert abs(bias[1] + 0.042) < 0.02
 
@@ -69,6 +70,20 @@ def test_summarize_mle_moments():
     assert s.means[0] == pytest.approx(log.rewards[mask].mean())
     assert s.variances[0] == pytest.approx(log.rewards[mask].var())  # divide by n
     assert s.counts.sum() == 100
+
+
+def test_summarize_reads_a_logged_batch_into_its_record():
+    arms, spec = [Bernoulli(0.2), Gaussian(0.5, 1.0), Bernoulli(0.9)], TsSpec()
+    out = run_batch(50, 3, 4, spec, arms, substream(5), record_logs=True)
+    s = summarize(BanditLog(3, 4, out.actions, out.rewards, spec))
+    assert isinstance(out, ArmSummary) and isinstance(s, ArmSummary) and out.squares is None
+    assert np.array_equal(s.counts, out.counts)
+    np.testing.assert_allclose(s.sums, out.sums, rtol=1e-12, atol=1e-15)
+    unpulled = s.counts == 0
+    assert unpulled.any() and not unpulled.all()
+    for stat in (s.means, s.variances, out.means):
+        assert np.array_equal(np.isnan(stat), unpulled)
+    assert s.zero_count_arms == sorted({int(k) for k in np.nonzero(unpulled)[1]})
 
 
 def test_summarize_variances_survive_a_large_offset():
@@ -285,9 +300,9 @@ def test_etc_sums_match_round_loop_in_law(case):
     first = loop.rewards[np.arange(n)[:, None], np.argmax(pulled, axis=1)]
     shifted = np.where(pulled, loop.rewards[:, :, None] - first[:, None], 0.0)
     shifted_mean = shifted.sum(axis=1) / loop.counts
-    variances = (fast.squares / fast.counts, (shifted**2).sum(axis=1) / loop.counts - shifted_mean**2)
+    variances = (fast.variances, (shifted**2).sum(axis=1) / loop.counts - shifted_mean**2)
     groups = np.zeros(n, dtype=np.int64) if row_log is None else row_log
-    stats = {"mean": (fast.means(), loop.means()), "variance": variances}
+    stats = {"mean": (fast.means, loop.means), "variance": variances}
     if isinstance(world, ResampleWorld):
         assert np.isnan(fast.squares).all()
         del stats["variance"]
