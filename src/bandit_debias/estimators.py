@@ -1,8 +1,9 @@
 """Baseline and comparison estimators: sample mean, IPW, AIPW.
 
-IPW and AIPW require conditional propensity scores, which exist only for
-internally randomized policies (epsilon-greedy, Thompson sampling).  Both
-use uniform 1/T round weights:
+IPW and AIPW require conditional propensity scores, which exist only for a
+policy whose spec is ``randomized``: Thompson sampling, and epsilon-greedy
+with epsilon > 0.  For any other policy they are not computed at all, and
+``evaluate`` writes no IPW/AIPW keys.  Both use uniform 1/T round weights:
 
     IPW_k  = (1/T) sum_t 1{a_t=k} r_t / e_t(k)
     AIPW_k = (1/T) sum_t [ mhat_t(k) + 1{a_t=k} (r_t - mhat_t(k)) / e_t(k) ]
@@ -40,7 +41,7 @@ class DivisionHazard(Exception):
 
 
 def propensity_trace(log: BanditLog) -> Optional[np.ndarray]:
-    """Per-round per-arm e_t(k), shape (T, K); None if the policy is non-randomized."""
+    """Per-round per-arm e_t(k), shape (T, K); None if the policy does not randomize."""
     props = policies.propensity(log.policy, log.actions[None, :], log.rewards[None, :], log.K)
     return None if props is None else props[0]
 
@@ -50,21 +51,22 @@ def plugin_mean_trace(log: BanditLog) -> np.ndarray:
     return np.concatenate([s.means() for *_, s in policies.prefix_blocks(log.actions[None], log.rewards[None], log.K)])
 
 
-def weighted_estimates(logs: BanditLog, names, horizons) -> Optional[tuple]:
-    """IPW/AIPW of stacked logs (n, T) at each horizon h; None if the policy is non-randomized.
+def weighted_estimates(logs: BanditLog, names, horizons) -> tuple:
+    """IPW/AIPW of stacked logs (n, T) at each horizon h.
 
     Returns each log's first round with a zero chosen-arm propensity (-1 if none) and
     {name: {h: (n, K)}} for the estimators ``names``, NaN on the logs with such a round.
+    A policy that does not randomize, or ``names`` without ipw and aipw, gives all -1 and {}, with no walk.
     One walk of ``policies.prefix_blocks`` gives each block's propensities and AIPW's running
     means.  The per-round terms x come a block at a time, each block's first round taking the
     total of the rounds before it: horizon h has the bits of ``x[:, :h].sum(axis=1) / h``.
     """
-    if isinstance(logs.policy, policies._DETERMINISTIC):
-        return None
     actions, rewards, K = logs.actions, logs.rewards, logs.K
     first_zero = np.full(len(actions), -1)
     tables = {name: {h: np.full((len(actions), K), np.nan) for h in horizons}
-              for name in ("ipw", "aipw") if name in names}
+              for name in ("ipw", "aipw") if name in names and logs.policy.randomized}
+    if not tables:
+        return first_zero, tables
     totals = dict.fromkeys(tables, -0.0)  # -0.0 + x is x, bit for bit
     for lo, hi, state in policies.prefix_blocks(actions, rewards, K):
         r = rewards[:, lo:hi]
@@ -86,13 +88,11 @@ def weighted_estimates(logs: BanditLog, names, horizons) -> Optional[tuple]:
     return first_zero, tables
 
 
-def _log_estimates(log: BanditLog, names) -> Optional[dict]:
-    """{name: (K,)} of one log at its horizon, None if the policy is non-randomized;
+def _log_estimates(log: BanditLog, names) -> dict:
+    """{name: (K,)} of one log at its horizon, {} if the policy does not randomize;
     raises DivisionHazard at its first zero chosen-arm propensity."""
-    weighted = weighted_estimates(replace(log, actions=log.actions[None], rewards=log.rewards[None]), names, (log.T,))
-    if weighted is None:
-        return None
-    (t,), tables = weighted  # the one log's first zero round, or -1
+    logs = replace(log, actions=log.actions[None], rewards=log.rewards[None])
+    (t,), tables = weighted_estimates(logs, names, (log.T,))  # t: the one log's first zero round, or -1
     if t >= 0:
         raise DivisionHazard(int(t), int(log.actions[t]))
     return {name: table[log.T][0] for name, table in tables.items()}
@@ -107,19 +107,17 @@ def aipw_estimate(log: BanditLog) -> np.ndarray:
 
 
 def evaluate(log: BanditLog, estimators=NAMES) -> dict:
-    """Estimate set for one log; IPW/AIPW keys present iff propensities exist.
+    """Estimate set for one log; IPW/AIPW keys present iff the policy randomizes.
 
     Raises DivisionHazard for a zero propensity on a chosen arm, and
     OverflowError, naming the arm, when finite rewards overflow an estimate.
     """
-    weighted = [name for name in ("ipw", "aipw") if name in estimators]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails below, with no warning
         summary = summarize(log)
-        estimates = _log_estimates(log, weighted) if weighted else {}
+        estimates = _log_estimates(log, estimators)
     out: dict = {"mean": json_floats(summary.means)} if "mean" in estimators else {}  # null for an unpulled arm
-    if weighted:
-        out["propensities_defined"] = estimates is not None
-    estimates = estimates or {}
+    if {"ipw", "aipw"} & set(estimators):
+        out["propensities_defined"] = log.policy.randomized
     out.update((name, v.tolist()) for name, v in estimates.items())
     for v in ([summary.means] if "mean" in out else []) + list(estimates.values()):
         overflow = np.flatnonzero((summary.counts > 0) & ~np.isfinite(v))

@@ -216,12 +216,9 @@ def _run_block(args) -> tuple:
         if horizon < T:  # the full horizon reuses the terminal debias
             seed = child_seed(master_seed, TAG_HARNESS_MSE, cell_index, block, h_index)
             estimates[kind][horizon] = _debias_rows(logs.truncated(horizon), mse_spec, seed)[2]
-    hazard = np.zeros(n, dtype=bool)
-    weighted = {"ipw", "aipw"} & set(cell.estimators)
-    result = est.weighted_estimates(logs, weighted, {T, *cell.horizon_grid}) if weighted else None
-    if result is not None:  # a zero chosen-arm propensity fails its replication, not the block
-        hazard = result[0] >= 0
-        estimates.update(result[1])
+    first_zero, weighted = est.weighted_estimates(logs, cell.estimators, {T, *cell.horizon_grid})
+    hazard = first_zero >= 0  # a zero chosen-arm propensity fails its replication, not the block
+    estimates.update(weighted)
     for column in (raw, bias, *estimates[kind].values()):  # a DivisionHazard row is NaN throughout
         column[hazard] = np.nan
     # A log with an unpulled arm has no bootstrap world, but the log itself
@@ -233,8 +230,7 @@ def _run_block(args) -> tuple:
     return raw, bias, estimates, errors
 
 
-# perfbench/tracing.py wraps harness._run_replication; the unit of work is a block.
-_run_replication = _run_block
+_run_replication = _run_block  # perfbench/tracing.py wraps harness._run_replication; the unit of work is a block
 
 
 def run_plan(plan: ExperimentPlan, workers: int = 1, out_dir: Optional[str] = None) -> list[CellResult]:

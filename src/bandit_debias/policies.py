@@ -6,6 +6,11 @@ propensity scores share one vectorized core that operates on a leading batch
 dimension, so simulating many experiments in lockstep costs a handful of
 array ops per round.
 
+A spec's ``randomized`` is the one rule for which policies draw what decides
+their choice: TS, and EG with epsilon > 0.  Only those have conditional
+propensity scores, so only those get IPW/AIPW; ETC, UCB and EG at epsilon = 0
+have none, and ``simulator.check_policy`` replays their logs instead.
+
 Every propensity is a pure function of its row's counts and sums, computed by
 ``propensity_batch``.  ``prefix_blocks``, the one walk of a log's past, goes
 through stacked logs in blocks of ``_PREFIX_ROWS`` prefix states, carrying each
@@ -175,6 +180,8 @@ def read_dataclass(cls, record, parsers: Optional[dict] = None):
 
 
 class _Spec:
+    randomized = False  # draws what decides its choice, so has propensities (see the module docstring)
+
     def to_dict(self) -> dict:
         """The JSON form: ``name``, then the dataclass fields in order."""
         return {"name": self.name, **asdict(self)}
@@ -198,6 +205,7 @@ class UcbSpec(_Spec):
 @dataclass(frozen=True)
 class TsSpec(_Spec):
     name = "ts"
+    randomized = True
     prior_mean: float = 0.0
     prior_variance: float = 1.0
     likelihood_variance: float = 1.0
@@ -217,9 +225,12 @@ class EgSpec(_Spec):
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
 
+    @property
+    def randomized(self) -> bool:
+        return self.epsilon > 0
+
 
 PolicySpec = Union[EtcSpec, UcbSpec, TsSpec, EgSpec]
-_DETERMINISTIC = (EtcSpec, UcbSpec)  # no internal randomization, so no propensities
 _SPECS = {cls.name: cls for cls in (EtcSpec, UcbSpec, TsSpec, EgSpec)}
 
 
@@ -339,11 +350,9 @@ def _argmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 def propensity_batch(spec: PolicySpec, state: BatchPolicyState) -> Optional[np.ndarray]:
-    """Conditional selection probabilities (n, K) of each row's current round.
-
-    None for ETC/UCB (non-randomized policies).
-    """
-    if isinstance(spec, _DETERMINISTIC):
+    """Conditional selection probabilities (n, K) of each row's current round;
+    None for a spec that does not randomize (ETC, UCB, EG at epsilon = 0)."""
+    if not spec.randomized:
         return None
     if isinstance(spec, EgSpec):
         greedy = _argmax_rows(state.means())
@@ -384,8 +393,8 @@ def prefix_blocks(actions: np.ndarray, rewards: np.ndarray, K: int):
 
 
 def propensity(spec: PolicySpec, actions: np.ndarray, rewards: np.ndarray, K: int) -> Optional[np.ndarray]:
-    """e_t(k) of stacked logs, shape (n, T, K); None for non-randomized policies."""
-    if isinstance(spec, _DETERMINISTIC):
+    """e_t(k) of stacked logs, shape (n, T, K); None for a spec that does not randomize."""
+    if not spec.randomized:
         return None
     out = np.empty(actions.shape + (K,))
     for lo, hi, state in prefix_blocks(actions, rewards, K):

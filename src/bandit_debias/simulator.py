@@ -189,7 +189,8 @@ class LawWorld:
             rewards *= self._sd.take(cells)
             rewards += self._mu.take(cells)
         if self._any_finite:
-            drawn = self._lookup(cells, self.tails[cells], rng.random(len(cells)))
+            u = rng.random(len(cells))
+            drawn = self.top_down[cells, (u[:, None] >= self.tails[cells]).sum(axis=1)]  # the atom whose tail u reaches
             rewards = drawn if rewards is None else np.where(self._finite.take(cells), drawn, rewards)
         return rewards
 
@@ -215,11 +216,6 @@ class LawWorld:
                 drawn, spread = np.where(finite, drawn, sums), np.where(finite, spread, squares)
             sums, squares = drawn, spread
         return sums, squares
-
-    def _lookup(self, cells: np.ndarray, tails: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Atoms drawn by uniforms u (..., n) from the rows' cells; ``tails`` is gathered per row."""
-        atom = (u[..., None] >= tails).sum(axis=-1)
-        return self.top_down[cells, atom]
 
 
 class ResampleWorld:
@@ -402,8 +398,8 @@ def meta_path_for(log_path: str) -> str:
     return log_path + ".meta.json"
 
 
-def save_log(log: BanditLog, csv_path: str, meta_path: Optional[str] = None) -> str:
-    """Write `t,arm,reward` CSV (1-indexed) plus the JSON sidecar; returns the sidecar path."""
+def save_log(log: BanditLog, csv_path: str) -> None:
+    """Write `t,arm,reward` CSV (1-indexed) plus the JSON sidecar at ``meta_path_for(csv_path)``."""
     lines = ["t,arm,reward"]
     for t0 in range(log.T):
         lines.append(f"{t0 + 1},{int(log.actions[t0]) + 1},{float(log.rewards[t0])!r}")
@@ -415,9 +411,7 @@ def save_log(log: BanditLog, csv_path: str, meta_path: Optional[str] = None) -> 
         "seed": log.seed,
         "world": log.world,
     }
-    meta_path = meta_path or meta_path_for(csv_path)
-    atomic_write_text(meta_path, json.dumps(meta, indent=2) + "\n")
-    return meta_path
+    atomic_write_text(meta_path_for(csv_path), json.dumps(meta, indent=2) + "\n")
 
 
 class CorruptLog(Exception):
@@ -431,19 +425,19 @@ class PolicyMismatch(Exception):
 def check_policy(log: BanditLog) -> None:
     """Raise PolicyMismatch at the first round whose logged arm the log's policy would not have played.
 
-    ETC, UCB and EG with epsilon = 0 draw nothing that decides their choice,
-    so ``select_batch`` on the log's prefix states (summed as the policy sums
-    them) must give back every logged arm; the check walks them block by
-    block (``policies.prefix_blocks``) and stops at the first mismatch.  TS
-    and EG with epsilon > 0 give every arm positive probability, so they can
-    produce any arm sequence.
+    A policy whose spec is not ``randomized`` (ETC, UCB, EG with epsilon = 0)
+    draws nothing that decides its choice, so ``select_batch`` on the log's
+    prefix states (summed as the policy sums them) must give back every logged
+    arm; the check walks them block by block (``policies.prefix_blocks``) and
+    stops at the first mismatch.  A randomized policy gives every arm positive
+    probability, so it can produce any arm sequence.
     """
     policy, K, T = log.policy, log.K, log.T
     if isinstance(policy, policies.EtcSpec) and policy.m * K > T:
         raise PolicyMismatch(f"ETC with m={policy.m} explores for {policy.m * K} rounds, longer than the log's {T}")
-    if isinstance(policy, policies.TsSpec) or (isinstance(policy, policies.EgSpec) and policy.epsilon > 0):
+    if policy.randomized:
         return
-    rng = substream(0)  # EG never explores at epsilon = 0
+    rng = substream(0)  # EG draws but never explores at epsilon = 0
     for lo, hi, state in policies.prefix_blocks(log.actions[None], log.rewards[None], K):
         expected = policies.select_batch(policy, state, rng)
         bad = np.flatnonzero(log.actions[lo:hi] != expected)

@@ -79,15 +79,9 @@ def etc_bias_gaussian(p: EtcGaussianParams, k: int) -> float:
     """Closed-form ETC sample-mean bias of arm k in the two-arm Gaussian case."""
     if k not in (1, 2):
         raise ValueError("arm index must be 1 or 2")
-    var_k = p.var1 if k == 1 else p.var2
-    pooled = p.var1 + p.var2
-    return (
-        -(p.T - 2 * p.m)
-        / (p.T - p.m)
-        * var_k
-        / math.sqrt(2.0 * math.pi * pooled * p.m)
-        * math.exp(-p.m * (p.mu1 - p.mu2) ** 2 / (2.0 * pooled))
-    )
+    if p.T == 2 * p.m:
+        return 0.0
+    return -math.exp(g_value(p.mu1, p.mu2, p.var1, p.var2, p.m, p.T, k))
 
 
 def g_value(mu1, mu2, var1, var2, m: int, T: int, k: int):

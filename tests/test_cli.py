@@ -205,6 +205,23 @@ def test_theory_nonfinite_mu2_is_usage_error(tmp_path, capsys, bern_arms, mu2):
     assert not out.exists()
 
 
+def test_theory_one_law_needs_mu2(tmp_path, capsys):
+    arms = tmp_path / "arms.json"
+    arms.write_text(json.dumps([{"type": "bernoulli", "p": 0.3}]))
+    out = tmp_path / "x.json"
+    assert dispatch(["theory", "--arms", str(arms), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --mu2 is required when the arms file has a single distribution\n"
+    assert not out.exists()
+
+
+def test_theory_threshold_at_the_mean_is_exit_2(tmp_path, capsys, bern_arms):
+    """At arm 1's own mean the tail does not decay: no tilt, so no profile."""
+    out = tmp_path / "x.json"
+    assert dispatch(["theory", "--arms", bern_arms, "--mu2", "0.3", "--m", "10", "--T", "40", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("OutOfRange: threshold equals the mean")
+    assert not out.exists()
+
+
 def test_missing_seed_is_usage_error(tmp_path, gauss_arms):
     rc = dispatch(["simulate", "--policy", "etc", "--m", "10", "--K", "2", "--T", "100",
                    "--arms", gauss_arms, "--out", str(tmp_path / "x.csv")])

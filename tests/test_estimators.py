@@ -26,7 +26,7 @@ def test_single_arm_ipw_is_sample_mean():
 
 
 def test_deterministic_policies_have_no_propensities():
-    for policy in (EtcSpec(5), UcbSpec()):
+    for policy in (EtcSpec(5), UcbSpec(), EgSpec(0.0)):
         log = run_experiment(2, 20, policy, [Gaussian(1, 1), Gaussian(1.5, 1)], seed=1)
         assert propensity_trace(log) is None
         out = evaluate(log)

@@ -170,7 +170,10 @@ def test_cell_without_a_successful_replication_writes_strict_json(tmp_path):
     for key in ("mc_bias", "mc_bias_se", "mean_raw", "mean_estimated_bias", "mean_corrected"):
         assert summary[key] == [None, None]
     assert summary["mse"]["mb"] == {"15": [None, None], "30": [None, None]}
-    assert all(v is not None for table in summary["mse"]["ipw"].values() for v in table)
+    # EG at epsilon 0 does not randomize, so it has no IPW/AIPW to report.
+    assert set(summary["mse"]) == {"mb"}
+    rows = (tmp_path / "eg0" / "replications.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6 and all(row.endswith(",,") for row in rows)
 
 
 def test_se_honesty_split_seeds():

@@ -235,10 +235,12 @@ def test_deterministic_policies_have_no_propensity(monkeypatch):
     actions, rewards = np.array([[0, 1]]), np.array([[1.0, 0.0]])
     # The answer needs no prefix state, so no block of one is built.
     monkeypatch.setattr(policies, "prefix_blocks", None)
-    for spec in (EtcSpec(1), UcbSpec()):
+    for spec in (EtcSpec(1), UcbSpec(), EgSpec(0.0)):
+        assert not spec.randomized
         assert propensity_batch(spec, state) is None
         assert propensity(spec, actions, rewards, 2) is None
-        assert weighted_estimates(BanditLog(2, 2, actions, rewards, spec), ("ipw", "aipw"), (2,)) is None
+        first_zero, tables = weighted_estimates(BanditLog(2, 2, actions, rewards, spec), ("ipw", "aipw"), (2,))
+        assert first_zero.tolist() == [-1] and tables == {}
 
 
 @pytest.mark.parametrize("spec", [EgSpec(0.3), TsSpec()])
@@ -424,7 +426,8 @@ def stacked_logs(draw):
 @settings(max_examples=60, deadline=None)
 @given(
     spec=st.one_of(
-        st.floats(0, 1).map(EgSpec),
+        # EgSpec(0.0) has no propensities: test_deterministic_policies_have_no_propensity takes it.
+        st.floats(0, 1, exclude_min=True).map(EgSpec),
         st.builds(TsSpec, st.floats(-2, 2), st.floats(0.1, 4), st.floats(0.1, 4)),
     ),
     logs=stacked_logs(),
