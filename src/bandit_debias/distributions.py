@@ -5,10 +5,11 @@ are sub-Gaussian, so the cumulant machinery used by the large-deviation
 oracles is finite everywhere.  ``atoms()`` gives a law's finite support as
 ``(support, probs)`` arrays, or None for a continuous Gaussian; the support
 is the atoms of positive probability only, and the theory oracles read
-lattice facts from it rather than from the law's class.  Each law gives its
-cumulants only in its own centred coordinate, ``centred_log_mgf``, so that a
-law far from the origin loses no digits to its offset; log E[exp(h X)] is
-h * mean() plus its first value.
+lattice facts from it rather than from the law's class.  A finite law draws
+by inverse survival (``survival_table``), by ``sample`` or in a world.  Each
+law gives its cumulants only in its own centred coordinate,
+``centred_log_mgf``, so that a law far from the origin loses no digits to its
+offset; log E[exp(h X)] is h * mean() plus its first value.
 Instances are immutable and safe to share across workers; generators are
 single-owner.
 """
@@ -35,6 +36,19 @@ def _positive(support: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.nd
     """The atoms of positive probability: a zero-probability point is not support."""
     keep = probs > 0
     return support[keep], probs[keep]
+
+
+def survival_table(atoms: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Atoms top down, their probabilities and upper tails (the last 1): u draws the atom of the first tail above u."""
+    support, probs = atoms
+    return support[::-1], probs[::-1], np.append(np.cumsum(probs[:0:-1]), 1.0)
+
+
+def _sample_atoms(law, rng: np.random.Generator, size=None):
+    """``sample`` of a finite law: one uniform per draw, by inverse survival."""
+    top_down, _, tails = survival_table(law.atoms())
+    drawn = top_down[np.searchsorted(tails, rng.random(size), side="right")]
+    return drawn if size is not None else float(drawn)
 
 
 class _Law:
@@ -102,10 +116,7 @@ class Bernoulli(_Law):
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         return _positive(np.array([0.0, 1.0]), np.array([1.0 - self.p, self.p]))
 
-    def sample(self, rng: np.random.Generator, size=None):
-        if size is None:
-            return float(rng.random() < self.p)
-        return (rng.random(size) < self.p).astype(np.float64)
+    sample = _sample_atoms
 
     def centred_log_mgf(self, h: float) -> tuple[float, float, float]:
         p = self.p
@@ -159,14 +170,7 @@ class FiniteDiscrete(_Law):
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         return _positive(np.array(self.support), np.array(self.probs))
 
-    def sample(self, rng: np.random.Generator, size=None):
-        support, probs = self.atoms()
-        cum = np.cumsum(probs)
-        cum[-1] = 1.0
-        u = rng.random(size if size is not None else 1)
-        idx = np.searchsorted(cum, u, side="right")
-        out = support[np.minimum(idx, len(support) - 1)]
-        return float(out[0]) if size is None else out
+    sample = _sample_atoms
 
     @cached_property
     def _centred(self) -> tuple[np.ndarray, np.ndarray]:

@@ -98,12 +98,18 @@ def _log_estimates(log: BanditLog, names) -> dict:
     return {name: table[log.T][0] for name, table in tables.items()}
 
 
+def _one_estimate(log: BanditLog, name: str) -> np.ndarray:
+    if not log.policy.randomized:
+        raise ValueError(f"{log.policy!r} does not randomize, so its log has no propensities for {name.upper()}")
+    return _log_estimates(log, (name,))[name]
+
+
 def ipw_estimate(log: BanditLog) -> np.ndarray:
-    return _log_estimates(log, ("ipw",))["ipw"]
+    return _one_estimate(log, "ipw")
 
 
 def aipw_estimate(log: BanditLog) -> np.ndarray:
-    return _log_estimates(log, ("aipw",))["aipw"]
+    return _one_estimate(log, "aipw")
 
 
 def evaluate(log: BanditLog, estimators=NAMES) -> dict:

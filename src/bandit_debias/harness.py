@@ -31,7 +31,7 @@ from . import policies
 from .bootstrap import BootstrapSpec
 from .debias import MAX_REPLAYS, debias
 from .policies import json_int, json_list, json_optional, json_str, read_dataclass, read_record
-from .simulator import BanditLog, atomic_write_text, json_floats, run_batch, summarize, validate_config
+from .simulator import BanditLog, LawWorld, atomic_write_text, json_floats, run_batch, summarize, validate_config
 from .simulator import run_experiment  # noqa: F401  (perfbench/tracing.py wraps harness.run_experiment)
 from .streams import TAG_HARNESS_DEBIAS, TAG_HARNESS_MSE, TAG_HARNESS_SIM, child_seed, substream, task_map
 
@@ -206,7 +206,7 @@ def _run_block(args) -> tuple:
     K, T, kind = cell.K, cell.T, cell.bootstrap.kind
     n = min(BLOCK, cell.replications - block * BLOCK)
     rng = substream(master_seed, TAG_HARNESS_SIM, cell_index, block)
-    sim = run_batch(n, K, T, cell.policy, cell.arms, rng, record_logs=True)
+    sim = run_batch(n, K, T, cell.policy, LawWorld(cell.arms), rng, record_logs=True)
     logs = BanditLog(K, T, sim.actions, sim.rewards, cell.policy)
     seed = child_seed(master_seed, TAG_HARNESS_DEBIAS, cell_index, block)
     raw, bias, corrected, no_world, undefined = _debias_rows(logs, cell.bootstrap, seed)

@@ -5,11 +5,10 @@ run in lockstep batches: each round is a few array ops across the batch, so
 a debias call with B replays costs O(T) numpy operations, not O(B*T) Python
 iterations.
 
-A world is held as per-arm arrays and draws a whole round's rewards in one
-vectorized step.  ``LawWorld`` tabulates reward laws (the real world, and
-the Gaussian multiplier bootstrap world); ``ResampleWorld`` holds a log's
-rewards grouped by arm (Efron's bootstrap world).  ``run_batch`` also takes
-a plain sequence of laws and tabulates it once per call.
+A world holds per-arm arrays and draws a whole round's rewards in one
+vectorized step; ``run_batch`` takes nothing else.  ``LawWorld`` tabulates
+laws (the real world, and the Gaussian multiplier bootstrap world), and
+``ResampleWorld`` holds a log's rewards grouped by arm (Efron's world).
 
 A world built from a stack of W logs has a leading log axis: its tables are
 (W, K), and ``run_batch(..., row_log=...)`` names the log each row replays.
@@ -134,8 +133,8 @@ class LawWorld:
 
     An arm with a law of positive variance and finite ``atoms()`` is finite:
     it draws one uniform u per row and takes the top atom whose upper tail
-    mass exceeds u (the inverse survival function, so the highest atom takes
-    the lowest uniforms, as ``Bernoulli.sample`` does).  Every other arm draws
+    mass exceeds u (the inverse survival rule of ``survival_table``, which
+    every finite law's ``sample`` also follows).  Every other arm draws
     mean + sd * z from one standard normal z per row; a zero-variance arm
     is its mean.  Row i takes the round's i-th normal and i-th uniform.
     Normals are drawn only when a normal arm exists and uniforms only when a
@@ -153,22 +152,16 @@ class LawWorld:
         atoms = [d.atoms() if d.variance() > 0 else None for d in flat]
         self.finite = np.array([a is not None for a in atoms]).reshape(shape)
         width = max((len(a[0]) for a in atoms if a is not None), default=0)
-        # Row c: cell c's atoms from the top down, their probabilities and
-        # their cumulative upper tail masses, the last forced to 1.  Padding
-        # goes first, so that its tails (0) count for every u and a
-        # multinomial's remainder falls to the lowest atom, not to padding.
+        # Row c: cell c's ``survival_table`` after its padding, whose tails (0) count for
+        # every u; a multinomial's remainder then falls to the lowest atom, not to padding.
         self.top_down = np.zeros((len(flat), width))
         self.probs = np.zeros((len(flat), width))
         self.tails = np.full((len(flat), width), 2.0)
         for c, a in enumerate(atoms):
             if a is not None:
-                support, probs = a
-                pad = width - len(support)
-                self.top_down[c, pad:] = support[::-1]
-                self.probs[c, pad:] = probs[::-1]
+                pad = width - len(a[0])
                 self.tails[c, :pad] = 0.0
-                self.tails[c, pad:] = np.cumsum(probs[::-1])
-                self.tails[c, -1] = 1.0
+                self.top_down[c, pad:], self.probs[c, pad:], self.tails[c, pad:] = dist.survival_table(a)
         # Flat views, and which kinds of arm exist, fixed here so that a
         # round's draw only gathers.
         self._mu, self._sd, self._finite = self.mu.ravel(), self.sd.ravel(), self.finite.ravel()
@@ -281,23 +274,19 @@ def run_batch(
     K: int,
     T: int,
     policy: PolicySpec,
-    world: Union[World, Sequence[dist.RewardDistribution]],
+    world: World,
     rng: np.random.Generator,
     record_logs: bool = False,
     row_log: Optional[np.ndarray] = None,
 ) -> ArmSummary:
     """Run n independent experiments in lockstep off one stream.
 
-    ``world`` is a world object or a sequence of K reward laws, which is
-    tabulated as a ``LawWorld``.  In a world of stacked logs, row i replays
-    log ``row_log[i]``.  Per round, the draw order is fixed (policy
-    randomness, then the world's reward draws, taken by the rows in row
-    order), so the outcome is a pure function of the stream state.  An
-    unlogged ETC batch draws per-arm sums instead (``_run_etc``).
+    In a world of stacked logs, row i replays log ``row_log[i]``.  Each round
+    draws in a fixed order (policy randomness, then the world's draws, taken
+    by the rows in row order), so the outcome is a pure function of the
+    stream state.  An unlogged ETC batch draws per-arm sums (``_run_etc``).
     """
     validate_config(K, T, policy, world)
-    if not isinstance(world, (LawWorld, ResampleWorld)):
-        world = LawWorld(world)
     base = 0 if row_log is None else row_log * K
     if isinstance(policy, policies.EtcSpec) and not record_logs:
         return _run_etc(n, K, T, policy.m, world, np.broadcast_to(base, (n,)), rng)
@@ -347,7 +336,7 @@ def validate_config(K: int, T: int, policy: PolicySpec, world) -> None:
 
 def run_experiment(K: int, T: int, policy: PolicySpec, arms: Sequence[dist.RewardDistribution], seed: int) -> BanditLog:
     """One experiment, deterministic given the seed."""
-    out = run_batch(1, K, T, policy, arms, substream(seed), record_logs=True)
+    out = run_batch(1, K, T, policy, LawWorld(arms), substream(seed), record_logs=True)
     return BanditLog(K=K, T=T, actions=out.actions[0], rewards=out.rewards[0], policy=policy, seed=int(seed))
 
 

@@ -24,8 +24,8 @@ finite support (enumeration, lattice constants) or not (Gaussian closed
 forms, non-lattice constants), and ``mean()``/``variance()`` give the rest.
 Every lattice fact comes from one rationalization, ``_lattice``.  The Monte
 Carlo checks run at horizon T = 4m through the simulator's unlogged ETC
-path (``run_batch`` with an ``EtcSpec``), which draws each experiment's
-per-arm sums and centred squares with no loop over rounds.
+path (``run_batch`` on a ``LawWorld`` with an ``EtcSpec``), which draws each
+experiment's per-arm sums and centred squares with no loop over rounds.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ import numpy as np
 
 from .distributions import Gaussian, RewardDistribution
 from .policies import EtcSpec, ndtr
-from .simulator import run_batch
+from .simulator import LawWorld, run_batch
 from .streams import TAG_THEORY, substream
 
 _RATIONAL_DENOMINATOR_CAP = 10**6
@@ -501,11 +501,11 @@ def log_bias_ratio_experiment(
     and evaluates the log-bias ratio at the sampled means and MLE variances.
     Degenerate sample variances are excluded and counted.
     """
-    arms = [Gaussian(p.mu1, p.var1), Gaussian(p.mu2, p.var2)]
+    world = LawWorld([Gaussian(p.mu1, p.var1), Gaussian(p.mu2, p.var2)])
     results: dict[int, dict] = {}
     for i, m in enumerate(m_grid):
         T = 4 * m
-        out = run_batch(replications, 2, T, EtcSpec(m), arms, substream(seed, TAG_THEORY, i))
+        out = run_batch(replications, 2, T, EtcSpec(m), world, substream(seed, TAG_THEORY, i))
         means, variances = out.means, out.variances
         ok = (variances > 0).all(axis=1)
         plugin = (*means[ok].T, *variances[ok].T)
@@ -539,10 +539,10 @@ def bootstrap_rate_ratio_check(
     rate, _ = legendre_fenchel(d, mu2)
     bound = d.variance_proxy() / d.variance()
     per_m: dict[int, dict] = {}
-    arms = [d, Gaussian(mu2, 0.0)]
+    world = LawWorld([d, Gaussian(mu2, 0.0)])
     for i, m in enumerate(m_grid):
         T = 4 * m
-        out = run_batch(replications, 2, T, EtcSpec(m), arms, substream(seed, TAG_THEORY, 1000 + i))
+        out = run_batch(replications, 2, T, EtcSpec(m), world, substream(seed, TAG_THEORY, 1000 + i))
         means, variances = out.means, out.variances
         ok = variances[:, 0] > 0
         boot_rate = (means[ok, 0] - mu2) ** 2 / (2.0 * variances[ok, 0])

@@ -18,7 +18,7 @@ from bandit_debias.debias import debias
 from bandit_debias.distributions import Bernoulli, Gaussian
 from bandit_debias.harness import Cell, ExperimentPlan, run_plan
 from bandit_debias.policies import EgSpec, EtcSpec, TsSpec, UcbSpec
-from bandit_debias.simulator import run_batch, run_experiment, summarize
+from bandit_debias.simulator import LawWorld, run_batch, run_experiment, summarize
 from bandit_debias.streams import substream
 from bandit_debias import theory as th
 
@@ -101,7 +101,7 @@ def test_criterion_03_bootstrap_matches_plugin_closed_form():
 
 
 def test_criterion_04_raw_bias_sign():
-    out = run_batch(10_000, 2, 100, EtcSpec(10), list(NORMAL_ARMS), substream(515))
+    out = run_batch(10_000, 2, 100, EtcSpec(10), LawWorld(NORMAL_ARMS), substream(515))
     means = out.means
     bias = means.mean(axis=0) - np.array([1.0, 1.5])
     se = means.std(axis=0) / math.sqrt(len(means))

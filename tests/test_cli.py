@@ -132,7 +132,8 @@ def test_theory_sets_up_its_profile_and_tie_lattice_once(tmp_path, monkeypatch):
     monkeypatch.undo()
     arm1, arm2 = map(distributions.from_dict, laws)
     payload = json.loads(out.read_text())
-    assert payload["bias_asymptotic"] == theory.etc_bias_sharp_asymptotic(arm1, arm2.mean(), 40, 160)
+    profile = theory.bahadur_rao_constants(arm1, arm2.mean())
+    assert payload["bias_asymptotic"] == theory.etc_bias_from_profile(profile, 40, 160)
     assert [payload["bias_exact"][f"arm{k}"] for k in (1, 2)] == list(theory.etc_bias_general([arm1, arm2], 40, 160))
 
 

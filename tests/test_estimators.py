@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from bandit_debias.estimators import (
     weighted_estimates,
 )
 from bandit_debias.policies import EgSpec, EtcSpec, TsSpec, UcbSpec, propensity
-from bandit_debias.simulator import BanditLog, run_batch, run_experiment, summarize
+from bandit_debias.simulator import BanditLog, LawWorld, run_batch, run_experiment, summarize
 from bandit_debias.streams import substream
 
 
@@ -35,6 +37,15 @@ def test_deterministic_policies_have_no_propensities():
         assert len(out["mean"]) == 2
 
 
+@pytest.mark.parametrize("policy", [UcbSpec(), EgSpec(0.0)], ids=["ucb", "eg0"])
+def test_ipw_and_aipw_of_a_log_without_propensities_fail_with_a_reason(policy):
+    log = run_experiment(2, 30, policy, [Bernoulli(0.3), Bernoulli(0.6)], seed=1)
+    for estimate, name in ((ipw_estimate, "IPW"), (aipw_estimate, "AIPW")):
+        reason = f"{policy!r} does not randomize, so its log has no propensities for {name}"
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            estimate(log)
+
+
 def test_plugin_means_use_strict_past():
     log = run_experiment(2, 6, EtcSpec(3), [Gaussian(0, 0), Gaussian(10, 0)], seed=0)
     m = plugin_mean_trace(log)
@@ -45,7 +56,7 @@ def test_plugin_means_use_strict_past():
 
 
 def _mc_estimates(policy, arms, T, R, seed):
-    out = run_batch(R, len(arms), T, policy, arms, substream(seed), record_logs=True)
+    out = run_batch(R, len(arms), T, policy, LawWorld(arms), substream(seed), record_logs=True)
     first_zero, tables = weighted_estimates(BanditLog(len(arms), T, out.actions, out.rewards, policy),
                                             ("ipw", "aipw"), (T,))
     assert np.all(first_zero == -1)
@@ -110,7 +121,7 @@ def test_zero_propensity_raises():
 def test_a_later_zero_does_not_move_the_first(zero_propensities, monkeypatch):
     # Log 1 meets zero propensities at rounds 6 and 30, in different blocks of two rounds.
     spec, K, T = EgSpec(0.2), 2, 40
-    out = run_batch(3, K, T, spec, [Bernoulli(0.3), Bernoulli(0.6)], substream(12), record_logs=True)
+    out = run_batch(3, K, T, spec, LawWorld([Bernoulli(0.3), Bernoulli(0.6)]), substream(12), record_logs=True)
     monkeypatch.setattr(policies, "_PREFIX_ROWS", 6)
     zero_propensities(6, slice(1, 2))
     zero_propensities(30, slice(1, 2))
@@ -123,7 +134,8 @@ def test_a_later_zero_does_not_move_the_first(zero_propensities, monkeypatch):
 def test_each_horizon_matches_the_truncated_log(policy, zero_propensities):
     # A stack of 5 logs; log 3 meets a zero propensity at round 9.
     K, T, horizons = 3, 24, (3, 8, 9, 24)
-    out = run_batch(5, K, T, policy, [Gaussian(1, 1), Bernoulli(0.4), Gaussian(0.5, 2)], substream(8), record_logs=True)
+    out = run_batch(5, K, T, policy, LawWorld([Gaussian(1, 1), Bernoulli(0.4), Gaussian(0.5, 2)]), substream(8),
+                    record_logs=True)
     logs = BanditLog(K, T, out.actions, out.rewards, policy)
     zero_propensities(9, slice(3, 4))  # a stack of one has no log 3
     first_zero, tables = weighted_estimates(logs, ("ipw", "aipw"), horizons)
@@ -142,7 +154,8 @@ def test_ipw_alone_has_the_full_calls_bytes(zero_propensities):
     K, T = 3, 2100
     horizons = (1, 41, 42, 43, 1000, T)  # blocks of 41 rounds
     spec = EgSpec(0.1)
-    out = run_batch(50, K, T, spec, [Bernoulli(0.3), Gaussian(0.5, 1), Bernoulli(0.6)], substream(9), record_logs=True)
+    out = run_batch(50, K, T, spec, LawWorld([Bernoulli(0.3), Gaussian(0.5, 1), Bernoulli(0.6)]), substream(9),
+                    record_logs=True)
     logs = BanditLog(K, T, out.actions, out.rewards, spec)
     zero_propensities(301, slice(4, 5))
     full = weighted_estimates(logs, ("mean", "ipw", "aipw"), horizons)
@@ -159,7 +172,8 @@ def test_weighted_pass_memory_is_bounded():
     import tracemalloc
 
     spec, K, T = EgSpec(0.1), 4, 2000
-    out = run_batch(50, K, T, spec, [Bernoulli(p) for p in (0.3, 0.4, 0.5, 0.6)], substream(6), record_logs=True)
+    laws = [Bernoulli(p) for p in (0.3, 0.4, 0.5, 0.6)]
+    out = run_batch(50, K, T, spec, LawWorld(laws), substream(6), record_logs=True)
     logs = BanditLog(K, T, out.actions, out.rewards, spec)
     tracemalloc.start()
     try:

@@ -20,14 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandit_debias.policies import EgSpec, EtcSpec, UcbSpec
-from bandit_debias.simulator import BanditLog, LawWorld, PolicyMismatch, check_policy, run_batch
+from bandit_debias.simulator import BanditLog, PolicyMismatch, check_policy, run_batch
 from bandit_debias.streams import substream
 
 
-class ScriptedWorld(LawWorld):
+class ScriptedWorld:
     """A world that hands out a fixed table: row i's reward in round t from
-    arm k is table[i, t, k].  A LawWorld only so that ``run_batch`` takes it
-    as a world."""
+    arm k is table[i, t, k]."""
 
     def __init__(self, table: np.ndarray):
         self.table, self.round = table, 0

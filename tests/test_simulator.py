@@ -55,7 +55,7 @@ def test_etc_schedule_invariant():
 
 def test_etc_raw_bias_monte_carlo():
     arms = [Gaussian(1.0, 1.0), Gaussian(1.5, 1.0)]
-    out = run_batch(1000, 2, 100, EtcSpec(10), arms, substream(2024))
+    out = run_batch(1000, 2, 100, EtcSpec(10), LawWorld(arms), substream(2024))
     bias = out.means.mean(axis=0) - np.array([1.0, 1.5])
     assert abs(bias[0] + 0.042) < 0.02
     assert abs(bias[1] + 0.042) < 0.02
@@ -74,7 +74,7 @@ def test_summarize_mle_moments():
 
 def test_summarize_reads_a_logged_batch_into_its_record():
     arms, spec = [Bernoulli(0.2), Gaussian(0.5, 1.0), Bernoulli(0.9)], TsSpec()
-    out = run_batch(50, 3, 4, spec, arms, substream(5), record_logs=True)
+    out = run_batch(50, 3, 4, spec, LawWorld(arms), substream(5), record_logs=True)
     s = summarize(BanditLog(3, 4, out.actions, out.rewards, spec))
     assert isinstance(out, ArmSummary) and isinstance(s, ArmSummary) and out.squares is None
     assert np.array_equal(s.counts, out.counts)
@@ -172,7 +172,7 @@ def test_batch_matches_scalar_runs():
     Not bit-wise (stream layouts differ) but distributionally: identical
     deterministic arms force identical action paths for ETC.
     """
-    out = run_batch(4, 2, 30, EtcSpec(5), DEGENERATE, substream(77), record_logs=True)
+    out = run_batch(4, 2, 30, EtcSpec(5), LawWorld(DEGENERATE), substream(77), record_logs=True)
     for row in out.actions:
         assert row.tolist() == [0] * 5 + [1] * 25
 
@@ -189,6 +189,11 @@ def _world(name):
     return LawWorld({"gaussian": GAUSSIAN_LAWS, "bernoulli": BERNOULLI_LAWS, "mixed": MIXED_LAWS}[name])
 
 
+def _cell(world, k):
+    """Arm k's rewards in a resample world: its slice of ``values``."""
+    return world.values[world.offsets[k] : world.offsets[k] + world.counts[k]]
+
+
 @pytest.mark.parametrize("name", ["gaussian", "bernoulli", "mixed", "resample"])
 def test_draws_are_row_local(name):
     # Row i takes the round's i-th draw: under the same stream, its reward
@@ -203,9 +208,15 @@ def test_draws_are_row_local(name):
         assert np.array_equal(ra[agree], rb[agree])
 
 
-@pytest.mark.parametrize("laws", [GAUSSIAN_LAWS, BERNOULLI_LAWS], ids=["gaussian", "bernoulli"])
+DISCRETE_LAWS = [FiniteDiscrete((0.0, 0.5, 2.0), (0.2, 0.5, 0.3)),
+                 FiniteDiscrete((0.0, 0.25, 0.5, 0.75, 1.0), (0.1, 0.0, 0.3, 0.25, 0.35))]
+
+
+@pytest.mark.parametrize("laws", [GAUSSIAN_LAWS, BERNOULLI_LAWS, DISCRETE_LAWS],
+                         ids=["gaussian", "bernoulli", "discrete"])
 def test_constant_arm_draws_match_law_sample(laws):
-    # A round in which every row pulls arm k draws exactly what arm k's law samples.
+    # A round in which every row pulls arm k draws exactly what arm k's law
+    # samples: a finite law draws by inverse survival in either.
     world = LawWorld(laws)
     for k, law in enumerate(laws):
         drawn = world.draw(np.full(257, k), substream(3, k))
@@ -216,13 +227,10 @@ def test_resample_world_laws_are_observed_rewards():
     actions = np.arange(60) % 3
     world = _world("resample")
     for k in range(3):
-        law = world[k]
-        assert isinstance(law, FiniteDiscrete)
-        support, multiplicity = np.unique(REPEATED[actions == k], return_counts=True)
-        assert law.support == tuple(support.tolist())
-        assert law.probs == tuple((multiplicity / 20).tolist())
+        assert world.counts[k] == 20
+        assert np.array_equal(_cell(world, k), REPEATED[actions == k])  # in log order
         drawn = world.draw(np.full(257, k), substream(6))
-        assert set(drawn.tolist()) <= set(law.support)
+        assert set(drawn.tolist()) <= set(REPEATED[actions == k].tolist())
 
 
 @pytest.mark.parametrize("law", [Bernoulli(1.0), Bernoulli(0.0), FiniteDiscrete((0.7,), (1.0,))],
@@ -254,7 +262,7 @@ def test_zero_probability_atoms_are_never_drawn():
 def test_mixed_law_world_moments():
     """Continuous, Bernoulli and finite arms in one run: per-arm moments within 4 SE."""
     laws = MIXED_LAWS
-    out = run_batch(2000, 3, 30, EgSpec(1.0), laws, substream(8), record_logs=True)
+    out = run_batch(2000, 3, 30, EgSpec(1.0), LawWorld(laws), substream(8), record_logs=True)
     for k, law in enumerate(laws):
         x = out.rewards[out.actions == k]
         mu, var = law.mean(), law.variance()
@@ -328,17 +336,18 @@ def test_etc_sums_match_round_loop_in_law(case):
 
 def test_unlogged_etc_batches_skip_the_policy_step(monkeypatch):
     log = run_experiment(2, 40, EtcSpec(5), [Gaussian(1, 1), Gaussian(1.5, 1)], seed=4)
+    world = LawWorld([Gaussian(1, 1), Gaussian(1.5, 1)])
 
     def no_step(*args, **kwargs):
         raise AssertionError("select_batch called")
 
     monkeypatch.setattr(policies, "select_batch", no_step)
-    out = run_batch(100, 2, 40, EtcSpec(5), [Gaussian(1, 1), Gaussian(1.5, 1)], substream(1))
+    out = run_batch(100, 2, 40, EtcSpec(5), world, substream(1))
     assert np.all(out.counts.sum(axis=1) == 40)
     for kind in ("mb", "efron"):
         assert np.all(np.isfinite(debias(log, BootstrapSpec(kind, 50), seed=2).estimated_bias))
     with pytest.raises(AssertionError):
-        run_batch(100, 2, 40, EtcSpec(5), [Gaussian(1, 1), Gaussian(1.5, 1)], substream(1), record_logs=True)
+        run_batch(100, 2, 40, EtcSpec(5), world, substream(1), record_logs=True)
 
 
 @pytest.mark.parametrize("name", ["gaussian", "bernoulli", "mixed", "resample"])
@@ -348,9 +357,12 @@ def test_draw_sum_moments(name):
     # variance is their MLE variance; its squares are NaN.
     world, j, n = _world(name), 64, 2000
     for k in range(3):
-        law = world[k]
         sums, squares = world.draw_sum(np.full(n, k), j, substream(7, k))
-        mu, var = law.mean(), law.variance()
+        if isinstance(world, ResampleWorld):
+            cell = _cell(world, k)
+            mu, var = cell.mean(), cell.var()
+        else:
+            mu, var = world.mu[k], world.sd[k] ** 2
         assert abs(sums.mean() - j * mu) <= 4 * np.sqrt(j * var / n), k
         if isinstance(world, ResampleWorld):
             assert squares.shape == (n,) and np.isnan(squares).all(), k

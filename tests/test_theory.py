@@ -43,10 +43,19 @@ class TestEtcGaussianBias:
             th.g_value(p.mu1, p.mu2, p.var1, p.var2, p.m, p.T, 1)
 
     def test_log_form_consistent(self):
-        s = STANDARD
+        # g_value is the log of the general evaluator's Stein form for two
+        # Gaussian arms, and on arrays it gives its scalar calls elementwise.
+        cases = [STANDARD, EtcGaussianParams(1.0, 1.8, 2.0, 0.5, 10, 100),
+                 EtcGaussianParams(-0.5, 0.3, 0.5, 1.5, 20, 50), EtcGaussianParams(3.0, 2.0, 1.0, 4.0, 40, 1000)]
+        for p in cases:
+            stein = th.etc_bias_general([Gaussian(p.mu1, p.var1), Gaussian(p.mu2, p.var2)], p.m, p.T)
+            for k in (1, 2):
+                g = th.g_value(p.mu1, p.mu2, p.var1, p.var2, p.m, p.T, k)
+                assert g == pytest.approx(math.log(-stein[k - 1]), rel=1e-12), (p, k)
+        mu1, mu2, var1, var2 = np.array([(p.mu1, p.mu2, p.var1, p.var2) for p in cases]).T
         for k in (1, 2):
-            assert math.exp(th.g_value(s.mu1, s.mu2, s.var1, s.var2, s.m, s.T, k)) == pytest.approx(
-                -th.etc_bias_gaussian(STANDARD, k), rel=1e-12)
+            scalars = [th.g_value(*row, 10, 100, k) for row in zip(mu1, mu2, var1, var2)]
+            assert np.array_equal(th.g_value(mu1, mu2, var1, var2, 10, 100, k), scalars)
 
     def test_bias_scales_with_own_variance(self):
         p = EtcGaussianParams(1.0, 1.5, 2.0, 0.5, 10, 100)
@@ -488,7 +497,7 @@ class TestTailAsymptotics:
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
     def test_sharp_asymptotic_vs_exact(self):
-        asym = th.etc_bias_sharp_asymptotic(B3, 0.6, 50, 200)
+        asym = th.etc_bias_from_profile(th.bahadur_rao_constants(B3, 0.6), 50, 200)
         exact = th.etc_bias_general([B3, Gaussian(0.6, 0.0)], 50, 200)[0]
         assert asym == pytest.approx(-2.1794081867182396e-06, rel=1e-12)
         assert exact == pytest.approx(-2.16793698194857e-06, rel=1e-10)
