@@ -98,7 +98,8 @@ def _world_tag(tag) -> str:
 class ArmSummary:
     """Per-arm counts, sums and centred squares: (K,) for a log, (W, K) for a stack, (n, K) for a batch.
 
-    Means and 1/n (MLE) variances are NaN where a count is 0.  In ``debias``'s
+    Means and 1/n (MLE) variances are NaN where a count is 0, and variances
+    are NaN throughout where no squares are kept.  In ``debias``'s
     replay reduce the squares are centred on each log's raw mean, not on the
     cell mean, and ``variances`` is not read.
     """
@@ -115,6 +116,8 @@ class ArmSummary:
 
     @property
     def variances(self) -> np.ndarray:
+        if self.squares is None:
+            return np.full(self.counts.shape, np.nan)
         return np.where(self.counts > 0, self.squares / np.maximum(self.counts, 1), np.nan)
 
     @property
@@ -464,6 +467,8 @@ def load_log(csv_path: str, meta_path: str) -> BanditLog:
     header, i = None, 0  # i: the last data row read
     with open(csv_path, newline="") as f:
         try:
+            if f.read(1) != "\ufeff":  # one leading byte-order mark (spreadsheet exports write it) is dropped
+                f.seek(0)
             header = next(reader := csv.reader(f), [])
             missing = sorted({"t", "arm", "reward"} - set(header))
             if missing:

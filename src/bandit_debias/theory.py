@@ -12,8 +12,7 @@ Contents:
   and ties between two arms' means are decided exactly on their common
   lattice;
 * the Legendre-Fenchel transform of the log-MGF and the exact-asymptotics
-  constants for mean tail probabilities and tail expectations (lattice and
-  non-lattice cases);
+  constants of a mean's tail (``LDProfile``, lattice and non-lattice cases);
 * the leading-order bias for a sub-Gaussian arm against a deterministic
   competitor, and Monte Carlo checks of the two decay-rate convergence
   results (log-bias ratio -> 1; bootstrap/real rate ratio bounded by
@@ -452,20 +451,6 @@ def bahadur_rao_constants(d: RewardDistribution, mu2: float) -> LDProfile:
         c_star=c0 * abs(mu1 - mu2),
         caveat=caveat,
     )
-
-
-def tail_expectation_limit(profile: LDProfile) -> float:
-    """Limit of J_m(mu2) * E[(mu2 - Xbar_m) 1{Xbar_m >= mu2}] as m grows."""
-    if not profile.lattice:
-        return 1.0
-    span = profile.threshold_span if profile.threshold_span is not None else profile.span
-    zd = profile.zeta * span
-    return zd * math.exp(-zd) / (1.0 - math.exp(-zd))
-
-
-def tail_normalizer(profile: LDProfile, m: int) -> float:
-    """J_m(mu2) = -zeta^2 sqrt(2 pi m eta'') m exp(m Lambda*)."""
-    return -profile.zeta**2 * math.sqrt(2.0 * math.pi * m * profile.eta_second) * m * math.exp(m * profile.rate)
 
 
 def etc_bias_sharp_asymptotic(d: RewardDistribution, mu2: float, m: int, T: int) -> float:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,24 @@ def zero_propensities(monkeypatch):
         monkeypatch.setattr(policies, "propensity_batch", zeroed)
 
     return zero
+
+
+@pytest.fixture
+def tail_expectation_asymptotic():
+    """``asymptotic(profile, m)`` is ``(J_m, limit)`` for a ``theory.LDProfile`` at threshold mu2.
+
+    J_m(mu2) = -zeta^2 sqrt(2 pi m eta'') m exp(m Lambda*) normalizes the tail
+    expectation E[(mu2 - Xbar_m) 1{Xbar_m >= mu2}], and ``limit`` is the
+    normalized value's limit as m grows: 1 off a lattice, and
+    zd e^-zd / (1 - e^-zd) on one, where zd is zeta times the span of the
+    lattice that also holds mu2 (the law's own span where none does).
+    """
+    def asymptotic(profile, m: int) -> tuple[float, float]:
+        normalizer = -profile.zeta**2 * math.sqrt(2.0 * math.pi * m * profile.eta_second) * m * math.exp(m * profile.rate)
+        if not profile.lattice:
+            return normalizer, 1.0
+        span = profile.threshold_span if profile.threshold_span is not None else profile.span
+        zd = profile.zeta * span
+        return normalizer, zd * math.exp(-zd) / (1.0 - math.exp(-zd))
+
+    return asymptotic

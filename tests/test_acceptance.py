@@ -127,11 +127,11 @@ def test_criterion_05_sharp_tail_ratio():
     assert ok, ratios
 
 
-def test_criterion_06_normalized_tail_expectation():
+def test_criterion_06_normalized_tail_expectation(tail_expectation_asymptotic):
     prof = th.bahadur_rao_constants(Bernoulli(0.3), 0.6)
-    limit = th.tail_expectation_limit(prof)
+    normalizer, limit = tail_expectation_asymptotic(prof, 200)
     _, expect = th.exact_mean_tail(Bernoulli(0.3), 0.6, 200)
-    ratio = th.tail_normalizer(prof, 200) * expect / limit
+    ratio = normalizer * expect / limit
     ok = abs(ratio - 1.0) < 0.10
     _line(6, ok, "normalized tail expectation within 10% of its lattice limit",
           f"ratio={ratio:.4f} limit={limit:.4f}")

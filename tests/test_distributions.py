@@ -99,6 +99,9 @@ def test_cumulants_at_zero(d):
 def test_degenerate_law_zero_curvature():
     _, d2 = log_mgf_derivatives(Gaussian(2.0, 0.0), 1.0)
     assert d2 == 0.0
+    for law in (Bernoulli(0.0), Bernoulli(1.0)):  # every centred cumulant is 0, at any tilt
+        for h in (-40.0, 0.5, 40.0):
+            assert law.centred_log_mgf(h) == (0.0, 0.0, 0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -134,6 +137,8 @@ def test_variance_proxy_defaults():
     assert Bernoulli(0.3).variance_proxy() == 0.25  # (1-0)^2/4
     assert FiniteDiscrete((0.0, 4.0), (0.5, 0.5)).variance_proxy() == 4.0
     assert Bernoulli(0.3, proxy=0.21).variance_proxy() == 0.21
+    assert Gaussian(0.0, 2.5, proxy=3.0).variance_proxy() == 3.0
+    assert FiniteDiscrete((0.0, 4.0), (0.5, 0.5), proxy=5.0).variance_proxy() == 5.0
 
 
 @pytest.mark.parametrize("d", VARIANTS + [Gaussian(0.7, 0.0)])
@@ -188,6 +193,8 @@ def test_finite_discrete_validation():
         FiniteDiscrete((1.0, 0.0), (0.5, 0.5))  # not increasing
     with pytest.raises(ValueError):
         FiniteDiscrete((0.0, 1.0), (0.6, 0.6))  # probs do not sum to 1
+    with pytest.raises(ValueError, match="nonnegative"):
+        FiniteDiscrete((0.0, 1.0), (-0.5, 1.5))  # sums to 1
     with pytest.raises(ValueError):
         Bernoulli(1.5)
     with pytest.raises(ValueError):

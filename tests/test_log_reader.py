@@ -7,18 +7,24 @@ same arrays, and on every text that it refuses with ``CorruptLog``, raise
 the same message.  The sidecar declares Thompson sampling, which can produce
 any arm sequence, so the policy check never decides the outcome.  The one
 text that the reference refuses otherwise, the empty file, is a missing
-header to ``load_log``.
+header to ``load_log``.  One text is newly accepted, and checked apart: a
+log whose header follows one byte-order mark.
 """
 import csv
 import json
+import pickle
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandit_debias.simulator import CorruptLog, load_log
+from bandit_debias.cli import dispatch
+from bandit_debias.distributions import Bernoulli
+from bandit_debias.policies import TsSpec
+from bandit_debias.simulator import CorruptLog, load_log, meta_path_for, run_experiment, save_log
 
 COLUMNS = ("t", "arm", "reward")
 
@@ -142,3 +148,23 @@ def test_streaming_reader_matches_the_dictreader(case):
         assert got == expected
     else:
         assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
+
+
+def test_a_byte_order_mark_before_the_header_is_dropped(tmp_path):
+    """A spreadsheet's UTF-8 export starts with U+FEFF: the log loads, and ``debias`` reports, as without it."""
+    plain = tmp_path / "plain.csv"
+    save_log(run_experiment(2, 20, TsSpec(), [Bernoulli(0.3), Bernoulli(0.6)], seed=3), str(plain))
+    marked, twice = tmp_path / "marked.csv", tmp_path / "twice.csv"
+    marked.write_bytes("\ufeff".encode() + plain.read_bytes())
+    twice.write_bytes("\ufeff".encode() + marked.read_bytes())
+    meta = meta_path_for(str(plain))
+    assert pickle.dumps(load_log(str(marked), meta)) == pickle.dumps(load_log(str(plain), meta))
+    with pytest.raises(CorruptLog, match=r"missing column\(s\) \['t'\]"):
+        load_log(str(twice), meta)  # only one mark is dropped
+    reports = []
+    for path in (plain, marked):
+        out = tmp_path / f"{path.stem}.json"
+        argv = ["debias", "--log", str(path), "--meta", meta, "--bootstrap", "efron", "--B", "200", "--seed", "4"]
+        assert dispatch([*argv, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]

@@ -15,6 +15,7 @@ from bandit_debias.simulator import (
     LawWorld,
     PolicyMismatch,
     ResampleWorld,
+    atomic_write_text,
     check_policy,
     load_log,
     meta_path_for,
@@ -129,6 +130,36 @@ def test_invalid_etc_config_rejected():
         run_experiment(2, 15, EtcSpec(10), DEGENERATE, seed=0)
     with pytest.raises(ValueError):
         run_experiment(3, 50, EtcSpec(10), DEGENERATE, seed=0)  # |arms| != K
+
+
+@pytest.mark.parametrize("K, T", [(0, 10), (2, 0)])
+def test_nonpositive_arm_count_or_horizon_rejected(K, T):
+    with pytest.raises(ValueError, match="K and T must be positive"):
+        run_experiment(K, T, UcbSpec(), DEGENERATE[:K], seed=0)
+
+
+@pytest.mark.parametrize("actions, rewards, message", [
+    (np.zeros(4), np.zeros(5), "must have length T"),
+    (np.zeros(5), np.zeros((1, 5)), "must have length T"),
+    (np.array([0, 1, 2, 0, 1]), np.zeros(5), "actions out of range"),
+    (np.array([0, 1, -1, 0, 1]), np.zeros(5), "actions out of range"),
+], ids=["short", "reward-shape", "arm-above-K", "negative-arm"])
+def test_bandit_log_rejects_bad_shapes_and_arms(actions, rewards, message):
+    with pytest.raises(ValueError, match=message):
+        BanditLog(K=2, T=5, actions=actions, rewards=rewards, policy=UcbSpec())
+
+
+def test_resample_world_of_an_unpulled_arm_is_refused():
+    with pytest.raises(ValueError, match="arm 2 has no rewards to resample"):
+        ResampleWorld(np.array([0, 0, 2, 0]), np.ones(4), 3)
+
+
+def test_a_failed_atomic_write_leaves_no_file(tmp_path):
+    """A write that fails (a lone surrogate cannot be encoded) re-raises and removes its temporary file."""
+    path = tmp_path / "out.json"
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(str(path), "ok \ud800")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_round_trip_bit_exact(tmp_path):
@@ -302,6 +333,7 @@ def test_etc_sums_match_round_loop_in_law(case):
     fast = run_batch(n, K, T, EtcSpec(m), world, substream(21), row_log=row_log)
     loop = run_batch(n, K, T, EtcSpec(m), world, substream(22), record_logs=True, row_log=row_log)
     assert fast.actions is None and loop.squares is None
+    assert loop.variances.shape == (n, K) and np.isnan(loop.variances).all()  # no squares, no variances
     # The logged rewards' MLE variances, shifted by each arm's first reward
     # in the row so that a constant arm's is exactly 0, as on the fast side.
     pulled = loop.actions[:, :, None] == np.arange(K)

@@ -187,6 +187,20 @@ class TestExactEnumeration:
         th.etc_bias_general(arms, 10, 100)
         assert calls == arms
 
+    def test_mean_pmf_needs_finite_support(self):
+        with pytest.raises(ValueError, match="finite-support"):
+            th.mean_pmf(Gaussian(0.0, 1.0), 3)
+
+    @pytest.mark.parametrize("arms, m, T, message", [
+        ([B3], 5, 20, "two arms required"),
+        ([B3, B3, B3], 5, 20, "two arms required"),
+        ([B3, B3], 0, 20, "m >= 1"),
+        ([B3, B3], 11, 20, "T >= 2m"),
+    ], ids=["one-arm", "three-arms", "m0", "T-below-2m"])
+    def test_general_bias_rejects_bad_arguments(self, arms, m, T, message):
+        with pytest.raises(ValueError, match=message):
+            th.etc_bias_general(arms, m, T)
+
     def test_mean_pmf_cap(self):
         # a 5e6 + 1 point lattice is one past the cap; raised before convolving
         with pytest.raises(EnumerationTooLarge):
@@ -250,6 +264,8 @@ class TestExactEnumeration:
     def test_general_bias_negative_and_zero_cases(self):
         arms = [B3, Bernoulli(0.6)]
         assert th.etc_bias_general(arms, 10, 20)[0] == 0.0
+        # Two point masses at one value: every pair of means ties (tolerance inf).
+        assert th.etc_bias_general([Bernoulli(1.0), FiniteDiscrete((1.0,), (1.0,))], 5, 20) == (0.0, 0.0)
         for k in (1, 2):
             assert th.etc_bias_general(arms, 5, 50)[k - 1] < 0
 
@@ -276,14 +292,17 @@ class TestExactEnumeration:
         assert expect == pytest.approx(ref[1], rel=1e-6)
 
     def test_point_mass_off_every_lattice(self):
-        """A point mass with no rational form shares no lattice with Bernoulli
-        means: no tie, arm 1 commits on Xbar >= y, and the tail needs no lattice."""
-        y, m, T = (math.sqrt(5) - 1) / 2, 40, 160
+        """A point mass off the Bernoulli means' lattice ties with none of them:
+        arm 1 commits on Xbar >= y, and the tail needs no lattice.  (sqrt(5) - 1) / 2
+        has a fraction under the cap (514229/832040), so it sits on a fine joint
+        lattice; 1e-7 sqrt(2) has none, so the tie tolerance is 0."""
+        m, T = 40, 160
         values, probs = th.mean_pmf(B3, m)
-        above = values >= y
-        expected = (T - 2 * m) / (T - m) * np.dot(probs[above], 0.3 - values[above])
-        assert th.etc_bias_general([B3, Gaussian(y, 0.0)], m, T)[0] == pytest.approx(expected, rel=1e-12)
-        assert th.exact_mean_tail(B3, y, m)[0] == pytest.approx(probs[above].sum(), rel=1e-12)
+        for y in ((math.sqrt(5) - 1) / 2, 1e-7 * math.sqrt(2)):
+            above = values >= y
+            expected = (T - 2 * m) / (T - m) * np.dot(probs[above], 0.3 - values[above])
+            assert th.etc_bias_general([B3, Gaussian(y, 0.0)], m, T)[0] == pytest.approx(expected, rel=1e-12)
+            assert th.exact_mean_tail(B3, y, m)[0] == pytest.approx(probs[above].sum(), rel=1e-12)
 
     def test_lattice_too_fine_for_floats_raises(self):
         # spacing 1e-3 / 1000 against means near 1e9: float rounding could break a tie
@@ -401,6 +420,7 @@ class TestLegendreFenchel:
 
     def test_rate_zero_at_mean(self):
         assert th.legendre_fenchel(B3, 0.3) == (0.0, 0.0)
+        assert th.legendre_fenchel(Gaussian(0.5, 0.0), 0.5) == (0.0, 0.0)  # a point mass: its range is its mean
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
@@ -466,12 +486,16 @@ class TestTailAsymptotics:
             assert prof.span == pytest.approx(0.1) and prof.threshold_span == pytest.approx(0.1)
             assert prof.caveat is False
 
-    def test_gaussian_profile_continuous(self):
+    def test_degenerate_law_has_no_profile(self):
+        with pytest.raises(OutOfRange, match="degenerate law"):
+            th.bahadur_rao_constants(Bernoulli(1.0), 0.5)
+
+    def test_gaussian_profile_continuous(self, tail_expectation_asymptotic):
         prof = th.bahadur_rao_constants(Gaussian(1.0, 1.0), 1.5)
         assert prof.lattice is False
         assert prof.span is None and prof.threshold_span is None
         assert prof.c0 == pytest.approx(1.0 / prof.zeta, rel=1e-12)
-        assert th.tail_expectation_limit(prof) == 1.0
+        assert tail_expectation_asymptotic(prof, 1)[1] == 1.0
 
     def test_tail_ratio_converges(self):
         """Exact binomial tail over its sharp approximation climbs toward 1."""
@@ -485,14 +509,15 @@ class TestTailAsymptotics:
         assert ratios == pytest.approx([0.948719, 0.971762, 0.98505, 0.992284], abs=1e-5)
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
-    def test_normalized_tail_expectation_converges(self):
+    def test_normalized_tail_expectation_converges(self, tail_expectation_asymptotic):
         prof = th.bahadur_rao_constants(B3, 0.6)
-        limit = th.tail_expectation_limit(prof)
+        limit = tail_expectation_asymptotic(prof, 1)[1]
         assert limit == pytest.approx(0.8799496213614857, rel=1e-12)
         ratios = []
         for m in (50, 100, 200):
             _, expect = th.exact_mean_tail(B3, 0.6, m)
-            ratios.append(th.tail_normalizer(prof, m) * expect / limit)
+            normalizer, _ = tail_expectation_asymptotic(prof, m)
+            ratios.append(normalizer * expect / limit)
         assert ratios == pytest.approx([0.860486, 0.922442, 0.958413], abs=1e-5)
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
