@@ -106,7 +106,7 @@ def _policy_from_args(args) -> policies.PolicySpec:
 
 
 def _load_arms(path: str) -> tuple:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         return policies.read_field("arms", policies.json_list(dist.from_dict), json.load(f))
 
 
@@ -167,7 +167,7 @@ def _cmd_theory(args) -> int:
 
 def _cmd_plan(args) -> int:
     workers = _workers(args)
-    with open(args.plan) as f:
+    with open(args.plan, encoding="utf-8") as f:
         plan = policies.read_field("plan", lambda d: ExperimentPlan.from_dict(d, args.seed), json.load(f))
     run_plan(plan, workers=workers, out_dir=args.out_dir)
     return 0

@@ -16,7 +16,9 @@ Propensities and plug-in means come from the logs' prefix states
 (``policies.prefix_blocks``), so they use only the history and match what the
 policy saw at run time.  One walk over stacked logs, ``weighted_estimates``,
 takes both from each block of rounds and computes every horizon, so it holds
-no array that grows with T; ``plan`` and ``evaluate`` share it.
+no array that grows with T; ``plan`` and ``evaluate`` share it.  Every horizon's
+sum is one running sum over rounds 1..h, added one round at a time, so a log
+gets the same bits alone (``evaluate``) as in a stack of logs (``plan``).
 """
 from __future__ import annotations
 
@@ -59,7 +61,9 @@ def weighted_estimates(logs: BanditLog, names, horizons) -> tuple:
     A policy that does not randomize, or ``names`` without ipw and aipw, gives all -1 and {}, with no walk.
     One walk of ``policies.prefix_blocks`` gives each block's propensities and AIPW's running
     means.  The per-round terms x come a block at a time, each block's first round taking the
-    total of the rounds before it: horizon h has the bits of ``x[:, :h].sum(axis=1) / h``.
+    total of the rounds before it, and one running sum over each block's rounds gives every
+    horizon: horizon h is ``(((0.0 + x_1) + x_2) + ... + x_h) / h``, so a log's bits depend on
+    neither K, nor the logs stacked with it, nor the block size.
     """
     actions, rewards, K = logs.actions, logs.rewards, logs.K
     first_zero = np.full(len(actions), -1)
@@ -67,7 +71,7 @@ def weighted_estimates(logs: BanditLog, names, horizons) -> tuple:
               for name in ("ipw", "aipw") if name in names and logs.policy.randomized}
     if not tables:
         return first_zero, tables
-    totals = dict.fromkeys(tables, -0.0)  # -0.0 + x is x, bit for bit
+    totals = dict.fromkeys(tables, 0.0)
     for lo, hi, state in policies.prefix_blocks(actions, rewards, K):
         r = rewards[:, lo:hi]
         onehot = actions[:, lo:hi, None] == np.arange(K)
@@ -80,9 +84,10 @@ def weighted_estimates(logs: BanditLog, names, horizons) -> tuple:
             x = ((r / p)[:, :, None] * onehot if name == "ipw" else
                  mhat + onehot * ((r - np.where(onehot, mhat, 0.0).sum(axis=2)) / p)[:, :, None])
             x[:, 0] += totals[name]
+            np.cumsum(x, axis=1, out=x)  # an accumulate: one round at a time, whatever the layout
             for h in table.keys() & range(lo + 1, hi + 1):
-                table[h][:] = x[:, :h - lo].sum(axis=1) / h
-            totals[name] = x.sum(axis=1)
+                table[h][:] = x[:, h - lo - 1] / h
+            totals[name] = x[:, -1]
     for estimate in (estimate for table in tables.values() for estimate in table.values()):
         estimate[first_zero >= 0] = np.nan
     return first_zero, tables

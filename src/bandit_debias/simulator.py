@@ -40,7 +40,6 @@ import csv
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -374,10 +373,15 @@ def json_floats(values) -> list:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    """Write UTF-8 ``text`` to a new file beside ``path``, then rename it over ``path``.
+
+    The file gets the mode that ``open(path, "w")`` would give a new file: the umask applies.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}-{name}")
+    f = open(tmp, "x", encoding="utf-8")  # "x" fails rather than take a file over, so only ours is removed
     try:
-        with os.fdopen(fd, "w") as f:
+        with f:
             f.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -456,7 +460,7 @@ def _read_sidecar(meta) -> dict:
 
 
 def load_log(csv_path: str, meta_path: str) -> BanditLog:
-    with open(meta_path) as f:  # a missing sidecar stays an OSError
+    with open(meta_path, encoding="utf-8") as f:  # a missing sidecar stays an OSError
         try:
             meta = policies.read_field("sidecar", _read_sidecar, json.load(f))
         except policies.RecordError as exc:
@@ -465,10 +469,9 @@ def load_log(csv_path: str, meta_path: str) -> BanditLog:
             raise CorruptLog(f"sidecar is not valid JSON: {exc}") from None
     K, T = meta["K"], meta["T"]
     header, i = None, 0  # i: the last data row read
-    with open(csv_path, newline="") as f:
+    # "utf-8-sig" drops one leading byte-order mark, which spreadsheet exports write.
+    with open(csv_path, newline="", encoding="utf-8-sig") as f:
         try:
-            if f.read(1) != "\ufeff":  # one leading byte-order mark (spreadsheet exports write it) is dropped
-                f.seek(0)
             header = next(reader := csv.reader(f), [])
             missing = sorted({"t", "arm", "reward"} - set(header))
             if missing:

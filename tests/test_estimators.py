@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -164,6 +165,25 @@ def test_ipw_alone_has_the_full_calls_bytes(zero_propensities):
     assert set(alone[1]) == {"ipw"}
     for h in horizons:
         assert alone[1]["ipw"][h].tobytes() == full[1]["ipw"][h].tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("policy", [EgSpec(0.2), TsSpec()], ids=["eg", "ts"])
+def test_horizon_sums_have_the_same_bits_at_any_block_size(policy, K, monkeypatch):
+    # At K = 1 the round axis is contiguous, where numpy's sum would go pairwise.
+    T, horizons = 300, (1, 7, 150, 300)
+    laws = LawWorld([Gaussian(0.3 * k, 1.0) for k in range(K)])
+    out = run_batch(3, K, T, policy, laws, substream(21), record_logs=True)
+    logs = BanditLog(K, T, out.actions, out.rewards, policy)
+    alone = [evaluate(BanditLog(K, T, out.actions[i], out.rewards[i], policy), ("ipw", "aipw")) for i in range(3)]
+    stacked = []
+    for rows in (2048, 64, 7):  # blocks of 683, 22 and 3 rounds
+        monkeypatch.setattr(policies, "_PREFIX_ROWS", rows)
+        stacked.append(weighted_estimates(logs, ("ipw", "aipw"), horizons))
+    assert all(pickle.dumps(each) == pickle.dumps(stacked[0]) for each in stacked)
+    tables = stacked[0][1]
+    for name in ("ipw", "aipw"):
+        assert [np.array(one[name]).tobytes() for one in alone] == [row.tobytes() for row in tables[name][T]]
 
 
 def test_weighted_pass_memory_is_bounded():

@@ -12,7 +12,10 @@ log whose header follows one byte-order mark.
 """
 import csv
 import json
+import os
 import pickle
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -27,6 +30,7 @@ from bandit_debias.policies import TsSpec
 from bandit_debias.simulator import CorruptLog, load_log, meta_path_for, run_experiment, save_log
 
 COLUMNS = ("t", "arm", "reward")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _dict_column(rows: list, name: str, kind: type, dtype) -> np.ndarray:
@@ -168,3 +172,24 @@ def test_a_byte_order_mark_before_the_header_is_dropped(tmp_path):
         assert dispatch([*argv, "--out", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_a_marked_log_loads_under_the_c_locale(tmp_path):
+    """A log is UTF-8 whatever the locale: under C, with no UTF-8 mode, ``debias`` reads a marked
+    log as under a UTF-8 locale, and a second mark is still a missing column (exit 2)."""
+    plain = tmp_path / "plain.csv"
+    save_log(run_experiment(2, 20, TsSpec(), [Bernoulli(0.3), Bernoulli(0.6)], seed=3), str(plain))
+    marked, twice = tmp_path / "marked.csv", tmp_path / "twice.csv"
+    marked.write_bytes("\ufeff".encode() + plain.read_bytes())
+    twice.write_bytes("\ufeff".encode() + marked.read_bytes())
+    meta = meta_path_for(str(plain))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": str(SRC)}
+    runs = {}
+    for path in (plain, marked, twice):
+        argv = ["debias", "--log", str(path), "--meta", meta, "--bootstrap", "efron", "--B", "200", "--seed", "4",
+                "--out", str(tmp_path / f"{path.stem}.json")]
+        runs[path.stem] = subprocess.run([sys.executable, "-m", "bandit_debias.cli", *argv], env=env,
+                                         capture_output=True, text=True)
+    assert [runs[name].returncode for name in ("plain", "marked", "twice")] == [0, 0, 2], runs["marked"].stderr
+    assert (tmp_path / "marked.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    assert "missing column(s) ['t']" in runs["twice"].stderr

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +162,19 @@ def test_a_failed_atomic_write_leaves_no_file(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         atomic_write_text(str(path), "ok \ud800")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_an_atomic_write_has_the_mode_of_a_plain_open(tmp_path):
+    """Not the owner-only 0600 of a temporary file: the umask decides, as for ``open(path, "w")``."""
+    mask = os.umask(0o022)
+    try:
+        with open(tmp_path / "plain.json", "w", encoding="utf-8"):
+            pass
+        atomic_write_text(str(tmp_path / "out.json"), "{}\n")
+    finally:
+        os.umask(mask)
+    mode = {name: stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("plain.json", "out.json")}
+    assert mode["out.json"] == mode["plain.json"]
 
 
 def test_csv_round_trip_bit_exact(tmp_path):
