@@ -106,8 +106,9 @@ def _policy_from_args(args) -> policies.PolicySpec:
 
 
 def _load_arms(path: str) -> tuple:
-    with open(path, encoding="utf-8") as f:
-        return policies.read_field("arms", policies.json_list(dist.from_dict), json.load(f))
+    with open(path, encoding="utf-8-sig") as f:
+        return policies.read_field("arms", policies.json_list(dist.from_dict),
+                                   json.load(f, object_pairs_hook=policies.unique_keys))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -167,8 +168,9 @@ def _cmd_theory(args) -> int:
 
 def _cmd_plan(args) -> int:
     workers = _workers(args)
-    with open(args.plan, encoding="utf-8") as f:
-        plan = policies.read_field("plan", lambda d: ExperimentPlan.from_dict(d, args.seed), json.load(f))
+    with open(args.plan, encoding="utf-8-sig") as f:
+        plan = policies.read_field("plan", lambda d: ExperimentPlan.from_dict(d, args.seed),
+                                   json.load(f, object_pairs_hook=policies.unique_keys))
     run_plan(plan, workers=workers, out_dir=args.out_dir)
     return 0
 

@@ -40,7 +40,8 @@ rewards, so they must be pinned down):
   normals and take their ``_argmax_rows``.
 
 ``read_record`` is the one reader of JSON records from outside the program:
-policy specs, and through it sidecars, plans and arms files.
+policy specs, and through it sidecars, plans and arms files, which
+``json.load`` parses with ``unique_keys`` so that no key is given twice.
 """
 from __future__ import annotations
 
@@ -131,6 +132,17 @@ def read_record(record, parsers: dict, defaults: Optional[dict] = None) -> dict:
     unknown = sorted(set(record) - set(parsers))
     if unknown:
         raise RecordError("is not a known field", unknown[0])
+    return out
+
+
+def unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, for ``json.load``'s ``object_pairs_hook``: a key
+    given twice is a RecordError, where ``json.load`` alone keeps the last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise RecordError(f"a JSON object repeats the key {key!r}")
+        out[key] = value
     return out
 
 

@@ -50,10 +50,6 @@ from . import policies
 from .policies import BatchPolicyState, PolicySpec
 from .streams import substream
 
-# Cells (rows x rounds) per block that ResampleWorld.draw_sum draws at once:
-# a block's arrays stay near 128 KiB, in cache, whatever the batch width.
-_SUM_CELLS = 4096 * 4
-
 
 @dataclass
 class BanditLog:
@@ -256,16 +252,14 @@ class ResampleWorld:
         return self.values.take(self._offsets.take(cells) + u.astype(np.int64))
 
     def draw_sum(self, cells: np.ndarray, j: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Per row, the sum of j resampled rewards from its flat cell, drawn in
-        blocks of rounds, and NaN in place of their centred sum of squares."""
-        n = len(cells)
-        offsets, counts = self._offsets[cells], self._counts[cells]
-        rounds = max(1, _SUM_CELLS // n)
-        sums = np.zeros(n)
-        for done in range(0, j, rounds):
-            picks = offsets + (rng.random((min(rounds, j - done), n)) * counts).astype(np.int64)
-            sums += self.values[picks].sum(axis=0)
-        return sums, np.full(n, np.nan)
+        """Per row, the sum of j resampled rewards from its flat cell, added one
+        round at a time as ``draw`` draws them, and NaN in place of their centred
+        sum of squares."""
+        offsets, counts = self._offsets.take(cells), self._counts.take(cells)
+        sums = np.zeros(len(cells))
+        for _ in range(j):
+            sums += self.values.take(offsets + (rng.random(len(cells)) * counts).astype(np.int64))
+        return sums, np.full(len(cells), np.nan)
 
 
 World = Union[LawWorld, ResampleWorld]
@@ -460,16 +454,16 @@ def _read_sidecar(meta) -> dict:
 
 
 def load_log(csv_path: str, meta_path: str) -> BanditLog:
-    with open(meta_path, encoding="utf-8") as f:  # a missing sidecar stays an OSError
+    # "utf-8-sig", here and for the log, drops one leading byte-order mark, which spreadsheet exports write.
+    with open(meta_path, encoding="utf-8-sig") as f:  # a missing sidecar stays an OSError
         try:
-            meta = policies.read_field("sidecar", _read_sidecar, json.load(f))
+            meta = policies.read_field("sidecar", _read_sidecar, json.load(f, object_pairs_hook=policies.unique_keys))
         except policies.RecordError as exc:
             raise CorruptLog(str(exc)) from None
         except ValueError as exc:
             raise CorruptLog(f"sidecar is not valid JSON: {exc}") from None
     K, T = meta["K"], meta["T"]
     header, i = None, 0  # i: the last data row read
-    # "utf-8-sig" drops one leading byte-order mark, which spreadsheet exports write.
     with open(csv_path, newline="", encoding="utf-8-sig") as f:
         try:
             header = next(reader := csv.reader(f), [])

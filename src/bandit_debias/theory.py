@@ -484,7 +484,9 @@ def log_bias_ratio_experiment(
 
     For each m, runs R two-arm Gaussian ETC experiments at horizon T = 4m
     and evaluates the log-bias ratio at the sampled means and MLE variances.
-    Degenerate sample variances are excluded and counted.
+    Degenerate sample variances are excluded and counted.  Only ``p``'s
+    means and variances are read: ``m_grid`` sets m and T = 4m, so
+    ``p.m`` and ``p.T`` are ignored.
     """
     world = LawWorld([Gaussian(p.mu1, p.var1), Gaussian(p.mu2, p.var2)])
     results: dict[int, dict] = {}

@@ -796,6 +796,61 @@ def test_debias_missing_sidecar_is_usage_error(tmp_path, gauss_arms, capsys):
     assert "No such file" in capsys.readouterr().err
 
 
+def _json_input(tmp_path, gauss_arms, kind):
+    """A ``kind`` file (arms, plan or sidecar) and ``run(path, out)``: the command that reads
+    it, on ``path``, writing its outputs into the existing directory ``out``."""
+    if kind == "arms":
+        return Path(gauss_arms), lambda path, out: dispatch([
+            "simulate", "--policy", "ucb", "--K", "2", "--T", "50", "--arms", path, "--seed", "5",
+            "--out", str(out / "log.csv")])
+    if kind == "plan":
+        return Path(_plan_file(tmp_path)), lambda path, out: dispatch([
+            "plan", "--plan", path, "--seed", "1", "--workers", "1", "--out-dir", str(out)])
+    log = _simulate(tmp_path, gauss_arms, policy="ts")
+    return Path(log + ".meta.json"), lambda path, out: dispatch([
+        "debias", "--log", log, "--meta", path, "--B", "10", "--seed", "2", "--out", str(out / "r.json")])
+
+
+def _written(out: Path) -> dict:
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("kind, refused", [("arms", 1), ("plan", 1), ("sidecar", 2)])
+def test_a_json_input_may_start_with_one_byte_order_mark(tmp_path, gauss_arms, capsys, kind, refused):
+    """A JSON input, like the log, may start with one U+FEFF, and its outputs are byte-identical
+    to the unmarked file's; a second mark is still refused, with the exit code it always had."""
+    source, run = _json_input(tmp_path, gauss_arms, kind)
+    codes, outputs = [], []
+    for marks in (0, 1, 2):
+        path, out = tmp_path / f"{marks}-marks-{source.name}", tmp_path / f"out-{marks}"
+        path.write_bytes("\ufeff".encode() * marks + source.read_bytes())
+        out.mkdir()
+        codes.append(run(str(path), out))
+        outputs.append(_written(out))
+    assert codes == [0, 0, refused]
+    assert outputs[0] and outputs[1] == outputs[0] and outputs[2] == {}
+    assert "Unexpected UTF-8 BOM" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, old, new, refused", [
+    ("arms", '"mean": 1.0,', '"mean": 3.0, "mean": 1.0,', 1),
+    ("plan", '"B": 5', '"B": 5, "B": 7', 1),  # a nested object
+    ("sidecar", '"T": 100', '"T": 50, "T": 100', 2),
+], ids=["arms", "plan", "sidecar"])
+def test_a_key_repeated_in_a_json_object_is_refused(tmp_path, gauss_arms, capsys, kind, old, new, refused):
+    """``json.load`` alone keeps a repeated key's last value, so a file that gives two values
+    would run on one of them; it is refused and the key named, and nothing is written."""
+    source, run = _json_input(tmp_path, gauss_arms, kind)
+    path, out = tmp_path / f"repeated-{source.name}", tmp_path / "out"
+    assert source.read_text().count(old) == 1
+    path.write_text(source.read_text().replace(old, new))
+    out.mkdir()
+    assert run(str(path), out) == refused
+    key = old.split('"')[1]
+    assert f"a JSON object repeats the key '{key}'" in capsys.readouterr().err
+    assert _written(out) == {}
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Sizes of the process pools started, by a stand-in that runs their tasks in this process."""

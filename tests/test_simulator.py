@@ -399,9 +399,9 @@ def test_unlogged_etc_batches_skip_the_policy_step(monkeypatch):
 
 @pytest.mark.parametrize("name", ["gaussian", "bernoulli", "mixed", "resample"])
 def test_draw_sum_moments(name):
-    # 64 draws per row take several blocks of rounds of a resample world at
-    # this width.  A resample cell's law is its observed rewards, so its
-    # variance is their MLE variance; its squares are NaN.
+    # A resample world adds its 64 draws per row one round at a time.  A
+    # resample cell's law is its observed rewards, so its variance is their
+    # MLE variance; its squares are NaN.
     world, j, n = _world(name), 64, 2000
     for k in range(3):
         sums, squares = world.draw_sum(np.full(n, k), j, substream(7, k))
@@ -417,6 +417,24 @@ def test_draw_sum_moments(name):
             assert abs(squares.mean() - (j - 1) * var) <= 4 * squares.std() / np.sqrt(n), k
         if var > 0:
             assert abs(sums.var() / (j * var) - 1) < 4 * np.sqrt(2 / n), k
+
+
+@pytest.mark.parametrize("logs", [1, 3])
+@pytest.mark.parametrize("n", [1, 7, 5000, 20_000])
+def test_resample_draw_sum_adds_one_round_at_a_time(n, logs):
+    # An Efron sum's bits are 0.0 plus ``draw``'s rewards added round by
+    # round from the same stream, at any batch width: a sum grouped in
+    # blocks of rounds (or summed pairwise) rounds differently.
+    data, j = substream(11, logs), 200
+    shape = (60,) if logs == 1 else (logs, 60)
+    world = ResampleWorld(np.broadcast_to(np.arange(60) % 3, shape), data.normal(size=shape), 3)
+    cells = data.integers(0, 3 * logs, size=n)
+    expected, rng = np.zeros(n), substream(12)
+    for _ in range(j):
+        expected += world.draw(cells, rng)
+    sums, squares = world.draw_sum(cells, j, substream(12))
+    assert sums.tobytes() == expected.tobytes()
+    assert np.isnan(squares).all() and squares.shape == (n,)
 
 
 @pytest.mark.parametrize("name", ["gaussian", "mixed", "resample"])
